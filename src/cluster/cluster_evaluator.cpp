@@ -147,8 +147,6 @@ ClusterEvaluator::solverContext() const
     context.cache = config_.solverCache != nullptr
                         ? config_.solverCache
                         : &solver_cache_;
-    context.pivotCutoff = config_.solverPivotCutoff;
-    context.pricingGrain = config_.solverPricingGrain;
     return context;
 }
 

@@ -148,7 +148,7 @@ class ClusterEvaluator
     /**
      * Solver wiring the evaluator places with: the evaluation pool
      * plus its own solve memo (unless FleetConfig::solverCache
-     * overrides it), and the config's LP cutoffs.
+     * overrides it).
      */
     SolverContext solverContext() const;
 

@@ -112,9 +112,13 @@ struct FleetConfig
      * its own. Results never depend on this — only wall-clock does.
      */
     math::AssignmentCache* solverCache = nullptr;
-    /** Minimum tableau cells before an LP pivot fans out over rows. */
+    /**
+     * Ignored: read by nothing in src/ (the LP's fan-out cutoff is a
+     * fixed tableau size in simplex.cpp). Still declared only because
+     * the benchmark sources read it.
+     */
     std::size_t solverPivotCutoff = 4096;
-    /** Columns per LP pricing/ratio-test reduction chunk. */
+    /** Ignored, like solverPivotCutoff. */
     std::size_t solverPricingGrain = 2048;
 
     // ----- fleet layer -------------------------------------------
@@ -249,17 +253,6 @@ struct FleetConfig
     FleetConfig& withSolverCache(math::AssignmentCache* value)
     {
         solverCache = value;
-        return *this;
-    }
-    FleetConfig& withSolverCutoffs(std::size_t pivot_cutoff,
-                                   std::size_t pricing_grain)
-    {
-        POCO_CHECK(pivot_cutoff >= 1,
-                   "solverPivotCutoff must be at least 1");
-        POCO_CHECK(pricing_grain >= 1,
-                   "solverPricingGrain must be at least 1");
-        solverPivotCutoff = pivot_cutoff;
-        solverPricingGrain = pricing_grain;
         return *this;
     }
     FleetConfig& withShards(int value)
@@ -417,10 +410,6 @@ struct FleetConfig
                    "minPowerR2 must be non-negative");
         POCO_CHECK(threads >= 0,
                    "threads must be >= 0 (0 = shared pool)");
-        POCO_CHECK(solverPivotCutoff >= 1,
-                   "solverPivotCutoff must be at least 1");
-        POCO_CHECK(solverPricingGrain >= 1,
-                   "solverPricingGrain must be at least 1");
         POCO_CHECK(shards >= 1, "shards must be at least 1");
         POCO_CHECK(!epochLoads.empty(),
                    "epochLoads must be non-empty");

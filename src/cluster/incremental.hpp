@@ -22,6 +22,13 @@
  * on the returned Outcome records which rung fired; tiers Cached /
  * Repair / WarmLp sit *above* Lp in the ladder because they are
  * cheaper, not worse.
+ *
+ * The matrix side mirrors the delta: ctrl::ReplayEngine keeps its
+ * cells resident and re-evaluates only those whose server load moved
+ * (a Column delta costs one column of cell calls, a budget-only
+ * FullRefresh none). That cache is sound only because the CellModel
+ * is pure; the matrices handed to resolve() are bit-identical to
+ * full rebuilds.
  */
 
 #pragma once
@@ -101,8 +108,7 @@ class IncrementalPlacer
     explicit IncrementalPlacer(SolverContext context = {},
                                FallbackOptions fallback = {})
         : context_(context), fallback_(fallback),
-          warm_(math::LpOptions{context.pool, context.pivotCutoff,
-                                context.pricingGrain})
+          warm_(math::LpOptions{context.pool})
     {}
 
     /**

@@ -20,16 +20,6 @@ validateMatrix(const PerformanceMatrix& matrix)
                  "placement needs BE apps <= LC servers");
 }
 
-math::LpOptions
-lpOptions(const SolverContext& context)
-{
-    math::LpOptions options;
-    options.pool = context.pool;
-    options.pivotCutoff = context.pivotCutoff;
-    options.pricingGrain = context.pricingGrain;
-    return options;
-}
-
 /** Repeated argmax; lowest (row, col) wins ties. */
 std::vector<int>
 solveGreedy(const PerformanceMatrix& matrix)
@@ -71,8 +61,7 @@ solveExact(const PerformanceMatrix& matrix, PlacementKind kind,
 {
     switch (kind) {
       case PlacementKind::Lp:
-        return math::solveAssignmentLp(matrix.view(),
-                                       lpOptions(context));
+        return math::solveAssignmentLp(matrix.view(), {context.pool});
       case PlacementKind::Hungarian:
         return math::solveAssignmentMax(matrix.view());
       case PlacementKind::Exhaustive:

@@ -10,11 +10,12 @@
  *
  * The exact policies (LP, Hungarian, exhaustive) are deterministic
  * pure functions of the matrix, so they take a SolverContext instead
- * of an Rng: a thread pool accelerates the LP's pivot/pricing kernels
- * and the admission path's batch candidate scoring, and an
- * AssignmentCache memoizes repeated solves of the same matrix across
- * admission rounds and load-sweep points. Every configuration —
- * serial, pooled, cached — returns field-identical assignments.
+ * of an Rng: a thread pool accelerates the admission path's batch
+ * candidate scoring and the LP's pivot elimination on tableaus past
+ * its size cutoff (48x48 and up), and an AssignmentCache memoizes
+ * repeated solves of the same matrix across admission rounds and
+ * load-sweep points. With or without a pool or a cache, every solve
+ * returns field-identical assignments.
  */
 
 #pragma once
@@ -58,21 +59,24 @@ const char* placementKindName(PlacementKind kind);
 
 /**
  * Execution context for the exact placement solvers: where to run
- * (pool) and what to remember (memo cache), plus the LP fan-out
- * cutoffs. The defaults run serially with no memoization; results
- * never depend on the settings. The tuning knobs are owned by
- * poco::FleetConfig (cluster/fleet_config.hpp) — this struct is the
- * runtime wiring the evaluators assemble from it.
+ * (pool) and what to remember (memo cache). The defaults run serially
+ * with no memoization; results never depend on the settings. The
+ * evaluators assemble it from poco::FleetConfig
+ * (cluster/fleet_config.hpp).
  */
 struct SolverContext
 {
-    /** Pool for the LP kernels and batch admission scoring. */
+    /** Pool for large LP pivots and batch admission scoring. */
     runtime::ThreadPool* pool = nullptr;
     /** Solve memo; null disables memoization. */
     math::AssignmentCache* cache = nullptr;
-    /** Minimum tableau cells before an LP pivot fans out over rows. */
+    /**
+     * Ignored: read by nothing in src/. The LP's fan-out cutoff is a
+     * fixed tableau size in simplex.cpp. Still declared only because
+     * the benchmark sources assign it.
+     */
     std::size_t pivotCutoff = 4096;
-    /** Columns per LP pricing/ratio-test reduction chunk. */
+    /** Ignored, like pivotCutoff: pricing is a serial scan. */
     std::size_t pricingGrain = 2048;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "math/solver_cache.hpp"
 #include "runtime/parallel.hpp"
@@ -16,6 +17,10 @@ namespace
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/** Cell-cache load of a cell never evaluated: unequal to any load. */
+constexpr double kNeverComputed =
+    std::numeric_limits<double>::quiet_NaN();
 
 void
 mixWord(std::uint64_t& h, std::uint64_t word)
@@ -141,7 +146,9 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
       telemetry_(telemetry),
       placer_(context_),
       tracker_(config.servers, config.heartbeat,
-               config.perServerBudget)
+               config.perServerBudget),
+      cell_raw_(config.bePool * config.servers),
+      cell_load_(config.bePool * config.servers, kNeverComputed)
 {
     POCO_REQUIRE(static_cast<bool>(cells),
                  "replay engine needs a cell model");
@@ -181,7 +188,9 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
       context_(placerContext(context, config_, memo_)),
       telemetry_(telemetry),
       placer_(context_),
-      tracker_(checkpoint.tracker)
+      tracker_(checkpoint.tracker),
+      cell_raw_(config.bePool * config.servers),
+      cell_load_(config.bePool * config.servers, kNeverComputed)
 {
     POCO_REQUIRE(static_cast<bool>(cells),
                  "replay engine needs a cell model");
@@ -211,11 +220,11 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
     pending_ = checkpoint.pending;
     pending_.reserve(config.backpressure.window + 1);
     dirty_sheds_ = checkpoint.dirtySheds;
-    // The placer and memo are deliberately cold here: the ladder's
-    // rungs are all exact, so the restored master re-derives the
-    // same assignments the checkpointed one would have — only tier
-    // counters differ, which is why the oracle comparison uses the
-    // semantic fingerprint.
+    // The placer, memo and cell cache are deliberately cold here:
+    // the ladder's rungs are all exact and cells are pure, so the
+    // restored master re-derives the same assignments the
+    // checkpointed one would have — only tier counters differ, which
+    // is why the oracle comparison uses the semantic fingerprint.
 }
 
 void
@@ -344,19 +353,29 @@ ReplayEngine::apply(const ControlEvent& e)
             degradation_.workShed = true;
         }
 
-        // Each cell is an independent pure call; fan the rows out
-        // over the pool, each writing its own slice of the flat
-        // buffer. Slot-addressed writes keep the matrix
-        // bit-identical for any worker count.
+        // Each cell is an independent pure call, re-evaluated only
+        // when its server's load moved since the resident value was
+        // computed (or it never was). Rows fan out over the pool;
+        // row i writes only BE rows[i]'s cache slots and its own
+        // matrix slice, so the matrix is bit-identical for any
+        // worker count.
         cluster::PerformanceMatrix matrix;
         matrix.resize(rows.size(), alive.size());
         runtime::parallelFor(
             context_.pool, rows.size(), [&](std::size_t i) {
+                const std::size_t be = rows[i];
+                double* raw = cell_raw_.data() + be * cfg.servers;
+                double* at = cell_load_.data() + be * cfg.servers;
                 double* row = matrix.row(i);
-                for (std::size_t c = 0; c < alive.size(); ++c)
-                    row[c] = cells_(rows[i], alive[c],
-                                       load_[alive[c]]) *
-                             budget_scale_;
+                for (std::size_t c = 0; c < alive.size(); ++c) {
+                    const std::size_t srv = alive[c];
+                    // NaN (never computed) compares unequal.
+                    if (at[srv] != load_[srv]) {
+                        raw[srv] = cells_(be, srv, load_[srv]);
+                        at[srv] = load_[srv];
+                    }
+                    row[c] = raw[srv] * budget_scale_;
+                }
             });
 
         const Outcome<std::vector<int>> placed =

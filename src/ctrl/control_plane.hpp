@@ -43,8 +43,16 @@
  * tracker, fresh placer, fresh memo), so the same log produces a
  * bit-identical CtrlRollup fingerprint on every call and for every
  * thread count — the parallel kernels underneath (matrix cell
- * builds, LP pricing/pivoting) are bit-identical by construction,
+ * builds, LP pivot elimination) are bit-identical by construction,
  * and nothing reads the wall clock.
+ *
+ * Cell cache: the engine keeps every (BE, server) cell it evaluated
+ * resident, with the load it was evaluated at, and re-evaluates a
+ * cell only when that server's load changed. A single-server
+ * LoadShift costs one column of cell calls, a BudgetChange none (the
+ * matrix entry is always raw * budgetScale), a BeArrive one row. The
+ * cache is an accelerator like the placer's engines: CtrlCheckpoint
+ * does not carry it, and a restored engine starts empty.
  */
 
 #pragma once
@@ -71,7 +79,11 @@ namespace poco::ctrl
 /**
  * Cell model: estimated BE throughput of pool candidate @p be
  * colocated with server @p server at LC load fraction @p load. Must
- * be a pure deterministic function — it is re-evaluated on replay.
+ * be a pure deterministic function of its arguments: ReplayEngine
+ * keeps each (be, server) value resident and calls the model again
+ * only when that server's load changed, and a restored engine
+ * re-evaluates from scratch. Both give the same matrix only because
+ * the model is pure.
  */
 using CellModel = std::function<double(
     std::size_t be, std::size_t server, double load)>;
@@ -183,9 +195,10 @@ struct CtrlRollup
  * the heartbeat ledger (checkpoint-by-copy, see heartbeat.hpp), the
  * modeled cluster state, the partial rollup, and the backpressure
  * queue. Deliberately NOT checkpointed: the IncrementalPlacer's
- * engines and memo — solver state is a pure accelerator, and a
- * restored master re-arms it from scratch (exactness of every rung
- * keeps the answers identical; only tiers differ).
+ * engines and memo, and the engine's cell cache — pure accelerators
+ * a restored master re-arms from scratch (exactness of every rung
+ * and purity of the CellModel keep the answers identical; only tiers
+ * differ).
  */
 struct CtrlCheckpoint
 {
@@ -286,6 +299,13 @@ class ReplayEngine
     std::vector<double> load_;
     double budget_scale_ = 1.0;
     std::vector<std::size_t> prev_alive_;
+    /**
+     * Resident cell cache, bePool x servers row-major: the raw cell
+     * value and the load it was computed at (NaN: never computed).
+     * Not checkpointed — a restored engine starts empty.
+     */
+    std::vector<double> cell_raw_;
+    std::vector<double> cell_load_;
 
     std::vector<EventRecord> records_;
     std::size_t resolves_ = 0;

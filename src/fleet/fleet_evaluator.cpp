@@ -332,8 +332,6 @@ FleetEvaluator::streamingSetup() const
 
     setup.context.pool = pool_;
     setup.context.cache = nullptr; // each replay builds its own memo
-    setup.context.pivotCutoff = config_.solverPivotCutoff;
-    setup.context.pricingGrain = config_.solverPricingGrain;
 
     setup.clusterOf.resize(servers_.size());
     for (std::size_t s = 0; s < servers_.size(); ++s)

@@ -15,6 +15,19 @@ namespace
 
 constexpr double kEps = 1e-9;
 
+/**
+ * Pivot elimination fans out over rows only from this many tableau
+ * cells up; the rest of the solver is serial. On the streaming
+ * benchmark (4-core host) a 32x32 assignment tableau (~71k cells) ran
+ * faster serial and a 64x64 one (~545k cells) faster pooled, so the
+ * cutoff sits between them; a 48x48 tableau (~233k cells) is above
+ * it, which bench_ext_scaling cross-checks against the serial path.
+ */
+constexpr std::size_t kParallelPivotCells = std::size_t{1} << 17;
+
+/** Minimum cells per pooled elimination task (whole rows). */
+constexpr std::size_t kPivotChunkCells = std::size_t{1} << 16;
+
 /** Phase-2 price of an artificial column: a degenerate basic
  *  artificial (redundant constraint) must never rise above zero. */
 constexpr double kArtificialPenalty = -1e15;
@@ -146,7 +159,7 @@ runTwoPhase(Canonical& c, const std::vector<double>& objective,
         std::vector<double> phase1(ncols, 0.0);
         for (std::size_t j = c.art_begin; j < ncols; ++j)
             phase1[j] = -1.0;
-        t.setObjective(phase1, options);
+        t.setObjective(phase1);
         if (!t.iterate(options, pivots)) {
             // Cannot be unbounded: the phase-1 objective is bounded
             // above by zero.
@@ -179,7 +192,7 @@ runTwoPhase(Canonical& c, const std::vector<double>& objective,
     }
 
     // Phase 2: the real objective.
-    t.setObjective(phase2Costs(c, objective), options);
+    t.setObjective(phase2Costs(c, objective));
     if (!t.iterate(options, pivots))
         return LpStatus::Unbounded;
     return LpStatus::Optimal;
@@ -271,40 +284,23 @@ SimplexTableau::SimplexTableau(std::size_t m, std::size_t ncols)
 }
 
 void
-SimplexTableau::setObjective(const std::vector<double>& cost,
-                             const LpOptions& options)
+SimplexTableau::setObjective(const std::vector<double>& cost)
 {
     POCO_REQUIRE(cost.size() == ncols_,
                  "objective arity must match tableau columns");
-    // Price out: d_j = c_j - sum_r c_basis[r] * a[r][j]. Column
-    // blocks sweep the tableau row by row, so each constraint row's
-    // cache lines are touched once per block instead of once per
-    // column and the inner loop is a straight vectorizable axpy.
-    // Every column still accumulates its rows in the fixed r order,
-    // so the reduced-cost row is bit-identical for any pool size and
-    // any block width.
-    constexpr std::size_t kBlock = 256;
-    const std::size_t nblocks = (ncols_ + kBlock - 1) / kBlock;
-    runtime::ThreadPool* pool =
-        m_ * ncols_ >= options.pivotCutoff ? options.pool : nullptr;
-    double* obj = row(m_);
-    runtime::parallelFor(
-        pool, nblocks,
-        [this, &cost, obj](std::size_t b) {
-            const std::size_t lo = b * kBlock;
-            const std::size_t hi = std::min(ncols_, lo + kBlock);
-            const std::size_t width = hi - lo;
-            double acc[kBlock] = {};
-            for (std::size_t r = 0; r < m_; ++r) {
-                const double cb = cost[basis_[r]];
-                const double* __restrict__ arow = row(r) + lo;
-                for (std::size_t j = 0; j < width; ++j)
-                    acc[j] += cb * arow[j];
-            }
-            for (std::size_t j = 0; j < width; ++j)
-                obj[lo + j] = cost[lo + j] - acc[j];
-        },
-        /*grain=*/1);
+    // Price out: d_j = c_j - sum_r c_basis[r] * a[r][j], accumulated
+    // row by row so the inner loop is a straight vectorizable axpy.
+    // Every column sums its rows in the fixed r order.
+    double* __restrict__ obj = row(m_);
+    std::fill(obj, obj + ncols_, 0.0);
+    for (std::size_t r = 0; r < m_; ++r) {
+        const double cb = cost[basis_[r]];
+        const double* __restrict__ arow = row(r);
+        for (std::size_t j = 0; j < ncols_; ++j)
+            obj[j] += cb * arow[j];
+    }
+    for (std::size_t j = 0; j < ncols_; ++j)
+        obj[j] = cost[j] - obj[j];
     double z0 = 0.0;
     for (std::size_t r = 0; r < m_; ++r)
         z0 += cost[basis_[r]] * rhs(r);
@@ -312,72 +308,18 @@ SimplexTableau::setObjective(const std::vector<double>& cost,
 }
 
 std::size_t
-SimplexTableau::priceDantzig(const LpOptions& options) const
+SimplexTableau::priceDantzig() const
 {
-    struct Best
-    {
-        double d;
-        std::size_t j;
-    };
     const double* __restrict__ obj = row(m_);
-
-    // The serial scan keeps the first strict maximum, and that
-    // answer is chunk-invariant: within any range the first strict
-    // maximum is the first index attaining the plain running max, so
-    // a range can be scanned as a vectorizable max sweep followed by
-    // a first-equal locate — same result, bit for bit, because the
-    // double max and the equality compare are exact. Chunks combine
-    // left to right preferring the left side on exact ties, exactly
-    // like the previous parallelReduce fold.
-    auto scanRange = [obj](std::size_t lo, std::size_t hi,
-                           Best acc) {
-        // Four independent running maxima: max is insensitive to
-        // lane interleaving, so the combined peak equals the
-        // single-chain scan's value and the locate pass below
-        // restores the exact first-index answer.
-        double p0 = acc.d;
-        double p1 = acc.d;
-        double p2 = acc.d;
-        double p3 = acc.d;
-        std::size_t j = lo;
-        for (; j + 4 <= hi; j += 4) {
-            p0 = obj[j] > p0 ? obj[j] : p0;
-            p1 = obj[j + 1] > p1 ? obj[j + 1] : p1;
-            p2 = obj[j + 2] > p2 ? obj[j + 2] : p2;
-            p3 = obj[j + 3] > p3 ? obj[j + 3] : p3;
+    std::size_t enter = npos;
+    double best = kEps;
+    for (std::size_t j = 0; j < ncols_; ++j) {
+        if (obj[j] > best) {
+            best = obj[j];
+            enter = j;
         }
-        double peak = p0;
-        peak = p1 > peak ? p1 : peak;
-        peak = p2 > peak ? p2 : peak;
-        peak = p3 > peak ? p3 : peak;
-        for (; j < hi; ++j)
-            peak = obj[j] > peak ? obj[j] : peak;
-        if (peak > acc.d) {
-            for (std::size_t j = lo; j < hi; ++j)
-                if (obj[j] == peak)
-                    return Best{peak, j};
-        }
-        return acc;
-    };
-
-    const Best init{kEps, npos};
-    const std::size_t grain =
-        std::max<std::size_t>(options.pricingGrain, 1);
-    const std::size_t nchunks = (ncols_ + grain - 1) / grain;
-    if (options.pool == nullptr || nchunks <= 1)
-        return scanRange(0, ncols_, init).j;
-
-    const std::vector<Best> partials = runtime::parallelMap(
-        options.pool, nchunks, [&](std::size_t chunk) {
-            const std::size_t lo = chunk * grain;
-            const std::size_t hi = std::min(ncols_, lo + grain);
-            return scanRange(lo, hi, init);
-        });
-    Best best = init;
-    for (const Best& part : partials)
-        if (part.d > best.d)
-            best = part;
-    return best.j;
+    }
+    return enter;
 }
 
 std::size_t
@@ -391,39 +333,25 @@ SimplexTableau::priceBland() const
 }
 
 std::size_t
-SimplexTableau::ratioTest(std::size_t enter,
-                          const LpOptions& options) const
+SimplexTableau::ratioTest(std::size_t enter) const
 {
-    struct Cand
-    {
-        double ratio;
-        std::size_t row;
-        std::size_t var; // basic variable of `row` (tie-break key)
-    };
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    const Cand init{inf, npos, npos};
-    auto better = [](const Cand& a, const Cand& b) {
-        return a.ratio < b.ratio ||
-               (a.ratio == b.ratio && a.var < b.var);
-    };
-    // Exact comparisons make the lexicographic min associative, so
-    // the chunked reduction equals the serial scan for any chunking.
-    const Cand pick = runtime::parallelReduce(
-        options.pool, m_, init,
-        [this, enter, &better](Cand acc, std::size_t r) {
-            const double a = at(r, enter);
-            if (a > kEps) {
-                const Cand cand{rhs(r) / a, r, basis_[r]};
-                if (better(cand, acc))
-                    return cand;
-            }
-            return acc;
-        },
-        [&better](Cand lhs, Cand rhs) {
-            return better(rhs, lhs) ? rhs : lhs;
-        },
-        options.pricingGrain);
-    return pick.row;
+    // Exact lexicographic (ratio, basic-variable index) minimum.
+    std::size_t leave = npos;
+    double best_ratio = std::numeric_limits<double>::infinity();
+    std::size_t best_var = npos;
+    for (std::size_t r = 0; r < m_; ++r) {
+        const double a = at(r, enter);
+        if (a <= kEps)
+            continue;
+        const double ratio = rhs(r) / a;
+        if (ratio < best_ratio ||
+            (ratio == best_ratio && basis_[r] < best_var)) {
+            leave = r;
+            best_ratio = ratio;
+            best_var = basis_[r];
+        }
+    }
+    return leave;
 }
 
 namespace
@@ -478,22 +406,26 @@ SimplexTableau::pivot(std::size_t prow, std::size_t pcol,
     // elimination fans out once the tableau is big enough to pay for
     // the dispatch; the arithmetic per row is identical either way.
     runtime::ThreadPool* pool =
-        (m_ + 1) * stride_ >= options.pivotCutoff ? options.pool
+        (m_ + 1) * stride_ >= kParallelPivotCells ? options.pool
                                                   : nullptr;
+    const std::size_t grain =
+        std::max<std::size_t>(1, kPivotChunkCells / stride_);
     const double* __restrict__ piv = src;
-    runtime::parallelFor(pool, m_ + 1, [this, prow, pcol,
-                                        piv](std::size_t r) {
-        if (r == prow)
-            return;
-        double* __restrict__ dst = row(r);
-        const double factor = dst[pcol];
-        if (std::abs(factor) < kEps) {
+    runtime::parallelFor(
+        pool, m_ + 1,
+        [this, prow, pcol, piv](std::size_t r) {
+            if (r == prow)
+                return;
+            double* __restrict__ dst = row(r);
+            const double factor = dst[pcol];
+            if (std::abs(factor) < kEps) {
+                dst[pcol] = 0.0;
+                return;
+            }
+            axpySub(dst, piv, factor, stride_);
             dst[pcol] = 0.0;
-            return;
-        }
-        axpySub(dst, piv, factor, stride_);
-        dst[pcol] = 0.0;
-    });
+        },
+        grain);
     basis_[prow] = pcol;
 }
 
@@ -509,10 +441,10 @@ SimplexTableau::iterate(const LpOptions& options, std::size_t* pivots)
     bool bland = false;
     for (;;) {
         const std::size_t enter =
-            bland ? priceBland() : priceDantzig(options);
+            bland ? priceBland() : priceDantzig();
         if (enter == npos)
             return true; // optimal
-        const std::size_t leave = ratioTest(enter, options);
+        const std::size_t leave = ratioTest(enter);
         if (leave == npos)
             return false; // unbounded direction
         if (rhs(leave) <= kEps) {
@@ -615,7 +547,7 @@ AssignmentLpSolver::solveWarm(MatrixView value)
     }
     for (std::size_t j = art_begin_; j < ncols; ++j)
         cost[j] = kArtificialPenalty;
-    tableau_.setObjective(cost, options_);
+    tableau_.setObjective(cost);
 
     last_pivots_ = 0;
     if (!tableau_.iterate(options_, &last_pivots_)) {

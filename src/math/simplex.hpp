@@ -17,14 +17,12 @@
  *    instead of chasing a row-pointer per constraint.
  *  - A maintained reduced-cost row makes pricing O(ncols) per
  *    iteration instead of O(m * ncols).
- *  - Pricing, the ratio test, and the pivot row-elimination run over
- *    poco::runtime parallel loops when an LpOptions pool is supplied.
- *    Chunking is a pure function of the problem size (never of the
- *    worker count) and every reduction combines in fixed order with
- *    exact comparisons, so the pivot sequence — and therefore every
- *    output field — is bit-identical for any thread count, including
- *    the serial path. Small instances stay under the serial cutoffs
- *    and never pay a dispatch.
+ *  - Pricing, the ratio test and setObjective are serial scans. Only
+ *    the pivot row-elimination fans out over an LpOptions pool, and
+ *    only on tableaus large enough to pay for the dispatch (a fixed
+ *    cell-count cutoff in simplex.cpp). Each row's arithmetic is the
+ *    same either way, so every output field is bit-identical for any
+ *    thread count, including the serial path.
  *
  * Pivot rule: Dantzig pricing (most positive reduced cost, ties to
  * the lowest column index) with an exact lexicographic
@@ -98,18 +96,14 @@ struct LpSolution
 };
 
 /**
- * Execution knobs for the solver. The defaults keep paper-scale
- * instances (4x4 assignment: a 9x40 tableau) strictly serial; results
- * never depend on the settings, only wall-clock does.
+ * Where the solver may run. Results never depend on it, only
+ * wall-clock does; tableaus under the elimination cutoff (every
+ * assignment up to 32x32) stay serial even with a pool.
  */
 struct LpOptions
 {
-    /** Pool for the parallel kernels; null runs everything serially. */
+    /** Pool for the pivot elimination; null runs serially. */
     runtime::ThreadPool* pool = nullptr;
-    /** Minimum tableau cells before a pivot fans out over rows. */
-    std::size_t pivotCutoff = 4096;
-    /** Columns (rows for the ratio test) per reduction chunk. */
-    std::size_t pricingGrain = 2048;
 };
 
 /**
@@ -166,15 +160,14 @@ class SimplexTableau
      * out over the current basis: the reduced-cost row becomes
      * c - c_B B^-1 A and the objective rhs cell -c_B B^-1 b.
      */
-    void setObjective(const std::vector<double>& cost,
-                      const LpOptions& options = {});
+    void setObjective(const std::vector<double>& cost);
 
     /**
      * Dantzig pricing: the column with the most positive reduced cost
      * (ties to the lowest index), or npos when none exceeds the
-     * optimality tolerance. Bit-identical for any pool size.
+     * optimality tolerance.
      */
-    std::size_t priceDantzig(const LpOptions& options = {}) const;
+    std::size_t priceDantzig() const;
 
     /** Bland pricing: lowest-index column with positive reduced cost. */
     std::size_t priceBland() const;
@@ -185,15 +178,14 @@ class SimplexTableau
      * broken toward the lowest basic-variable index (Bland's leaving
      * rule). @return npos when the column is an unbounded direction.
      */
-    std::size_t ratioTest(std::size_t enter,
-                          const LpOptions& options = {}) const;
+    std::size_t ratioTest(std::size_t enter) const;
 
     /**
      * Pivot at (@p prow, @p pcol): normalize the pivot row, eliminate
      * the column from every other row (including the reduced-cost
-     * row). Rows are eliminated in parallel once the tableau reaches
-     * options.pivotCutoff cells; every row's arithmetic is
-     * independent, so the result is identical either way.
+     * row). Rows are eliminated over options.pool once the tableau
+     * passes the size cutoff; every row's arithmetic is independent,
+     * so the result is identical either way.
      */
     void pivot(std::size_t prow, std::size_t pcol,
                const LpOptions& options = {});
@@ -222,7 +214,7 @@ class SimplexTableau
  * Solve the LP with the two-phase simplex method.
  *
  * @param problem LP in the form above; all variables implicitly >= 0.
- * @param options Pool and cutoffs; defaults run serially.
+ * @param options Pool for large pivots; defaults run serially.
  * @throws poco::FatalError on malformed input (empty objective, ragged
  *         constraint rows).
  */
@@ -239,7 +231,7 @@ LpSolution solveLp(const LpProblem& problem,
  *
  * @param value value(i, j) is the benefit of assigning agent i to
  *              task j. Requires rows <= cols.
- * @param options Pool and cutoffs; defaults run serially.
+ * @param options Pool for large pivots; defaults run serially.
  * @return assignment[i] = chosen task j for each agent i.
  */
 std::vector<int> solveAssignmentLp(MatrixView value,

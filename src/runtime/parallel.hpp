@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <functional>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
@@ -51,53 +50,6 @@ parallelMap(ThreadPool* pool, std::size_t n, F&& fn)
     parallelFor(pool, n,
                 [&out, &fn](std::size_t i) { out[i] = fn(i); });
     return out;
-}
-
-/**
- * Deterministic chunked reduction over the index space [0, n).
- *
- * The index space is cut into fixed chunks of @p grain indices — a
- * pure function of n and grain, never of the worker count. Each chunk
- * is folded serially in index order starting from a copy of @p init
- * (`acc = fold(std::move(acc), i)`), and the per-chunk partials are
- * then combined left-to-right in chunk order by @p combine. The
- * serial path walks the identical chunk layout, so the result is
- * bit-identical for any pool size — including for non-associative
- * folds such as floating-point sums.
- *
- * The simplex pricing and ratio-test scans are the motivating users:
- * their folds are exact-comparison argmax/argmin with "first wins"
- * ties, for which the chunked reduction equals the plain serial scan.
- */
-template <typename T, typename Fold, typename Combine>
-T
-parallelReduce(ThreadPool* pool, std::size_t n, T init, Fold&& fold,
-               Combine&& combine, std::size_t grain = 1024)
-{
-    if (n == 0)
-        return init;
-    const std::size_t step = std::max<std::size_t>(grain, 1);
-    const std::size_t nchunks = (n + step - 1) / step;
-
-    auto foldChunk = [&](std::size_t chunk) {
-        T acc = init;
-        const std::size_t lo = chunk * step;
-        const std::size_t hi = std::min(n, lo + step);
-        for (std::size_t i = lo; i < hi; ++i)
-            acc = fold(std::move(acc), i);
-        return acc;
-    };
-    if (nchunks == 1)
-        return foldChunk(0);
-
-    std::vector<T> partials(nchunks, init);
-    parallelFor(pool, nchunks, [&partials, &foldChunk](std::size_t c) {
-        partials[c] = foldChunk(c);
-    });
-    T acc = std::move(partials.front());
-    for (std::size_t c = 1; c < nchunks; ++c)
-        acc = combine(std::move(acc), std::move(partials[c]));
-    return acc;
 }
 
 } // namespace poco::runtime

@@ -7,8 +7,8 @@
  * admission queue, shed to the Conservative tier, coalesce
  * superseded events last-wins, and stay bit-identical for any
  * thread count. Runs under tier-chaos, tier-ctrl, and tier-tsan
- * (the parallel matrix builds and LP kernels are the shared-state
- * surface the storm scenarios hammer).
+ * (the parallel matrix builds over the engine's cell cache are the
+ * shared-state surface the storm scenarios hammer).
  */
 
 #include <gtest/gtest.h>
@@ -331,10 +331,6 @@ TEST(CtrlChaos, ChaosRunIsBitIdenticalAcrossThreadCounts)
     auto fingerprintWith = [&](runtime::ThreadPool* pool) {
         cluster::SolverContext context;
         context.pool = pool;
-        // Tiny cutoffs force the parallel kernels to actually fan
-        // out even at this matrix size.
-        context.pivotCutoff = 1;
-        context.pricingGrain = 1;
         MasterGroup group(syntheticCell, config, groupConfig(),
                           context);
         return group.run(log, faults).value.fingerprint;
@@ -390,8 +386,6 @@ TEST(CtrlChaos, BackpressureShedsAndBoundsQueueDepth)
     runtime::ThreadPool pool(4);
     cluster::SolverContext context;
     context.pool = &pool;
-    context.pivotCutoff = 1;
-    context.pricingGrain = 1;
     ControlPlane pooled(syntheticCell, config, context);
     EXPECT_EQ(pooled.replay(log).value.fingerprint,
               roll.fingerprint);

@@ -4,17 +4,21 @@
  * EventLog produces a bit-identical CtrlRollup fingerprint for any
  * thread count and across consecutive replays, and the incremental
  * ladder is field-exact against the forceCold baseline event by
- * event. Runs under tier-ctrl and tier-tsan (the parallel matrix
- * builds and LP kernels are the shared-state surface).
+ * event, and the resident cell cache evaluates only the cells an
+ * event changed. Runs under tier-ctrl and tier-tsan (the parallel
+ * matrix builds over the shared cell cache are the shared-state
+ * surface).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "ctrl/control_plane.hpp"
 #include "ctrl/event_log.hpp"
+#include "ctrl/master_group.hpp"
 #include "fault/fault_plan.hpp"
 #include "fleet/fleet_evaluator.hpp"
 #include "runtime/thread_pool.hpp"
@@ -129,10 +133,6 @@ TEST(CtrlReplay, ReplayIsBitIdenticalAcrossThreadCounts)
     auto fingerprintWith = [&log](runtime::ThreadPool* pool) {
         cluster::SolverContext context;
         context.pool = pool;
-        // Tiny cutoffs force the parallel kernels to actually fan
-        // out even at this matrix size.
-        context.pivotCutoff = 1;
-        context.pricingGrain = 1;
         ControlPlane plane(syntheticCell, planeConfig(), context);
         return plane.replay(log).value.fingerprint;
     };
@@ -193,6 +193,117 @@ TEST(CtrlReplay, TelemetryDeltasFlowThroughAggregator)
     ASSERT_EQ(epochs.size(), 1u);
     EXPECT_GT(epochs[0].fleet.samples, 0u);
     EXPECT_GT(outcome.value.resolves, 0u);
+}
+
+/** syntheticCell behind a call counter (safe from any pool thread). */
+CellModel
+countingCell(std::atomic<std::size_t>& calls)
+{
+    return [&calls](std::size_t be, std::size_t server, double load) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        return syntheticCell(be, server, load);
+    };
+}
+
+ControlEvent
+event(SimTime tick, EventKind kind, int subject, double value = 0.0)
+{
+    ControlEvent e;
+    e.tick = tick;
+    e.kind = kind;
+    e.subject = subject;
+    e.value = value;
+    return e;
+}
+
+TEST(CtrlReplay, CellCacheEvaluatesOnlyChangedCells)
+{
+    std::atomic<std::size_t> calls{0};
+    runtime::ThreadPool pool(4);
+    cluster::SolverContext context;
+    context.pool = &pool;
+    const ControlPlaneConfig config = planeConfig(); // 4 BEs, 6 servers
+    ReplayEngine engine(countingCell(calls), config, context);
+
+    // Applies one event and returns the cells it evaluated.
+    auto cellsFor = [&](const ControlEvent& e) {
+        const std::size_t before = calls.load();
+        engine.apply(e);
+        return calls.load() - before;
+    };
+
+    // The first solve fills the cache: every rows x alive cell.
+    EXPECT_EQ(cellsFor(event(kSecond / 10, EventKind::LoadShift, 0,
+                             0.3)),
+              4u * 6u);
+    // A LoadShift on one live server: exactly its column.
+    EXPECT_EQ(cellsFor(event(2 * kSecond / 10, EventKind::LoadShift, 2,
+                             0.7)),
+              4u);
+    // A budget change rescales resident cells: nothing re-evaluated.
+    EXPECT_EQ(cellsFor(event(3 * kSecond / 10,
+                             EventKind::BudgetChange, -1, 0.8)),
+              0u);
+    // A crash moves no cell until the ladder declares the death.
+    EXPECT_EQ(cellsFor(event(4 * kSecond / 10, EventKind::ServerCrash,
+                             3)),
+              0u);
+    // A new BE: its one row over every placeable server.
+    EXPECT_EQ(cellsFor(event(5 * kSecond / 10, EventKind::BeArrive, -1)),
+              6u);
+    // Server 3 is dead by now; the shape change re-evaluates nothing
+    // but the shifted server's column.
+    EXPECT_EQ(cellsFor(event(8 * kSecond, EventKind::LoadShift, 1, 0.4)),
+              5u);
+
+    const auto outcome = engine.finish(10 * kSecond);
+    ASSERT_EQ(outcome.value.records.size(), 6u);
+    EXPECT_EQ(outcome.value.records.back().placeableServers, 5u);
+    EXPECT_EQ(outcome.value.records.back().activeBe, 5u);
+}
+
+TEST(CtrlReplay, CellCacheKeepsFingerprintsAcrossThreadsAndFailover)
+{
+    const EventLog log = EventLog::generate(stormConfig(121));
+    std::atomic<std::size_t> serial_calls{0};
+    std::atomic<std::size_t> pooled_calls{0};
+
+    ControlPlane serial(countingCell(serial_calls), planeConfig());
+    const auto oracle = serial.replay(log);
+    runtime::ThreadPool pool(4);
+    cluster::SolverContext context;
+    context.pool = &pool;
+    ControlPlane pooled(countingCell(pooled_calls), planeConfig(),
+                        context);
+    EXPECT_EQ(pooled.replay(log).value.fingerprint,
+              oracle.value.fingerprint);
+    EXPECT_EQ(pooled_calls.load(), serial_calls.load())
+        << "the cells evaluated must not depend on the thread count";
+
+    // The successor restores a checkpoint with an empty cell cache and
+    // must still reproduce the uninterrupted answers.
+    MasterGroupConfig group;
+    group.masters = 2;
+    group.lease.periodTicks = kSecond;
+    group.lease.jitterTicks = kSecond / 10;
+    group.lease.suspectMisses = 2;
+    group.lease.deadMisses = 4;
+    group.lease.seed = 99;
+    group.checkpointEvery = 8;
+    fault::FaultWindow kill;
+    kill.kind = fault::FaultKind::MasterKill;
+    kill.server = 0;
+    kill.start = 10 * kSecond;
+    kill.end = 30 * kSecond;
+    std::atomic<std::size_t> group_calls{0};
+    MasterGroup masters(countingCell(group_calls), planeConfig(), group,
+                        context);
+    const auto failed_over =
+        masters.run(log, fault::FaultPlan::fromWindows({kill}));
+    ASSERT_GE(failed_over.value.failovers.size(), 1u);
+    EXPECT_TRUE(failed_over.value.failovers[0].restored);
+    EXPECT_EQ(failed_over.value.rollup.semanticFingerprint,
+              oracle.value.semanticFingerprint);
 }
 
 TEST(CtrlReplay, FaultPlanLowersToCrashRecoverPairs)

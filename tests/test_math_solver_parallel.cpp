@@ -1,15 +1,15 @@
 /**
  * @file
  * Determinism and thread-safety tests for the parallel solver layer:
- * the flat-tableau simplex (parallel pricing/ratio-test/pivot), the
- * placement SolverContext path, batch admission, and the assignment
- * solve memo. Labeled tier-tsan: a POCO_SANITIZE=thread build runs
- * these suites to catch data races.
+ * the flat-tableau simplex (row-parallel pivot elimination past its
+ * size cutoff), the placement SolverContext path, batch admission,
+ * and the assignment solve memo. Labeled tier-tsan: a
+ * POCO_SANITIZE=thread build runs these suites to catch data races.
  *
- * The contract under test is the PR 1 determinism contract: every
- * output field must be bit-identical for any thread count (serial,
- * 1, 2, and 8 workers), even with the parallel cutoffs forced to
- * zero so the pooled kernels actually run.
+ * The contract under test is the determinism contract: every output
+ * field must be bit-identical with no pool and with 1 or 4 workers.
+ * The 64x64 assignment LP and the 64x64-shaped pivot are past the
+ * elimination cutoff, so their pooled runs really fan out.
  */
 
 #include <gtest/gtest.h>
@@ -31,17 +31,6 @@ namespace poco::math
 {
 namespace
 {
-
-/** Cutoffs forced to the floor: every kernel takes the pooled path. */
-LpOptions
-forcedParallel(runtime::ThreadPool* pool)
-{
-    LpOptions options;
-    options.pool = pool;
-    options.pivotCutoff = 1;
-    options.pricingGrain = 4;
-    return options;
-}
 
 poco::test::FlatMatrix
 randomValueMatrix(std::size_t rows, std::size_t cols,
@@ -96,77 +85,83 @@ TEST(SimplexParallel, LpFieldExactForAnyThreadCount)
     for (std::uint64_t seed : {7u, 8u, 9u}) {
         const LpProblem lp = mixedLp(seed);
         const LpSolution serial = solveLp(lp);
-        for (unsigned threads : {1u, 2u, 8u}) {
+        for (unsigned threads : {1u, 4u}) {
             runtime::ThreadPool pool(threads);
-            const LpSolution pooled =
-                solveLp(lp, forcedParallel(&pool));
-            expectFieldExact(serial, pooled);
+            expectFieldExact(serial, solveLp(lp, {&pool}));
         }
     }
 }
 
 TEST(SimplexParallel, AssignmentLpFieldExactForAnyThreadCount)
 {
-    for (std::size_t n : {4u, 8u, 12u}) {
-        const auto value = randomValueMatrix(n, n, 100 + n);
-        const auto serial = solveAssignmentLp(value);
-        for (unsigned threads : {1u, 2u, 8u}) {
-            runtime::ThreadPool pool(threads);
-            const auto pooled =
-                solveAssignmentLp(value, forcedParallel(&pool));
-            EXPECT_EQ(serial, pooled)
-                << "n=" << n << " threads=" << threads;
-        }
+    // 64x64: a 129 x 4225 tableau, past the elimination cutoff, so
+    // the pooled solves eliminate their pivots over the pool.
+    constexpr std::size_t n = 64;
+    const auto value = randomValueMatrix(n, n, 164);
+    LpProblem lp;
+    for (const double v : value.cells)
+        lp.objective.push_back(v);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<double> coeffs(n * n, 0.0);
+        for (std::size_t j = 0; j < n; ++j)
+            coeffs[i * n + j] = 1.0;
+        lp.addConstraint(std::move(coeffs), Relation::Equal, 1.0);
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+        std::vector<double> coeffs(n * n, 0.0);
+        for (std::size_t i = 0; i < n; ++i)
+            coeffs[i * n + j] = 1.0;
+        lp.addConstraint(std::move(coeffs), Relation::LessEqual, 1.0);
+    }
+
+    const LpSolution serial = solveLp(lp);
+    ASSERT_EQ(serial.status, LpStatus::Optimal);
+    for (unsigned threads : {1u, 4u}) {
+        runtime::ThreadPool pool(threads);
+        expectFieldExact(serial, solveLp(lp, {&pool}));
     }
 }
 
 TEST(SimplexParallel, TableauKernelsMatchSerialScan)
 {
-    // Pricing and ratio test through the pooled reductions must pick
-    // exactly the serial scan's column/row, including on ties.
-    runtime::ThreadPool pool(4);
-    SimplexTableau t(6, 24);
-    poco::Rng rng(42);
-    for (std::size_t r = 0; r < 6; ++r) {
-        for (std::size_t c = 0; c < 24; ++c)
-            t.at(r, c) = rng.uniform(-1.0, 1.0);
-        t.rhs(r) = rng.uniform(0.0, 4.0);
-        t.basis()[r] = 18 + r;
+    // Pricing keeps the first of tied maxima; the ratio test's exact
+    // (ratio, basic variable) minimum breaks its tie toward the lower
+    // basic-variable index.
+    SimplexTableau small(3, 8);
+    for (std::size_t c = 0; c < 8; ++c)
+        small.at(3, c) = (c % 5 == 2) ? 3.5 : -1.0;
+    EXPECT_EQ(small.priceDantzig(), 2u);
+    for (std::size_t r = 0; r < 3; ++r) {
+        small.at(r, 2) = 2.0;
+        small.rhs(r) = 4.0;
+        small.basis()[r] = 7 - r;
     }
-    // Duplicate reduced costs force tie-breaks.
-    for (std::size_t c = 0; c < 24; ++c)
-        t.at(6, c) = (c % 5 == 2) ? 3.5 : -1.0;
-    const std::size_t serial_enter = t.priceDantzig();
-    const std::size_t pooled_enter =
-        t.priceDantzig(forcedParallel(&pool));
-    EXPECT_EQ(serial_enter, pooled_enter);
-    EXPECT_EQ(serial_enter, 2u); // first of the tied maxima
+    EXPECT_EQ(small.ratioTest(2), 2u);
 
-    const std::size_t serial_leave = t.ratioTest(serial_enter);
-    const std::size_t pooled_leave =
-        t.ratioTest(serial_enter, forcedParallel(&pool));
-    EXPECT_EQ(serial_leave, pooled_leave);
-}
-
-TEST(SimplexParallel, ParallelReduceFloatSumBitIdentical)
-{
-    // The chunk layout is a pure function of (n, grain), so even a
-    // non-associative float sum reduces bit-identically for any pool.
-    poco::Rng rng(5);
-    std::vector<double> data(10'000);
-    for (auto& v : data)
-        v = rng.uniform(-1.0, 1.0);
-    auto sum = [&](runtime::ThreadPool* pool) {
-        return runtime::parallelReduce(
-            pool, data.size(), 0.0,
-            [&](double acc, std::size_t i) { return acc + data[i]; },
-            [](double a, double b) { return a + b; },
-            /*grain=*/128);
-    };
-    const double serial = sum(nullptr);
-    for (unsigned threads : {1u, 2u, 8u}) {
+    // A pivot on a 64x64-assignment-shaped tableau (past the cutoff)
+    // must leave every cell bit-identical with and without a pool.
+    const std::size_t m = 128;
+    const std::size_t ncols = 64 * 64 + 128;
+    SimplexTableau pristine(m, ncols);
+    poco::Rng rng(42);
+    for (std::size_t r = 0; r <= m; ++r) {
+        for (std::size_t c = 0; c < ncols; ++c)
+            pristine.at(r, c) = rng.uniform(-1.0, 1.0);
+        pristine.rhs(r) = rng.uniform(0.0, 4.0);
+    }
+    pristine.at(5, 17) = 1.5;
+    SimplexTableau serial = pristine;
+    serial.pivot(5, 17);
+    for (unsigned threads : {1u, 4u}) {
         runtime::ThreadPool pool(threads);
-        EXPECT_EQ(serial, sum(&pool)) << threads << " threads";
+        SimplexTableau pooled = pristine;
+        pooled.pivot(5, 17, {&pool});
+        std::size_t mismatches = 0;
+        for (std::size_t r = 0; r <= m; ++r)
+            for (std::size_t c = 0; c < pooled.stride(); ++c)
+                if (pooled.row(r)[c] != serial.row(r)[c])
+                    ++mismatches;
+        EXPECT_EQ(mismatches, 0u) << threads << " threads";
     }
 }
 
@@ -195,14 +190,12 @@ randomMatrix(std::size_t n_be, std::size_t n_srv, std::uint64_t seed)
 }
 
 SolverContext
-forcedParallel(runtime::ThreadPool* pool,
-               math::AssignmentCache* cache = nullptr)
+pooledContext(runtime::ThreadPool* pool,
+              math::AssignmentCache* cache = nullptr)
 {
     SolverContext config;
     config.pool = pool;
     config.cache = cache;
-    config.pivotCutoff = 1;
-    config.pricingGrain = 4;
     return config;
 }
 
@@ -216,7 +209,7 @@ TEST(PlacementParallel, ExactKindsFieldExactForAnyThreadCount)
         for (unsigned threads : {1u, 2u, 8u}) {
             runtime::ThreadPool pool(threads);
             EXPECT_EQ(serial, place(matrix, kind,
-                                    forcedParallel(&pool)))
+                                    pooledContext(&pool)))
                 << placementKindName(kind) << " threads=" << threads;
         }
     }
@@ -241,7 +234,7 @@ TEST(PlacementParallel, AdmitAndPlaceFieldExactForAnyThreadCount)
     for (unsigned threads : {1u, 2u, 8u}) {
         runtime::ThreadPool pool(threads);
         EXPECT_EQ(serial, admitAndPlace(matrix,
-                                        forcedParallel(&pool)));
+                                        pooledContext(&pool)));
     }
 }
 
@@ -249,7 +242,7 @@ TEST(PlacementParallel, CacheReturnsMemoizedSolution)
 {
     const PerformanceMatrix matrix = randomMatrix(5, 5, 14);
     math::AssignmentCache cache;
-    const SolverContext cached = forcedParallel(nullptr, &cache);
+    const SolverContext cached = pooledContext(nullptr, &cache);
     const auto first = place(matrix, PlacementKind::Lp, cached);
     const auto second = place(matrix, PlacementKind::Lp, cached);
     EXPECT_EQ(first, second);
@@ -263,7 +256,7 @@ TEST(PlacementParallel, CacheKeysOnKindAndContent)
 {
     PerformanceMatrix matrix = randomMatrix(4, 4, 15);
     math::AssignmentCache cache;
-    const SolverContext cached = forcedParallel(nullptr, &cache);
+    const SolverContext cached = pooledContext(nullptr, &cache);
     const auto lp = place(matrix, PlacementKind::Lp, cached);
     const auto hungarian =
         place(matrix, PlacementKind::Hungarian, cached);
@@ -281,7 +274,7 @@ TEST(PlacementParallel, AdmissionMemoHitsAcrossRounds)
 {
     const PerformanceMatrix matrix = randomMatrix(9, 3, 16);
     math::AssignmentCache cache;
-    const SolverContext cached = forcedParallel(nullptr, &cache);
+    const SolverContext cached = pooledContext(nullptr, &cache);
     const auto round1 = admitAndPlace(matrix, cached);
     const auto round2 = admitAndPlace(matrix, cached);
     EXPECT_EQ(round1, round2);
