@@ -83,7 +83,7 @@ struct FleetRun
 
 FleetRun
 runFleet(const wl::AppSet& old_set, const wl::AppSet& new_set,
-         int shards, int threads, bool async)
+         int threads)
 {
     std::vector<fleet::FleetServer> servers;
     for (std::size_t j = 0; j < old_set.lc.size(); ++j)
@@ -97,10 +97,8 @@ runFleet(const wl::AppSet& old_set, const wl::AppSet& new_set,
             .withDwell(60 * kSecond)
             .withHeraclesReplicas(2)
             .withSeed(29)
-            .withShards(shards)
             .withThreads(threads)
-            .withEpochLoads({0.4, 0.7, 0.9})
-            .withAsyncTelemetry(async);
+            .withEpochLoads({0.4, 0.7, 0.9});
 
     FleetRun out;
     const auto t0 = std::chrono::steady_clock::now();
@@ -246,98 +244,60 @@ main(int argc, char** argv)
     }
     std::printf("%s", placement.render().c_str());
 
-    // ---- fleet layer: sharded evaluation, one per platform ----
+    // ---- fleet layer: one cluster per platform ----
     // The same mixed fleet through poco::fleet — two clusters (old
     // and new platform), evaluated end to end. The rollup must be
-    // bit-identical for every shard x thread combination (the bench
-    // exits 1 if not), and the async telemetry aggregator should
-    // remove the inline fold cost the synchronous path pays.
-    std::printf("\nfleet layer: sharded evaluation "
-                "(two clusters, eight servers):\n");
+    // bit-identical for every thread count (the bench exits 1 if
+    // not).
+    std::printf("\nfleet layer: two clusters, eight servers:\n");
     const wl::AppSet old_set = makeAppSet(sim::xeonE5_2650());
     const wl::AppSet new_set = makeAppSet(newerPlatform());
 
-    const FleetRun baseline = runFleet(old_set, new_set, 1, 1, true);
+    const FleetRun baseline = runFleet(old_set, new_set, 1);
     const std::uint64_t expected = baseline.rollup.fingerprint();
     bool identical = true;
 
-    TextTable sharded({"shards", "threads", "fingerprint", "wall s",
-                       "total BE thr (rps)"});
-    bench::Json sharded_rows = bench::Json::array();
-    for (const int shards : {1, 2, 4}) {
-        for (const int threads : {1, 4}) {
-            const FleetRun run =
-                shards == 1 && threads == 1
-                    ? baseline
-                    : runFleet(old_set, new_set, shards, threads,
-                               true);
-            const std::uint64_t fp = run.rollup.fingerprint();
-            identical = identical && fp == expected;
-            char fp_hex[32];
-            std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
-                          static_cast<unsigned long long>(fp));
-            sharded.addRow({std::to_string(shards),
-                            std::to_string(threads), fp_hex,
-                            fmt(run.wallSeconds, 3),
-                            fmt(run.rollup.totalBeThroughput.value(),
-                                1)});
-            sharded_rows.push(
-                bench::Json::object()
-                    .integer("shards", shards)
-                    .integer("threads", threads)
-                    .hex("fingerprint", fp)
-                    .num("wall_seconds", run.wallSeconds)
-                    .num("total_be_throughput_rps",
-                         run.rollup.totalBeThroughput.value()));
-        }
+    TextTable fleet_table({"threads", "fingerprint", "wall s",
+                           "fold s", "total BE thr (rps)"});
+    bench::Json fleet_rows = bench::Json::array();
+    for (const int threads : {1, 2, 4}) {
+        const FleetRun run = threads == 1
+                                 ? baseline
+                                 : runFleet(old_set, new_set, threads);
+        const std::uint64_t fp = run.rollup.fingerprint();
+        identical = identical && fp == expected;
+        char fp_hex[32];
+        std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
+                      static_cast<unsigned long long>(fp));
+        fleet_table.addRow(
+            {std::to_string(threads), fp_hex, fmt(run.wallSeconds, 3),
+             fmt(run.rollup.aggregatorSeconds, 4),
+             fmt(run.rollup.totalBeThroughput.value(), 1)});
+        fleet_rows.push(
+            bench::Json::object()
+                .integer("threads", threads)
+                .hex("fingerprint", fp)
+                .num("wall_seconds", run.wallSeconds)
+                .num("fold_seconds", run.rollup.aggregatorSeconds)
+                .num("total_be_throughput_rps",
+                     run.rollup.totalBeThroughput.value()));
     }
-    std::printf("%s", sharded.render().c_str());
+    std::printf("%s", fleet_table.render().c_str());
 
-    const FleetRun sync = runFleet(old_set, new_set, 2, 4, false);
-    const FleetRun async = runFleet(old_set, new_set, 2, 4, true);
-    identical = identical && sync.rollup.fingerprint() == expected &&
-                async.rollup.fingerprint() == expected;
-
-    std::printf("\ntelemetry aggregator (2 shards, 4 threads):\n");
-    TextTable agg({"mode", "fold s", "wall s"});
-    agg.addRow({"synchronous (inline at seal)",
-                fmt(sync.rollup.aggregatorSeconds, 4),
-                fmt(sync.wallSeconds, 3)});
-    agg.addRow({"async (overlapped on pool)",
-                fmt(async.rollup.aggregatorSeconds, 4),
-                fmt(async.wallSeconds, 3)});
-    std::printf("%s", agg.render().c_str());
-    std::printf("sync pays the fold inline on the epoch loop; async "
-                "overlaps it\nwith the next epoch's simulation "
-                "(same bits either way).\n");
-
-    // Machine-readable twin of the fleet tables (CI archives it).
+    // Machine-readable twin of the fleet table (CI archives it).
     bench::Json root = bench::Json::object();
     root.str("bench", "hetero")
         .hex("expected_fingerprint", expected)
-        .child("sharded", sharded_rows)
-        .child("aggregator",
-               bench::Json::array()
-                   .push(bench::Json::object()
-                             .str("mode", "sync")
-                             .num("fold_seconds",
-                                  sync.rollup.aggregatorSeconds)
-                             .num("wall_seconds", sync.wallSeconds))
-                   .push(bench::Json::object()
-                             .str("mode", "async")
-                             .num("fold_seconds",
-                                  async.rollup.aggregatorSeconds)
-                             .num("wall_seconds",
-                                  async.wallSeconds)))
+        .child("fleet", fleet_rows)
         .flag("identical", identical);
     bench::writeJson(root, argc > 1 ? argv[1] : "BENCH_hetero.json");
 
     if (!identical) {
         std::printf("\nFAIL: fleet rollup fingerprints diverged "
-                    "across shard/thread/async settings\n");
+                    "across thread counts\n");
         return 1;
     }
     std::printf("\nall fleet rollups bit-identical across "
-                "{1,2,4} shards x {1,4} threads x {sync,async}\n");
+                "{1,2,4} threads\n");
     return 0;
 }

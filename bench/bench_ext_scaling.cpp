@@ -16,14 +16,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 
 #include "cluster/performance_matrix.hpp"
 #include "cluster/placement.hpp"
 #include "common.hpp"
 #include "math/hungarian.hpp"
 #include "math/simplex.hpp"
-#include "math/solver_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -78,7 +76,7 @@ main()
 
     TextTable table({"servers", "BE apps", "hungarian value",
                      "random value", "random gap", "hungarian (us)",
-                     "lp (us)", "lp par (us)", "memo hit (us)"});
+                     "lp (us)", "lp par (us)"});
     for (int scale : {1, 2, 4, 8, 16}) {
         // Replicate the archetypes: server i runs archetype i mod 6.
         std::vector<cluster::LcServerModel> servers;
@@ -106,7 +104,6 @@ main()
         });
         double t_lp = 0.0;
         double t_lp_par = 0.0;
-        double t_memo = 0.0;
         if (n_servers <= 48) {
             // The dense-tableau LP is exact but O(n^2) variables;
             // keep it to the sizes it is meant for.
@@ -146,21 +143,6 @@ main()
                              v_lp, v_hung, n_servers);
                 return 1;
             }
-
-            // Memoized re-solve: what admitAndPlace() pays when the
-            // same matrix comes back within a decision epoch.
-            math::AssignmentCache cache;
-            cache.insert("lp", matrix.view(), lp_serial_assign);
-            std::optional<std::vector<int>> memo;
-            t_memo = timedUs(
-                [&] { memo = cache.lookup("lp", matrix.view()); });
-            if (!memo || *memo != lp_serial_assign) {
-                std::fprintf(stderr,
-                             "ERROR: solver cache lost or corrupted "
-                             "an entry at n_servers=%d\n",
-                             n_servers);
-                return 1;
-            }
         }
 
         // Expected random value: mean over a handful of draws.
@@ -184,8 +166,7 @@ main()
                       fmtPercent(1.0 - random_value / best),
                       fmt(t_hungarian, 0),
                       t_lp > 0 ? fmt(t_lp, 0) : "-",
-                      t_lp_par > 0 ? fmt(t_lp_par, 0) : "-",
-                      t_memo > 0 ? fmt(t_memo, 2) : "-"});
+                      t_lp_par > 0 ? fmt(t_lp_par, 0) : "-"});
     }
     std::printf("%s", table.render().c_str());
     return 0;

@@ -335,9 +335,9 @@ BM_SolverCacheHit(benchmark::State& state)
         v = rng.uniform(0.0, 100.0);
     const math::MatrixView view{value, n, n};
     math::AssignmentCache cache;
-    cache.insert("hungarian", view, math::solveAssignmentMax(view));
+    cache.insert(view, math::solveAssignmentMax(view));
     for (auto _ : state) {
-        auto hit = cache.lookup("hungarian", view);
+        auto hit = cache.lookup(view);
         benchmark::DoNotOptimize(hit);
     }
 }
@@ -354,7 +354,7 @@ BM_SolverCacheMiss(benchmark::State& state)
     const math::MatrixView view{value, n, n};
     math::AssignmentCache cache; // empty: every probe is a miss
     for (auto _ : state) {
-        auto miss = cache.lookup("hungarian", view);
+        auto miss = cache.lookup(view);
         benchmark::DoNotOptimize(miss);
     }
 }

@@ -4,16 +4,16 @@
  *
  * Generates seeded fleets with poco::scen (Zipf platform mix,
  * diurnal + flash-crowd load, regional correlation, fault storms),
- * evaluates each through the sharded FleetEvaluator, and sweeps
- * cluster count x shards x threads. Two claims are checked, both
- * gating the exit code:
+ * evaluates each through the FleetEvaluator, and sweeps cluster
+ * count x threads. Two claims are checked, both gating the exit
+ * code:
  *
- *   1. Determinism: for a fixed cluster count, every (shards,
- *      threads) combination must produce the same scenario
- *      fingerprint AND the same rollup fingerprint, bit for bit.
+ *   1. Determinism: for a fixed cluster count, every thread count
+ *      must produce the same scenario fingerprint AND the same
+ *      rollup fingerprint, bit for bit.
  *   2. Scale: the default sweep evaluates a >= 500-cluster fleet.
  *
- * Emits BENCH_fleet.json — the cluster-count x shards scaling table
+ * Emits BENCH_fleet.json — the cluster-count x threads scaling table
  * re-anchors read for the fleet perf curve. Pass --small for the CI
  * variant (same gates, toy sizes); the first non-flag argument
  * overrides the output path.
@@ -64,14 +64,13 @@ specFor(std::size_t clusters)
  * per-server fidelity, so the profiler grid and dwell are cut to
  * the bone (the fingerprints still cover every emitted bit). */
 FleetConfig
-configFor(int shards, int threads)
+configFor(int threads)
 {
     FleetConfig config = FleetConfig{}
                              .withLoadPoints({0.4, 0.8})
                              .withDwell(2 * kSecond)
                              .withHeraclesReplicas(1)
                              .withSeed(42)
-                             .withShards(shards)
                              .withThreads(threads);
     config.profiler.coreStep = 5;
     config.profiler.wayStep = 9;
@@ -82,7 +81,6 @@ configFor(int shards, int threads)
 struct SweepRow
 {
     std::size_t clusters = 0;
-    int shards = 0;
     int threads = 0;
     std::uint64_t scenarioFingerprint = 0;
     std::uint64_t rollupFingerprint = 0;
@@ -92,11 +90,10 @@ struct SweepRow
 };
 
 SweepRow
-runOnce(std::size_t clusters, int shards, int threads)
+runOnce(std::size_t clusters, int threads)
 {
     SweepRow row;
     row.clusters = clusters;
-    row.shards = shards;
     row.threads = threads;
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -109,7 +106,7 @@ runOnce(std::size_t clusters, int shards, int threads)
     row.scenarioFingerprint = scenario.fingerprint();
 
     const auto t1 = std::chrono::steady_clock::now();
-    FleetConfig config = configFor(shards, threads);
+    FleetConfig config = configFor(threads);
     config.withScenario(scenario);
     const fleet::FleetEvaluator evaluator(
         fleet::serversFromScenario(scenario), config);
@@ -141,27 +138,25 @@ main(int argc, char** argv)
 
     bench::banner(
         "FLEET-SCALING",
-        "scenario-generated fleets: cluster count x shards x threads",
-        "sharded evaluation is bit-identical for any shard or "
-        "thread count, at >= 500 clusters");
+        "scenario-generated fleets: cluster count x threads",
+        "fleet evaluation is bit-identical for any thread count, "
+        "at >= 500 clusters");
 
     const std::vector<std::size_t> sizes =
         small ? std::vector<std::size_t>{12, 32}
               : std::vector<std::size_t>{64, 192, 512};
-    const std::vector<std::pair<int, int>> combos = {
-        {1, 1}, {4, 1}, {4, 4}};
+    const std::vector<int> thread_counts = {1, 2, 4};
 
-    TextTable table({"clusters", "shards", "threads", "generate_s",
-                     "build_s", "run_s", "rollup_fp"});
+    TextTable table({"clusters", "threads", "generate_s", "build_s",
+                     "run_s", "rollup_fp"});
     bench::Json rows = bench::Json::array();
     bool identical = true;
 
     for (const std::size_t clusters : sizes) {
         std::uint64_t expected_scen = 0;
         std::uint64_t expected_rollup = 0;
-        for (std::size_t i = 0; i < combos.size(); ++i) {
-            const SweepRow row =
-                runOnce(clusters, combos[i].first, combos[i].second);
+        for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+            const SweepRow row = runOnce(clusters, thread_counts[i]);
             if (i == 0) {
                 expected_scen = row.scenarioFingerprint;
                 expected_rollup = row.rollupFingerprint;
@@ -170,15 +165,14 @@ main(int argc, char** argv)
                 identical = false;
                 std::fprintf(stderr,
                              "FINGERPRINT MISMATCH at %zu clusters "
-                             "shards=%d threads=%d\n",
-                             clusters, row.shards, row.threads);
+                             "threads=%d\n",
+                             clusters, row.threads);
             }
             char fp[32];
             std::snprintf(fp, sizeof fp, "%016llx",
                           static_cast<unsigned long long>(
                               row.rollupFingerprint));
             table.addRow({std::to_string(row.clusters),
-                          std::to_string(row.shards),
                           std::to_string(row.threads),
                           fmt(row.generateSeconds, 3),
                           fmt(row.buildSeconds, 3),
@@ -187,7 +181,6 @@ main(int argc, char** argv)
                           .integer("clusters",
                                    static_cast<std::int64_t>(
                                        row.clusters))
-                          .integer("shards", row.shards)
                           .integer("threads", row.threads)
                           .hex("scenario_fingerprint",
                                row.scenarioFingerprint)
@@ -203,7 +196,7 @@ main(int argc, char** argv)
     std::printf("%s", table.render().c_str());
     std::printf("\ndeterminism gate: %s\n",
                 identical ? "PASS (fingerprints bit-identical "
-                            "across shard/thread combos)"
+                            "across thread counts)"
                           : "FAIL");
 
     bench::Json root = bench::Json::object();

@@ -1,7 +1,7 @@
 #include "cluster/cluster_evaluator.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <bit>
 
 #include "model/fitter.hpp"
 #include "runtime/parallel.hpp"
@@ -144,9 +144,6 @@ ClusterEvaluator::solverContext() const
 {
     SolverContext context;
     context.pool = pool_;
-    context.cache = config_.solverCache != nullptr
-                        ? config_.solverCache
-                        : &solver_cache_;
     return context;
 }
 
@@ -382,45 +379,8 @@ ClusterEvaluator::runPair(std::size_t lc_idx, int be_idx,
                           ManagerKind kind, Watts cap_override,
                           int seed_variant) const
 {
-    POCO_REQUIRE(lc_idx < apps_->lc.size(), "LC index out of range");
-    POCO_REQUIRE(be_idx < static_cast<int>(apps_->be.size()),
-                 "BE index out of range");
-    POCO_REQUIRE(cap_override >= Watts{},
-                 "cap override must be non-negative");
-
-    std::ostringstream key;
-    key << "pair/" << lc_idx << "/" << be_idx << "/"
-        << managerKindName(kind) << "/" << cap_override << "/"
-        << seed_variant;
-    {
-        runtime::LockGuard guard(cache_mutex_);
-        if (auto it = cache_.find(key.str()); it != cache_.end())
-            return it->second;
-    }
-
-    const wl::LcApp& lc = apps_->lc[lc_idx];
-    const wl::BeApp* be =
-        be_idx >= 0 ? &apps_->be[static_cast<std::size_t>(be_idx)]
-                    : nullptr;
-    const Watts cap = cap_override > Watts{} ? cap_override
-                                         : lc.provisionedPower();
-    const SimTime duration =
-        config_.server.warmup +
-        config_.dwell *
-            static_cast<SimTime>(config_.loadPoints.size());
-
-    ServerOutcome outcome;
-    outcome.lcName = lc.name();
-    outcome.beName = be ? be->name() : "(none)";
-    outcome.run = server::runServerScenario(
-        lc, be, cap, makeController(lc_idx, kind, seed_variant),
-        wl::LoadTrace::stepped(config_.loadPoints, config_.dwell),
-        duration, config_.server);
-    // Concurrent tasks may have raced on the same key; the runs are
-    // deterministic, so whichever insert lands first is the value.
-    runtime::LockGuard guard(cache_mutex_);
-    return cache_.emplace(key.str(), std::move(outcome))
-        .first->second;
+    return memoizedRun(lc_idx, be_idx, kind, cap_override,
+                       seed_variant, std::nullopt);
 }
 
 ServerOutcome
@@ -429,19 +389,36 @@ ClusterEvaluator::runPairAtLoad(std::size_t lc_idx, int be_idx,
                                 double load_fraction,
                                 Watts cap_override) const
 {
+    return memoizedRun(lc_idx, be_idx, kind, cap_override, 0,
+                       load_fraction);
+}
+
+ServerOutcome
+ClusterEvaluator::memoizedRun(std::size_t lc_idx, int be_idx,
+                              ManagerKind kind, Watts cap_override,
+                              int seed_variant,
+                              std::optional<double> load_fraction) const
+{
     POCO_REQUIRE(lc_idx < apps_->lc.size(), "LC index out of range");
     POCO_REQUIRE(be_idx < static_cast<int>(apps_->be.size()),
                  "BE index out of range");
     POCO_REQUIRE(cap_override >= Watts{},
                  "cap override must be non-negative");
 
-    std::ostringstream key;
-    key << "load/" << lc_idx << "/" << be_idx << "/"
-        << managerKindName(kind) << "/" << load_fraction << "/"
-        << cap_override;
+    // Keyed by value, down to the bit patterns of load and cap: two
+    // loads that agree to any number of printed digits are still
+    // two different runs.
+    const PairKey key{
+        lc_idx,
+        be_idx,
+        kind,
+        seed_variant,
+        load_fraction.has_value(),
+        std::bit_cast<std::uint64_t>(load_fraction.value_or(0.0)),
+        std::bit_cast<std::uint64_t>(cap_override.value())};
     {
         runtime::LockGuard guard(cache_mutex_);
-        if (auto it = cache_.find(key.str()); it != cache_.end())
+        if (auto it = cache_.find(key); it != cache_.end())
             return it->second;
     }
 
@@ -451,18 +428,28 @@ ClusterEvaluator::runPairAtLoad(std::size_t lc_idx, int be_idx,
                     : nullptr;
     const Watts cap = cap_override > Watts{} ? cap_override
                                          : lc.provisionedPower();
-    const SimTime duration = config_.server.warmup + config_.dwell;
 
     ServerOutcome outcome;
     outcome.lcName = lc.name();
     outcome.beName = be ? be->name() : "(none)";
-    outcome.run = server::runServerScenario(
-        lc, be, cap, makeController(lc_idx, kind, 0),
-        wl::LoadTrace::constant(load_fraction), duration,
-        config_.server);
+    if (load_fraction.has_value()) {
+        outcome.run = server::runServerScenario(
+            lc, be, cap, makeController(lc_idx, kind, seed_variant),
+            wl::LoadTrace::constant(*load_fraction),
+            config_.server.warmup + config_.dwell, config_.server);
+    } else {
+        outcome.run = server::runServerScenario(
+            lc, be, cap, makeController(lc_idx, kind, seed_variant),
+            wl::LoadTrace::stepped(config_.loadPoints, config_.dwell),
+            config_.server.warmup +
+                config_.dwell *
+                    static_cast<SimTime>(config_.loadPoints.size()),
+            config_.server);
+    }
+    // Concurrent tasks may have raced on the same key; the runs are
+    // deterministic, so whichever insert lands first is the value.
     runtime::LockGuard guard(cache_mutex_);
-    return cache_.emplace(key.str(), std::move(outcome))
-        .first->second;
+    return cache_.emplace(key, std::move(outcome)).first->second;
 }
 
 ClusterOutcome

@@ -19,16 +19,18 @@
 
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/fleet_config.hpp"
 #include "cluster/performance_matrix.hpp"
 #include "cluster/placement.hpp"
 #include "fault/fault_plan.hpp"
-#include "math/solver_cache.hpp"
 #include "model/profiler.hpp"
 #include "runtime/mutex.hpp"
 #include "runtime/thread_pool.hpp"
@@ -145,11 +147,7 @@ class ClusterEvaluator
     /** The model-driven performance matrix (Fig. 7-II). */
     const PerformanceMatrix& matrix() const { return matrix_; }
 
-    /**
-     * Solver wiring the evaluator places with: the evaluation pool
-     * plus its own solve memo (unless FleetConfig::solverCache
-     * overrides it).
-     */
+    /** Solver wiring the evaluator places with: its pool. */
     SolverContext solverContext() const;
 
     /** Placement under the given algorithm (deterministic seed). */
@@ -196,7 +194,8 @@ class ClusterEvaluator
 
     /**
      * Run one (LC, BE) pairing over the stepped load schedule with
-     * the given manager. Results are cached: runs are deterministic.
+     * the given manager. Results are cached: runs are deterministic,
+     * and the cache keys on the exact argument values.
      *
      * @param be_idx Index into apps().be, or -1 for "primary alone".
      * @param cap_override Server power capacity to use instead of
@@ -235,6 +234,16 @@ class ClusterEvaluator
     makeController(std::size_t lc_idx, ManagerKind kind,
                    int seed_variant) const;
 
+    /**
+     * runPair (stepped schedule, @p load_fraction empty) and
+     * runPairAtLoad (constant load) behind one memo.
+     */
+    ServerOutcome memoizedRun(std::size_t lc_idx, int be_idx,
+                              ManagerKind kind, Watts cap_override,
+                              int seed_variant,
+                              std::optional<double> load_fraction)
+        const;
+
     const wl::AppSet* apps_;
     FleetConfig config_;
     std::unique_ptr<runtime::ThreadPool> owned_pool_;
@@ -244,21 +253,22 @@ class ClusterEvaluator
     PerformanceMatrix matrix_;
 
     /**
+     * Pair-run memo key: LC index, BE index, manager, seed variant,
+     * constant-load flag, and the bit patterns of the load and the
+     * cap override.
+     */
+    using PairKey = std::tuple<std::size_t, int, ManagerKind, int,
+                               bool, std::uint64_t, std::uint64_t>;
+
+    /**
      * Pair-run memoization. Concurrent tasks may race to compute the
      * same key; runs are deterministic, so both writers produce the
      * same value and the first insert wins. The mutex only guards
      * the map itself.
      */
     mutable runtime::Mutex cache_mutex_;
-    mutable std::map<std::string, ServerOutcome> cache_
+    mutable std::map<PairKey, ServerOutcome> cache_
         POCO_GUARDED_BY(cache_mutex_);
-
-    /**
-     * Assignment-solve memo shared by every placeBe() call: policies
-     * and sweeps re-place on the same matrix, and the exact solvers
-     * are deterministic, so repeat solves are lookups.
-     */
-    mutable math::AssignmentCache solver_cache_;
 };
 
 } // namespace poco::cluster

@@ -40,11 +40,6 @@ namespace poco::runtime
 class ThreadPool;
 }
 
-namespace poco::math
-{
-class AssignmentCache;
-}
-
 namespace poco
 {
 
@@ -108,26 +103,23 @@ struct FleetConfig
      */
     runtime::ThreadPool* pool = nullptr;
     /**
-     * Assignment-solve memo override; null lets each evaluator use
-     * its own. Results never depend on this — only wall-clock does.
-     */
-    math::AssignmentCache* solverCache = nullptr;
-    /**
      * Ignored: read by nothing in src/ (the LP's fan-out cutoff is a
      * fixed tableau size in simplex.cpp). Still declared only because
-     * the benchmark sources read it.
+     * benchmark/src/streaming.cpp:708 reads it.
      */
     std::size_t solverPivotCutoff = 4096;
-    /** Ignored, like solverPivotCutoff. */
+    /**
+     * Ignored, like solverPivotCutoff; read only by
+     * benchmark/src/streaming.cpp:709.
+     */
     std::size_t solverPricingGrain = 2048;
 
     // ----- fleet layer -------------------------------------------
 
     /**
-     * Shards the fleet's clusters are distributed over for
-     * evaluation. Sharding is an execution detail only: rollups are
-     * bit-identical for any shard count (per-cluster seeds key to
-     * the canonical cluster index, never the shard).
+     * Ignored: the fleet evaluator schedules one pool task per
+     * canonical cluster. Still declared only because
+     * benchmark/src/fleet_day.cpp:84 calls withShards().
      */
     int shards = 1;
     /**
@@ -159,7 +151,11 @@ struct FleetConfig
     Watts fleetBudget{};
     /** Move unused per-cluster budget to capped clusters each epoch. */
     bool redistributeBudget = true;
-    /** Fold telemetry rollups off-thread (double-buffered epochs). */
+    /**
+     * Ignored: telemetry always folds inline at the end of each
+     * epoch. Still declared only because
+     * benchmark/src/streaming.cpp:731 reads it.
+     */
     bool asyncTelemetry = true;
 
     // ----- streaming control plane (fleet::runStreaming) ---------
@@ -250,14 +246,9 @@ struct FleetConfig
         pool = value;
         return *this;
     }
-    FleetConfig& withSolverCache(math::AssignmentCache* value)
-    {
-        solverCache = value;
-        return *this;
-    }
+    /** Ignored; see shards (benchmark/src/fleet_day.cpp:84). */
     FleetConfig& withShards(int value)
     {
-        POCO_CHECK(value >= 1, "shards must be at least 1");
         shards = value;
         return *this;
     }
@@ -336,11 +327,6 @@ struct FleetConfig
         redistributeBudget = value;
         return *this;
     }
-    FleetConfig& withAsyncTelemetry(bool value)
-    {
-        asyncTelemetry = value;
-        return *this;
-    }
     FleetConfig& withHeartbeat(SimTime period, SimTime jitter,
                                int suspect_misses, int dead_misses)
     {
@@ -410,7 +396,6 @@ struct FleetConfig
                    "minPowerR2 must be non-negative");
         POCO_CHECK(threads >= 0,
                    "threads must be >= 0 (0 = shared pool)");
-        POCO_CHECK(shards >= 1, "shards must be at least 1");
         POCO_CHECK(!epochLoads.empty(),
                    "epochLoads must be non-empty");
         for (const double p : epochLoads)

@@ -1,6 +1,5 @@
 #include "cluster/incremental.hpp"
 
-#include "math/solver_cache.hpp"
 #include "util/check.hpp"
 
 namespace poco::cluster
@@ -8,10 +7,6 @@ namespace poco::cluster
 
 namespace
 {
-
-/** Memo tag for exact incremental optima (kept apart from the batch
- *  solvers' per-kind tags so a rung never reads another's answer). */
-constexpr const char* kCacheTag = "incremental";
 
 void
 validateMatrix(const PerformanceMatrix& matrix)
@@ -55,15 +50,11 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
     // oscillation) revisit byte-identical matrices; the exact-match
     // cache answers without touching a solver. The hit leaves both
     // engines pointing at some *other* matrix, so mark them stale.
-    if (context_.cache != nullptr) {
-        if (auto hit = context_.cache->lookup(kCacheTag,
-                                              matrix.view())) {
-            ++stats_.cached;
-            repair_fresh_ = false;
-            warm_fresh_ = false;
-            return {*std::move(hit), SolverTier::Cached,
-                    /*tries=*/0};
-        }
+    if (auto hit = memo_.lookup(matrix.view())) {
+        ++stats_.cached;
+        repair_fresh_ = false;
+        warm_fresh_ = false;
+        return {*std::move(hit), SolverTier::Cached, /*tries=*/0};
     }
 
     // Rung 1 — single-subject Hungarian repair: one augmenting stage
@@ -84,9 +75,7 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
         if (fixed.has_value()) {
             ++stats_.repaired;
             warm_fresh_ = false;
-            if (context_.cache != nullptr)
-                context_.cache->insert(kCacheTag, matrix.view(),
-                                       *fixed);
+            memo_.insert(matrix.view(), *fixed);
             return {*std::move(fixed), SolverTier::Repair};
         }
         repair_fresh_ = false; // engine invalidated itself
@@ -100,9 +89,7 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
         if (auto sol = warm_.solveWarm(matrix.view())) {
             ++stats_.warm;
             repair_fresh_ = false;
-            if (context_.cache != nullptr)
-                context_.cache->insert(kCacheTag, matrix.view(),
-                                       *sol);
+            memo_.insert(matrix.view(), *sol);
             return {*std::move(sol), SolverTier::WarmLp};
         }
         warm_fresh_ = false;
@@ -116,8 +103,7 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
         ++stats_.resynced;
         repair_fresh_ = true;
         warm_fresh_ = false;
-        if (context_.cache != nullptr)
-            context_.cache->insert(kCacheTag, matrix.view(), full);
+        memo_.insert(matrix.view(), full);
         return {std::move(full), SolverTier::Hungarian};
     }
 
@@ -139,9 +125,7 @@ IncrementalPlacer::coldResolve(const PerformanceMatrix& matrix)
             ++stats_.cold;
             warm_fresh_ = true;
             repair_fresh_ = false;
-            if (context_.cache != nullptr)
-                context_.cache->insert(kCacheTag, matrix.view(),
-                                       sol);
+            memo_.insert(matrix.view(), sol);
             return {std::move(sol), SolverTier::Lp};
         } catch (const FatalError&) {
             warm_.invalidate();
@@ -158,11 +142,9 @@ IncrementalPlacer::coldResolve(const PerformanceMatrix& matrix)
     ++outcome.attempts; // the cold LP try above
     repair_fresh_ = false;
     warm_fresh_ = false;
-    if (context_.cache != nullptr &&
-        (outcome.tier == SolverTier::Lp ||
-         outcome.tier == SolverTier::Hungarian))
-        context_.cache->insert(kCacheTag, matrix.view(),
-                               outcome.value);
+    if (outcome.tier == SolverTier::Lp ||
+        outcome.tier == SolverTier::Hungarian)
+        memo_.insert(matrix.view(), outcome.value);
     return outcome;
 }
 

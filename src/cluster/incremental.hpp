@@ -23,6 +23,16 @@
  * Repair / WarmLp sit *above* Lp in the ladder because they are
  * cheaper, not worse.
  *
+ * The memo (rung 0) is the placer's own math::AssignmentCache, and
+ * this is its one owner in the code base. It is the one rung whose
+ * answers can differ from a fresh solve: when a matrix has several
+ * optima, a hit returns the assignment stored on the earlier visit,
+ * which another rung may not pick again. Its rules: look up before
+ * any engine; insert only exact tiers (never Greedy or
+ * Conservative); a hit marks both engines stale; reset() keeps the
+ * entries; and ctrl::CtrlCheckpoint does not carry it, so a
+ * restored master starts with an empty memo.
+ *
  * The matrix side mirrors the delta: ctrl::ReplayEngine keeps its
  * cells resident and re-evaluates only those whose server load moved
  * (a Column delta costs one column of cell calls, a budget-only
@@ -39,6 +49,7 @@
 #include "cluster/placement.hpp"
 #include "math/hungarian_repair.hpp"
 #include "math/simplex.hpp"
+#include "math/solver_cache.hpp"
 
 namespace poco::cluster
 {
@@ -100,7 +111,8 @@ struct IncrementalStats
 
 /**
  * Stateful exact placement over a stream of adjacent matrices.
- * Not thread-safe; the control plane owns one per cluster.
+ * Not thread-safe, and neither copyable nor movable (the memo holds
+ * a lock); the control plane owns one per cluster.
  */
 class IncrementalPlacer
 {
@@ -134,7 +146,7 @@ class IncrementalPlacer
      */
     Outcome<std::vector<int>> shed(const PerformanceMatrix& matrix);
 
-    /** Drop all retained solver state (memo entries survive). */
+    /** Drop the engines' retained state; the memo keeps its entries. */
     void reset();
 
     const IncrementalStats& stats() const { return stats_; }
@@ -146,6 +158,7 @@ class IncrementalPlacer
 
     SolverContext context_;
     FallbackOptions fallback_;
+    math::AssignmentCache memo_;
     math::HungarianRepair repair_;
     math::AssignmentLpSolver warm_;
     /** An engine is fresh iff its state matches the last resolved

@@ -2,7 +2,6 @@
 
 #include "math/hungarian.hpp"
 #include "math/simplex.hpp"
-#include "math/solver_cache.hpp"
 #include "runtime/parallel.hpp"
 #include "util/check.hpp"
 
@@ -54,7 +53,7 @@ solveGreedy(const PerformanceMatrix& matrix)
     return assignment;
 }
 
-/** Run the named exact solver (no memo). */
+/** Run the named exact solver. */
 std::vector<int>
 solveExact(const PerformanceMatrix& matrix, PlacementKind kind,
            const SolverContext& context)
@@ -112,11 +111,7 @@ place(const PerformanceMatrix& matrix, PlacementKind kind,
     POCO_REQUIRE(kind != PlacementKind::Random,
                  "random placement needs an Rng");
     validateMatrix(matrix);
-    if (context.cache == nullptr)
-        return solveExact(matrix, kind, context);
-    return context.cache->getOrCompute(
-        placementKindName(kind), matrix.view(),
-        [&] { return solveExact(matrix, kind, context); });
+    return solveExact(matrix, kind, context);
 }
 
 double
@@ -139,39 +134,28 @@ admitAndPlace(const PerformanceMatrix& matrix,
         return place(matrix, PlacementKind::Hungarian, context);
     }
 
-    auto solve = [&] {
-        // Transpose: servers are the agents, candidates the tasks.
-        // Each server's candidate-score row is an independent slice
-        // of one flat buffer, so the scoring batch fans out over the
-        // pool; slot-addressed writes keep the result identical for
-        // any worker count.
-        std::vector<double> transposed(n_srv * n_be);
-        runtime::parallelFor(
-            context.pool, n_srv, [&](std::size_t j) {
-                double* __restrict__ scores =
-                    transposed.data() + j * n_be;
-                for (std::size_t i = 0; i < n_be; ++i)
-                    scores[i] = matrix(i, j);
-            });
-        const std::vector<int> choice = math::solveAssignmentMax(
-            math::MatrixView{transposed.data(), n_srv, n_be});
+    // Transpose: servers are the agents, candidates the tasks. Each
+    // server's candidate-score row is an independent slice of one
+    // flat buffer, so the scoring batch fans out over the pool;
+    // slot-addressed writes keep the result identical for any worker
+    // count.
+    std::vector<double> transposed(n_srv * n_be);
+    runtime::parallelFor(context.pool, n_srv, [&](std::size_t j) {
+        double* __restrict__ scores = transposed.data() + j * n_be;
+        for (std::size_t i = 0; i < n_be; ++i)
+            scores[i] = matrix(i, j);
+    });
+    const std::vector<int> choice = math::solveAssignmentMax(
+        math::MatrixView{transposed.data(), n_srv, n_be});
 
-        std::vector<int> admitted(n_be, -1);
-        for (std::size_t j = 0; j < n_srv; ++j) {
-            const int be = choice[j];
-            POCO_ASSERT(be >= 0 &&
-                        static_cast<std::size_t>(be) < n_be,
-                        "transposed assignment out of range");
-            admitted[static_cast<std::size_t>(be)] =
-                static_cast<int>(j);
-        }
-        return admitted;
-    };
-    if (context.cache == nullptr)
-        return solve();
-    // Memoized across admission rounds: the queue-drain loop asks
-    // again every round, usually with an unchanged matrix.
-    return context.cache->getOrCompute("admit", matrix.view(), solve);
+    std::vector<int> admitted(n_be, -1);
+    for (std::size_t j = 0; j < n_srv; ++j) {
+        const int be = choice[j];
+        POCO_ASSERT(be >= 0 && static_cast<std::size_t>(be) < n_be,
+                    "transposed assignment out of range");
+        admitted[static_cast<std::size_t>(be)] = static_cast<int>(j);
+    }
+    return admitted;
 }
 
 SolverTier
@@ -215,15 +199,9 @@ placeWithFallback(const PerformanceMatrix& matrix,
                     poco::fatal(
                         std::string("injected solver failure: ") +
                         placementKindName(kind));
-                // Bypass the memo on retries: a cached result would
-                // short-circuit genuine recomputation, and a failed
-                // stage must not poison the cache either way.
-                SolverContext stage = context;
-                if (attempt > 0)
-                    stage.cache = nullptr;
                 outcome.value = kind == PlacementKind::Greedy
                                     ? solveGreedy(matrix)
-                                    : place(matrix, kind, stage);
+                                    : place(matrix, kind, context);
                 outcome.tier = placementTier(kind);
                 return outcome;
             } catch (const FatalError&) {

@@ -12,10 +12,11 @@
  * pure functions of the matrix, so they take a SolverContext instead
  * of an Rng: a thread pool accelerates the admission path's batch
  * candidate scoring and the LP's pivot elimination on tableaus past
- * its size cutoff (48x48 and up), and an AssignmentCache memoizes
- * repeated solves of the same matrix across admission rounds and
- * load-sweep points. With or without a pool or a cache, every solve
- * returns field-identical assignments.
+ * its size cutoff (48x48 and up). With or without a pool, every
+ * solve returns field-identical assignments. These batch paths keep
+ * no solve memo: the cluster matrices they see are 2x2 to 4x4 and
+ * cost about as much to hash as to solve. The streaming
+ * IncrementalPlacer (incremental.hpp) owns the one memo.
  */
 
 #pragma once
@@ -30,11 +31,6 @@
 namespace poco::runtime
 {
 class ThreadPool;
-}
-
-namespace poco::math
-{
-class AssignmentCache;
 }
 
 namespace poco::cluster
@@ -58,25 +54,25 @@ enum class PlacementKind
 const char* placementKindName(PlacementKind kind);
 
 /**
- * Execution context for the exact placement solvers: where to run
- * (pool) and what to remember (memo cache). The defaults run serially
- * with no memoization; results never depend on the settings. The
- * evaluators assemble it from poco::FleetConfig
+ * Execution context for the exact placement solvers: where to run.
+ * The default runs serially; results never depend on the setting.
+ * The evaluators assemble it from poco::FleetConfig
  * (cluster/fleet_config.hpp).
  */
 struct SolverContext
 {
     /** Pool for large LP pivots and batch admission scoring. */
     runtime::ThreadPool* pool = nullptr;
-    /** Solve memo; null disables memoization. */
-    math::AssignmentCache* cache = nullptr;
     /**
      * Ignored: read by nothing in src/. The LP's fan-out cutoff is a
      * fixed tableau size in simplex.cpp. Still declared only because
-     * the benchmark sources assign it.
+     * benchmark/src/streaming.cpp:708 assigns it.
      */
     std::size_t pivotCutoff = 4096;
-    /** Ignored, like pivotCutoff: pricing is a serial scan. */
+    /**
+     * Ignored, like pivotCutoff: pricing is a serial scan. Assigned
+     * only by benchmark/src/streaming.cpp:709.
+     */
     std::size_t pricingGrain = 2048;
 };
 
@@ -89,7 +85,7 @@ SolverTier placementTier(PlacementKind kind);
  * @param matrix Performance matrix (rows: BE apps, cols: servers);
  *        requires #BE <= #servers.
  * @param rng Used only by PlacementKind::Random.
- * @param context Pool/memo wiring for the exact solvers.
+ * @param context Pool wiring for the exact solvers.
  */
 std::vector<int> place(const PerformanceMatrix& matrix,
                        PlacementKind kind, Rng& rng,
@@ -114,9 +110,7 @@ double placementValue(const PerformanceMatrix& matrix,
  *
  * Solved exactly as the transposed assignment problem (each server
  * "chooses" a candidate; unchosen candidates wait). Candidate score
- * rows are batched over context.pool, and the whole round's solution
- * is memoized in context.cache — repeated admission rounds over an
- * unchanged matrix return instantly.
+ * rows are batched over context.pool.
  *
  * @return admitted[i] = server index for BE i, or -1 when BE i is
  *         not admitted this round. Exactly min(#BE, #servers)

@@ -1,13 +1,12 @@
 #include "ctrl/control_plane.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
-#include "math/solver_cache.hpp"
 #include "runtime/parallel.hpp"
 #include "sim/telemetry_rollup.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 
 namespace poco::ctrl
 {
@@ -15,36 +14,17 @@ namespace poco::ctrl
 namespace
 {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 /** Cell-cache load of a cell never evaluated: unequal to any load. */
 constexpr double kNeverComputed =
     std::numeric_limits<double>::quiet_NaN();
 
-void
-mixWord(std::uint64_t& h, std::uint64_t word)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        h ^= word & 0xffu;
-        h *= kFnvPrime;
-        word >>= 8;
-    }
-}
-
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
+using fnv::mixDouble;
+using fnv::mixWord;
 
 std::uint64_t
 hashAssignment(const std::vector<int>& assignment)
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kOffset;
     for (const int j : assignment)
         mixWord(h, static_cast<std::uint64_t>(
                        static_cast<std::int64_t>(j)));
@@ -76,7 +56,7 @@ mixRecord(std::uint64_t& h, const EventRecord& r, bool semantic)
         mixWord(h, static_cast<std::uint64_t>(r.attempts));
     }
     mixWord(h, static_cast<std::uint64_t>(r.shed ? 1 : 0));
-    mixWord(h, doubleBits(r.objective));
+    mixDouble(h, r.objective);
     mixWord(h, r.assignmentFingerprint);
     mixWord(h, r.activeBe);
     mixWord(h, r.placeableServers);
@@ -85,23 +65,12 @@ mixRecord(std::uint64_t& h, const EventRecord& r, bool semantic)
 std::uint64_t
 rollupFingerprint(const CtrlRollup& roll, bool semantic)
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kOffset;
     for (const EventRecord& r : roll.records)
         mixRecord(h, r, semantic);
     mixWord(h, roll.livenessFingerprint);
-    mixWord(h, doubleBits(roll.budgetPool.value()));
+    mixDouble(h, roll.budgetPool.value());
     return h;
-}
-
-/** Patch the placer's context: memo per engine (replay identity),
- *  none at all when the bench wants every solve cold. */
-cluster::SolverContext
-placerContext(cluster::SolverContext ctx,
-              const ControlPlaneConfig& config,
-              math::AssignmentCache& memo)
-{
-    ctx.cache = config.forceCold ? nullptr : &memo;
-    return ctx;
 }
 
 } // namespace
@@ -109,7 +78,7 @@ placerContext(cluster::SolverContext ctx,
 std::uint64_t
 CtrlCheckpoint::fingerprint() const
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kOffset;
     mixWord(h, lsn);
     mixWord(h, static_cast<std::uint64_t>(tick));
     mixWord(h, tracker.fingerprint());
@@ -118,8 +87,8 @@ CtrlCheckpoint::fingerprint() const
     for (const std::size_t be : activeList)
         mixWord(h, be);
     for (const double l : load)
-        mixWord(h, doubleBits(l));
-    mixWord(h, doubleBits(budgetScale));
+        mixDouble(h, l);
+    mixDouble(h, budgetScale);
     for (const std::size_t s : prevAlive)
         mixWord(h, s);
     for (const EventRecord& r : records)
@@ -142,7 +111,7 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
                            cluster::SolverContext context,
                            sim::TelemetryAggregator* telemetry)
     : cells_(cells), config_(config),
-      context_(placerContext(context, config_, memo_)),
+      context_(context),
       telemetry_(telemetry),
       placer_(context_),
       tracker_(config.servers, config.heartbeat,
@@ -185,7 +154,7 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
                            const CtrlCheckpoint& checkpoint,
                            sim::TelemetryAggregator* telemetry)
     : cells_(cells), config_(config),
-      context_(placerContext(context, config_, memo_)),
+      context_(context),
       telemetry_(telemetry),
       placer_(context_),
       tracker_(checkpoint.tracker),
@@ -220,7 +189,7 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
     pending_ = checkpoint.pending;
     pending_.reserve(config.backpressure.window + 1);
     dirty_sheds_ = checkpoint.dirtySheds;
-    // The placer, memo and cell cache are deliberately cold here:
+    // The placer (memo included) and the cell cache start cold:
     // the ladder's rungs are all exact and cells are pure, so the
     // restored master re-derives the same assignments the
     // checkpointed one would have — only tier counters differ, which

@@ -40,9 +40,9 @@
  * thread count.
  *
  * Replay contract: replay() resets every piece of state (fresh
- * tracker, fresh placer, fresh memo), so the same log produces a
- * bit-identical CtrlRollup fingerprint on every call and for every
- * thread count — the parallel kernels underneath (matrix cell
+ * tracker, fresh placer with an empty memo), so the same log
+ * produces a bit-identical CtrlRollup fingerprint on every call and
+ * for every thread count — the parallel kernels underneath (matrix cell
  * builds, LP pivot elimination) are bit-identical by construction,
  * and nothing reads the wall clock.
  *
@@ -64,7 +64,6 @@
 #include "cluster/incremental.hpp"
 #include "ctrl/event_log.hpp"
 #include "ctrl/heartbeat.hpp"
-#include "math/solver_cache.hpp"
 #include "util/outcome.hpp"
 #include "util/units.hpp"
 
@@ -125,10 +124,10 @@ struct ControlPlaneConfig
     /** Event-admission window; disabled unless enabled is set. */
     BackpressureConfig backpressure;
     /**
-     * Bench baseline: disable every incremental rung and memo; every
-     * re-place is a cold placeWithFallback. Results (assignments,
-     * objectives) stay field-identical when optima are unique — only
-     * tiers, attempt counts, and wall-clock move.
+     * Bench baseline: bypass the IncrementalPlacer (every rung and
+     * its memo); every re-place is a cold placeWithFallback. Results
+     * (assignments, objectives) stay field-identical when optima are
+     * unique — only tiers, attempt counts, and wall-clock move.
      */
     bool forceCold = false;
 };
@@ -238,8 +237,8 @@ struct CtrlCheckpoint
  * The per-event replay state machine. Apply events one at a time,
  * checkpoint() at any LSN boundary, restore from a checkpoint and
  * keep applying, finish() exactly once for the rollup. Not copyable
- * or movable (the placer points into the engine's own memo);
- * MasterGroup heap-allocates one per live master.
+ * or movable (the placer's memo holds a lock); MasterGroup
+ * heap-allocates one per live master.
  */
 class ReplayEngine
 {
@@ -285,8 +284,6 @@ class ReplayEngine
      *  (the engine can outlive any one call site across failovers). */
     CellModel cells_;
     ControlPlaneConfig config_;
-    /** Declared before the context/placer that point into it. */
-    math::AssignmentCache memo_;
     cluster::SolverContext context_;
     sim::TelemetryAggregator* telemetry_;
     cluster::IncrementalPlacer placer_;
@@ -348,10 +345,10 @@ class ControlPlane
      * worst rung any event needed (worseTier fold), its attempts the
      * total across events, its degradation the union.
      *
-     * Note: the context's AssignmentCache is deliberately NOT used —
-     * a shared memo would make a second replay hit where the first
-     * missed, changing tier counters and breaking replay identity.
-     * Each replay builds its own.
+     * Each replay builds a fresh engine, so its placer starts with
+     * an empty memo: a memo shared across replays would make a
+     * second replay hit where the first missed, changing tier
+     * counters and breaking replay identity.
      */
     Outcome<CtrlRollup> replay(const EventLog& log);
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <tuple>
 
 #include "fault/fault_plan.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace poco::ctrl
@@ -205,23 +205,13 @@ EventLog::suffixFrom(std::size_t lsn) const
 std::uint64_t
 EventLog::fingerprint() const
 {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t word) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= word & 0xffu;
-            h *= 1099511628211ull;
-            word >>= 8;
-        }
-    };
+    std::uint64_t h = fnv::kOffset;
     for (const ControlEvent& e : events_) {
-        mix(static_cast<std::uint64_t>(e.tick));
-        mix(static_cast<std::uint64_t>(e.kind));
-        mix(static_cast<std::uint64_t>(
+        fnv::mixWord(h, static_cast<std::uint64_t>(e.tick));
+        fnv::mixWord(h, static_cast<std::uint64_t>(e.kind));
+        fnv::mixWord(h, static_cast<std::uint64_t>(
             static_cast<std::int64_t>(e.subject)));
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(e.value));
-        std::memcpy(&bits, &e.value, sizeof(bits));
-        mix(bits);
+        fnv::mixDouble(h, e.value);
     }
     return h;
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/milliwatts.hpp"
 
 namespace poco::ctrl
@@ -186,27 +187,20 @@ HeartbeatTracker::conservesBudget() const
 std::uint64_t
 HeartbeatTracker::fingerprint() const
 {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t word) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= word & 0xffu;
-            h *= 1099511628211ull;
-            word >>= 8;
-        }
-    };
+    std::uint64_t h = fnv::kOffset;
     for (const ServerState& s : servers_) {
-        mix(static_cast<std::uint64_t>(s.next_beat));
-        mix(static_cast<std::uint64_t>(s.misses));
-        mix(static_cast<std::uint64_t>(s.crashed ? 1 : 0));
-        mix(static_cast<std::uint64_t>(s.granted ? 1 : 0));
-        mix(static_cast<std::uint64_t>(s.health));
+        fnv::mixWord(h, static_cast<std::uint64_t>(s.next_beat));
+        fnv::mixWord(h, static_cast<std::uint64_t>(s.misses));
+        fnv::mixWord(h, static_cast<std::uint64_t>(s.crashed ? 1 : 0));
+        fnv::mixWord(h, static_cast<std::uint64_t>(s.granted ? 1 : 0));
+        fnv::mixWord(h, static_cast<std::uint64_t>(s.health));
     }
-    mix(static_cast<std::uint64_t>(pool_mw_));
-    mix(stats_.beats);
-    mix(stats_.misses);
-    mix(stats_.suspected);
-    mix(stats_.deaths);
-    mix(stats_.registrations);
+    fnv::mixWord(h, static_cast<std::uint64_t>(pool_mw_));
+    fnv::mixWord(h, stats_.beats);
+    fnv::mixWord(h, stats_.misses);
+    fnv::mixWord(h, stats_.suspected);
+    fnv::mixWord(h, stats_.deaths);
+    fnv::mixWord(h, stats_.registrations);
     return h;
 }
 

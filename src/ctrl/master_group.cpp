@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 
 namespace poco::ctrl
 {
@@ -12,18 +13,7 @@ namespace poco::ctrl
 namespace
 {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-mixWord(std::uint64_t& h, std::uint64_t word)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        h ^= word & 0xffu;
-        h *= kFnvPrime;
-        word >>= 8;
-    }
-}
+using fnv::mixWord;
 
 /** A fault window edge: a master going down or coming back. */
 struct Boundary
@@ -51,7 +41,7 @@ boundaryLess(const Boundary& a, const Boundary& b)
 std::uint64_t
 groupFingerprint(const MasterGroupRollup& roll)
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kOffset;
     mixWord(h, roll.rollup.fingerprint);
     for (const FailoverRecord& f : roll.failovers) {
         mixWord(h, static_cast<std::uint64_t>(f.tick));

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
+#include "runtime/parallel.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/milliwatts.hpp"
 #include "util/rng.hpp"
 
@@ -19,44 +20,20 @@ namespace
 // of cluster budgets == fleet budget, every epoch) holds bit for bit
 // with no rounding drift to chase.
 
-/** FNV-1a 64 over raw bytes. */
-void
-hashBytes(std::uint64_t& h, const void* data, std::size_t n)
-{
-    const unsigned char* bytes =
-        static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ULL;
-    }
-}
-
-void
-hashDouble(std::uint64_t& h, double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    hashBytes(h, &bits, sizeof bits);
-}
-
-void
-hashU64(std::uint64_t& h, std::uint64_t v)
-{
-    hashBytes(h, &v, sizeof v);
-}
+using fnv::mixDouble;
+using fnv::mixWord;
 
 void
 hashRollup(std::uint64_t& h, const sim::EpochRollup& r)
 {
-    hashU64(h, static_cast<std::uint64_t>(r.start));
-    hashU64(h, static_cast<std::uint64_t>(r.end));
-    hashU64(h, r.samples);
-    hashDouble(h, r.meanPower.value());
-    hashDouble(h, r.meanBeThroughput.value());
-    hashDouble(h, r.energy.value());
-    hashDouble(h, r.capOvershoot.value());
-    hashDouble(h, r.maxLatencyP99);
+    mixWord(h, static_cast<std::uint64_t>(r.start));
+    mixWord(h, static_cast<std::uint64_t>(r.end));
+    mixWord(h, r.samples);
+    mixDouble(h, r.meanPower.value());
+    mixDouble(h, r.meanBeThroughput.value());
+    mixDouble(h, r.energy.value());
+    mixDouble(h, r.capOvershoot.value());
+    mixDouble(h, r.maxLatencyP99);
 }
 
 Watts
@@ -103,33 +80,33 @@ partitionFleet(const std::vector<FleetServer>& servers)
 std::uint64_t
 FleetRollup::fingerprint() const
 {
-    std::uint64_t h = 1469598103934665603ULL; // FNV offset basis
-    hashU64(h, epochs.size());
+    std::uint64_t h = fnv::kOffset;
+    mixWord(h, epochs.size());
     for (const FleetEpoch& epoch : epochs) {
-        hashDouble(h, epoch.load);
-        hashDouble(h, epoch.fleetBudget.value());
-        hashU64(h, epoch.clusters.size());
+        mixDouble(h, epoch.load);
+        mixDouble(h, epoch.fleetBudget.value());
+        mixWord(h, epoch.clusters.size());
         for (const ClusterEpochOutcome& c : epoch.clusters) {
-            hashU64(h, c.cluster);
-            hashDouble(h, c.budget.value());
-            hashDouble(h, c.memberCap.value());
-            hashU64(h, static_cast<std::uint64_t>(c.tier));
-            hashU64(h, static_cast<std::uint64_t>(c.solverAttempts));
-            hashU64(h, (c.degradation.conservative ? 1u : 0u) |
+            mixWord(h, c.cluster);
+            mixDouble(h, c.budget.value());
+            mixDouble(h, c.memberCap.value());
+            mixWord(h, static_cast<std::uint64_t>(c.tier));
+            mixWord(h, static_cast<std::uint64_t>(c.solverAttempts));
+            mixWord(h, (c.degradation.conservative ? 1u : 0u) |
                            (c.degradation.modelsUntrusted ? 2u : 0u) |
                            (c.degradation.workShed ? 4u : 0u) |
                            (c.degradation.budgetClamped ? 8u : 0u));
-            hashDouble(h, c.beThroughput.value());
-            hashDouble(h, c.energy.value());
-            hashDouble(h, c.meanDraw.value());
-            hashU64(h, c.capped ? 1 : 0);
+            mixDouble(h, c.beThroughput.value());
+            mixDouble(h, c.energy.value());
+            mixDouble(h, c.meanDraw.value());
+            mixWord(h, c.capped ? 1 : 0);
             hashRollup(h, c.telemetry);
         }
         hashRollup(h, epoch.telemetry);
     }
-    hashDouble(h, totalBeThroughput.value());
-    hashDouble(h, totalEnergy.value());
-    hashDouble(h, totalCapOvershoot.value());
+    mixDouble(h, totalBeThroughput.value());
+    mixDouble(h, totalEnergy.value());
+    mixDouble(h, totalCapOvershoot.value());
     // aggregatorSeconds deliberately excluded: wall-clock only.
     return h;
 }
@@ -145,9 +122,9 @@ FleetEvaluator::FleetEvaluator(std::vector<FleetServer> servers,
                "scenario loads cover a different cluster count than "
                "this fleet partitions into");
 
-    // One pool for everything: shard tasks, each shard's internal
-    // cluster parallelism, and the async telemetry folds. Helping
-    // joins make the nesting safe on any pool size.
+    // One pool for everything: the per-cluster tasks and each
+    // cluster's internal parallelism. Helping joins make the nesting
+    // safe on any pool size.
     if (config_.pool != nullptr) {
         pool_ = config_.pool;
     } else if (config_.threads == 1) {
@@ -167,35 +144,22 @@ FleetEvaluator::FleetEvaluator(std::vector<FleetServer> servers,
         slots += clusters_[c].members.size();
     }
 
-    // Build the per-cluster evaluators (profiling + fitting), shard
-    // by canonical index. Each cluster's seed splits off its
+    // Build the per-cluster evaluators (profiling + fitting), one
+    // task per canonical cluster. Each cluster's seed splits off its
     // canonical index, so the fitted models are a pure function of
-    // (fleet, seed) — never of the shard count that happened to
-    // schedule the construction.
+    // (fleet, seed) — never of which worker built them.
     const Rng root(config_.seed);
     evaluators_.resize(clusters_.size());
-    const std::size_t shards = std::max<std::size_t>(
-        1, std::min<std::size_t>(
-               static_cast<std::size_t>(config_.shards),
-               clusters_.size()));
-    runtime::TaskGroup group(pool_);
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-        group.run([this, &root, shard, shards] {
-            for (std::size_t c = shard; c < clusters_.size();
-                 c += shards) {
-                Rng stream = root.split(c);
-                FleetConfig derived = config_;
-                derived.pool = pool_;
-                derived.threads = 1;
-                derived.seed = stream.nextU64();
-                derived.server.keepTelemetry = true;
-                evaluators_[c] =
-                    std::make_unique<cluster::ClusterEvaluator>(
-                        *clusters_[c].apps, derived);
-            }
-        });
-    }
-    group.wait();
+    runtime::parallelFor(pool_, clusters_.size(), [&](std::size_t c) {
+        Rng stream = root.split(c);
+        FleetConfig derived = config_;
+        derived.pool = pool_;
+        derived.threads = 1;
+        derived.seed = stream.nextU64();
+        derived.server.keepTelemetry = true;
+        evaluators_[c] = std::make_unique<cluster::ClusterEvaluator>(
+            *clusters_[c].apps, derived);
+    });
 }
 
 FleetEvaluator::~FleetEvaluator() = default;
@@ -331,7 +295,6 @@ FleetEvaluator::streamingSetup() const
     cfg.forceCold = config_.streamingForceCold;
 
     setup.context.pool = pool_;
-    setup.context.cache = nullptr; // each replay builds its own memo
 
     setup.clusterOf.resize(servers_.size());
     for (std::size_t s = 0; s < servers_.size(); ++s)
@@ -350,8 +313,7 @@ FleetEvaluator::runStreaming(const ctrl::EventLog& log) const
     // control plane's column space), unlike run()'s cluster-major
     // slot_base_ layout.
     sim::TelemetryAggregator aggregator(std::move(setup.clusterOf),
-                                        clusters_.size(), pool_,
-                                        config_.asyncTelemetry);
+                                        clusters_.size());
     plane.attachTelemetry(&aggregator);
 
     Outcome<ctrl::CtrlRollup> outcome = plane.replay(log);
@@ -392,9 +354,6 @@ Outcome<FleetRollup>
 FleetEvaluator::run() const
 {
     const std::size_t n_clusters = clusters_.size();
-    const std::size_t shards = std::max<std::size_t>(
-        1, std::min<std::size_t>(
-               static_cast<std::size_t>(config_.shards), n_clusters));
 
     // Initial budgets in integer milliwatts. A non-zero fleetBudget
     // splits over the clusters proportionally to their provisioned
@@ -442,8 +401,7 @@ FleetEvaluator::run() const
         cluster_of.insert(cluster_of.end(),
                           clusters_[c].members.size(), c);
     sim::TelemetryAggregator aggregator(std::move(cluster_of),
-                                        n_clusters, pool_,
-                                        config_.asyncTelemetry);
+                                        n_clusters);
 
     const SimTime fold_start = config_.server.warmup;
     const SimTime fold_end = config_.server.warmup + config_.dwell;
@@ -467,29 +425,15 @@ FleetEvaluator::run() const
         epoch.fleetBudget = fromMilliwatts(fleet_total_mw);
         epoch.clusters.resize(n_clusters);
 
-        // Evaluate the epoch's clusters, sharded: shard s walks
-        // canonical indices s, s+shards, ... and writes only
-        // cluster-indexed slots (result entries, telemetry server
-        // slots), so the shard count schedules the work without
-        // touching a single result bit.
-        {
-            runtime::TaskGroup group(pool_);
-            for (std::size_t shard = 0; shard < shards; ++shard) {
-                group.run([this, &epoch, &budget_mw, &aggregator,
-                           load, cluster_loads, shard, shards,
-                           n_clusters] {
-                    for (std::size_t c = shard; c < n_clusters;
-                         c += shards)
-                        epoch.clusters[c] = runClusterEpoch(
-                            c,
-                            cluster_loads != nullptr
-                                ? cluster_loads[c]
-                                : load,
-                            budget_mw[c], aggregator);
-                });
-            }
-            group.wait();
-        }
+        // Evaluate the epoch's clusters, one task per canonical
+        // index. Each task writes only cluster-indexed slots (result
+        // entries, telemetry server slots), so scheduling never
+        // touches a result bit.
+        runtime::parallelFor(pool_, n_clusters, [&](std::size_t c) {
+            epoch.clusters[c] = runClusterEpoch(
+                c, cluster_loads != nullptr ? cluster_loads[c] : load,
+                budget_mw[c], aggregator);
+        });
         aggregator.sealEpoch(fold_start, fold_end);
 
         // Budget redistribution (canonical order, integer mW):
@@ -557,8 +501,7 @@ FleetEvaluator::run() const
         rollup.epochs.push_back(std::move(epoch));
     }
 
-    // Attach the folded rollups. drain() blocks on folds still in
-    // flight and returns them in seal order, i.e. epoch order.
+    // Attach the folded rollups, in seal order (epoch order).
     const auto folded = aggregator.drain();
     POCO_ASSERT(folded.size() == rollup.epochs.size(),
                 "aggregator epoch count mismatch");

@@ -1,25 +1,24 @@
 /**
  * @file
- * poco::fleet — sharded multi-cluster evaluation.
+ * poco::fleet — multi-cluster evaluation.
  *
  * POColo's placement story (Section V) is per-cluster, but the
  * deployments the paper targets serve millions of users from many
  * heterogeneous clusters under one datacenter power envelope. The
- * fleet layer adds the shard-and-aggregate tier above
- * ClusterEvaluator: partition the fleet's servers into clusters by
- * platform, evaluate the clusters concurrently on one shared thread
- * pool (shards are TaskGroups; nested joins help, so a shard's
- * internally-parallel cluster work cannot deadlock the pool),
- * redistribute unused cluster power budget between epochs, and fold
- * per-server telemetry into cluster- and fleet-level rollups off the
- * evaluation thread.
+ * fleet layer adds the aggregate tier above ClusterEvaluator:
+ * partition the fleet's servers into clusters by platform, evaluate
+ * the clusters concurrently on one shared thread pool (one
+ * runtime::parallelFor task per canonical cluster; nested joins
+ * help, so a cluster's internally-parallel work cannot deadlock the
+ * pool), redistribute unused cluster power budget between epochs,
+ * and fold per-server telemetry into cluster- and fleet-level
+ * rollups.
  *
  * Determinism contract: the fleet rollup is bit-identical for any
- * shard count x thread count x async-telemetry setting. Clusters
- * are canonical (partition order depends only on the input server
- * list); shards only schedule them (cluster c runs on shard
- * c % shards); every per-cluster stochastic stream is seeded by
- * Rng(seed).split(canonical cluster index); and all reductions run
+ * thread count. Clusters are canonical (partition order depends
+ * only on the input server list); every per-cluster stochastic
+ * stream is seeded by Rng(seed).split(canonical cluster index); each
+ * task writes only its own cluster's slots; and all reductions run
  * in fixed cluster/server order.
  */
 
@@ -74,7 +73,7 @@ struct FleetCluster
  * Group @p servers into clusters by platform (AppSet address), in
  * first-appearance order — a pure function of the input list, so
  * the canonical cluster indexing is independent of how the clusters
- * are later sharded.
+ * are later scheduled.
  */
 std::vector<FleetCluster>
 partitionFleet(const std::vector<FleetServer>& servers);
@@ -98,13 +97,13 @@ struct ClusterEpochOutcome
     /**
      * Summed mean power draw of the members, from the simulator
      * statistics (energy / elapsed). Budget redistribution reads
-     * this — never the telemetry rollup, which may still be folding
-     * asynchronously when the next epoch's budgets are due.
+     * this, not the telemetry rollup, which run() attaches only
+     * after the last epoch.
      */
     Watts meanDraw{};
     /** True when the power cap bound at least one member. */
     bool capped = false;
-    /** Folded telemetry rollup (async or sync — identical bits). */
+    /** Folded telemetry rollup of the members. */
     sim::EpochRollup telemetry;
 };
 
@@ -138,7 +137,7 @@ struct FleetRollup
      * FNV-1a over every result bit (loads, budgets, tiers,
      * throughputs, energies, rollups) excluding wall-clock timing.
      * Equal fingerprints mean bit-identical rollups — the
-     * shard-determinism suite and bench_ext_hetero gate on this.
+     * fleet determinism suite and bench_ext_hetero gate on this.
      */
     [[nodiscard]] std::uint64_t fingerprint() const;
 };
@@ -175,10 +174,10 @@ class FleetEvaluator
     clusterEvaluator(std::size_t index) const;
 
     /**
-     * Evaluate every epoch in config().epochLoads: clusters run
-     * sharded (cluster c on shard c % shards), unused budget moves
-     * to power-capped clusters between epochs, telemetry folds into
-     * rollups (off-thread when config().asyncTelemetry).
+     * Evaluate every epoch in config().epochLoads: clusters run as
+     * one pool task each, unused budget moves to power-capped
+     * clusters between epochs, and telemetry folds into rollups at
+     * the end of each epoch.
      *
      * @return The fleet rollup wrapped in an Outcome: tier is the
      *         worst placement tier any cluster-epoch used, attempts

@@ -32,7 +32,7 @@ serversFromScenario(const scen::Scenario& scenario);
  * Evaluate a generated scenario end to end: adopt its per-cluster
  * epoch schedule into @p config (withScenario), partition its
  * servers, and run the epoch loop. @p config carries everything
- * else — shards, threads, profiler coarsening, budgets.
+ * else — threads, profiler coarsening, budgets.
  */
 Outcome<FleetRollup> evaluateScenario(const scen::Scenario& scenario,
                                       FleetConfig config = {});

@@ -6,6 +6,7 @@
 
 #include "runtime/parallel.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 
 namespace poco::math
 {
@@ -572,15 +573,9 @@ AssignmentLpSolver::basisFingerprint() const
 {
     if (!has_basis_)
         return 0;
-    std::uint64_t h = 1469598103934665603ull;
-    for (const std::size_t var : exported_basis_) {
-        std::uint64_t word = static_cast<std::uint64_t>(var);
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= word & 0xffu;
-            h *= 1099511628211ull;
-            word >>= 8;
-        }
-    }
+    std::uint64_t h = fnv::kOffset;
+    for (const std::size_t var : exported_basis_)
+        fnv::mixWord(h, var);
     return h;
 }
 

@@ -22,8 +22,11 @@ mix64(std::uint64_t x)
 
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
-} // namespace
-
+/**
+ * 64-bit content hash of a rectangular matrix: dimensions plus every
+ * element's bit pattern (row-major), mixed SplitMix64-style. Equal
+ * content hashes equally regardless of the backing stride.
+ */
 std::uint64_t
 hashMatrixContent(MatrixView value)
 {
@@ -39,11 +42,12 @@ hashMatrixContent(MatrixView value)
     return h;
 }
 
+} // namespace
+
 bool
-AssignmentCache::matches(const Entry& entry, std::string_view tag,
-                         MatrixView value)
+AssignmentCache::matches(const Entry& entry, MatrixView value)
 {
-    if (entry.tag != tag || entry.rows != value.rows ||
+    if (entry.rows != value.rows ||
         (entry.rows > 0 && entry.cols != value.cols))
         return false;
     std::size_t k = 0;
@@ -61,13 +65,13 @@ AssignmentCache::matches(const Entry& entry, std::string_view tag,
 }
 
 std::optional<std::vector<int>>
-AssignmentCache::lookup(std::string_view tag, MatrixView value) const
+AssignmentCache::lookup(MatrixView value) const
 {
     const std::uint64_t h = hashMatrixContent(value);
     runtime::LockGuard guard(mutex_);
     if (auto it = buckets_.find(h); it != buckets_.end()) {
         for (const Entry& entry : it->second) {
-            if (matches(entry, tag, value)) {
+            if (matches(entry, value)) {
                 ++hits_;
                 return entry.assignment;
             }
@@ -78,11 +82,9 @@ AssignmentCache::lookup(std::string_view tag, MatrixView value) const
 }
 
 void
-AssignmentCache::insert(std::string_view tag, MatrixView value,
-                        std::vector<int> assignment)
+AssignmentCache::insert(MatrixView value, std::vector<int> assignment)
 {
     Entry entry;
-    entry.tag = std::string(tag);
     entry.rows = value.rows;
     entry.cols = value.cols;
     entry.flat.reserve(entry.rows * entry.cols);
@@ -97,7 +99,7 @@ AssignmentCache::insert(std::string_view tag, MatrixView value,
     auto& bucket = buckets_[h];
     // Racing writers compute identical values; keep the first.
     for (const Entry& existing : bucket)
-        if (matches(existing, tag, value))
+        if (matches(existing, value))
             return;
     bucket.push_back(std::move(entry));
     ++entries_;
@@ -108,23 +110,6 @@ AssignmentCache::stats() const
 {
     runtime::LockGuard guard(mutex_);
     return {hits_, misses_, entries_};
-}
-
-void
-AssignmentCache::clear()
-{
-    runtime::LockGuard guard(mutex_);
-    buckets_.clear();
-    hits_ = 0;
-    misses_ = 0;
-    entries_ = 0;
-}
-
-AssignmentCache&
-AssignmentCache::global()
-{
-    static AssignmentCache* cache = new AssignmentCache();
-    return *cache;
 }
 
 } // namespace poco::math

@@ -1,37 +1,30 @@
 /**
  * @file
- * Thread-safe memoization of assignment solves.
+ * Thread-safe memo of exact assignment solves.
  *
- * The cluster layer solves the same assignment instance over and over:
- * admitAndPlace() re-runs each admission round, load sweeps re-place
- * at every point, and the figure benches evaluate several policies on
- * one matrix. All the exact solvers (LP, Hungarian, exhaustive) are
- * deterministic pure functions of the value matrix, so their results
- * can be reused across calls.
+ * cluster::IncrementalPlacer is the one owner: flapping event pairs
+ * in the streaming control plane (crash/recover, A<->B load
+ * oscillation) revisit byte-identical matrices, and a hit answers
+ * without touching a solver. The batch paths keep no memo: their
+ * 2x2 to 4x4 matrices cost about as much to hash as to solve.
  *
  * Keying: a 64-bit content hash of the matrix (dimensions plus the
  * raw bit pattern of every element, SplitMix64-style mixing) selects
  * a bucket; the bucket entries store the full matrix and an exact
  * element-wise comparison confirms the match, so a hash collision can
- * never return a wrong answer. A `tag` (usually the solver name)
- * separates solutions of different algorithms or problem framings on
- * the same matrix.
+ * never return a wrong answer.
  *
- * Concurrency: a mutex guards the map; solves run outside the lock,
- * so concurrent callers may race to compute the same key. That is
- * deliberate — the solvers are deterministic, both writers produce
- * the same value, and the first insert wins (mirroring the pair-run
- * cache in ClusterEvaluator).
+ * Concurrency: a mutex guards the map, so concurrent callers may
+ * look up and insert freely. Racing writers of one key store the
+ * same value (the exact solvers are deterministic), and the first
+ * insert wins.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "math/matrix_view.hpp"
@@ -41,7 +34,7 @@
 namespace poco::math
 {
 
-/** Counter snapshot (monotonic since construction or clear()). */
+/** Counter snapshot (monotonic since construction). */
 struct SolverCacheStats
 {
     std::uint64_t hits = 0;
@@ -49,66 +42,31 @@ struct SolverCacheStats
     std::uint64_t entries = 0;
 };
 
-/**
- * 64-bit content hash of a rectangular matrix: dimensions plus every
- * element's bit pattern (row-major), mixed SplitMix64-style.
- * Deterministic across runs and platforms with IEEE-754 doubles;
- * equal content hashes equally regardless of the backing stride.
- */
-std::uint64_t hashMatrixContent(MatrixView value);
-
 /** Content-addressed memo of assignment solutions. */
 class AssignmentCache
 {
   public:
     /**
-     * Look up the solution stored for (@p tag, @p value); exact
-     * element-wise match required. Counts a hit or a miss.
+     * Look up the solution stored for @p value; exact element-wise
+     * match required. Counts a hit or a miss.
      */
-    std::optional<std::vector<int>> lookup(std::string_view tag,
-                                           MatrixView value) const;
+    std::optional<std::vector<int>> lookup(MatrixView value) const;
 
     /** Store a solution; an exact duplicate key keeps the first. */
-    void insert(std::string_view tag, MatrixView value,
-                std::vector<int> assignment);
-
-    /**
-     * Lookup-or-compute: returns the memoized solution, or runs
-     * @p solve (outside the lock), stores, and returns its result.
-     */
-    template <typename Solve>
-    std::vector<int>
-    getOrCompute(std::string_view tag, MatrixView value,
-                 Solve&& solve)
-    {
-        if (auto hit = lookup(tag, value))
-            return *std::move(hit);
-        std::vector<int> result = solve();
-        insert(tag, value, result);
-        return result;
-    }
+    void insert(MatrixView value, std::vector<int> assignment);
 
     SolverCacheStats stats() const;
-    void clear();
-
-    /**
-     * Process-wide shared cache, for callers without an evaluator
-     * (constructed on first use, never destroyed).
-     */
-    static AssignmentCache& global();
 
   private:
     struct Entry
     {
-        std::string tag;
         std::size_t rows = 0;
         std::size_t cols = 0;
         std::vector<double> flat; // row-major copy of the key matrix
         std::vector<int> assignment;
     };
 
-    static bool matches(const Entry& entry, std::string_view tag,
-                        MatrixView value);
+    static bool matches(const Entry& entry, MatrixView value);
 
     mutable runtime::Mutex mutex_;
     std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_

@@ -1,7 +1,7 @@
 /**
  * @file
  * Concurrent execution subsystem: a fixed-size work-stealing thread
- * pool with structured task groups and lightweight futures.
+ * pool with structured task groups.
  *
  * Every simulation in Pocolo owns its own EventQueue, and every
  * stochastic stage either pre-sequences its random draws or forks an
@@ -17,26 +17,23 @@
  *  - One task deque per worker. A worker pops its own deque LIFO
  *    (cache locality for nested spawns) and steals FIFO from the
  *    other workers when its own deque is empty.
- *  - Waiters help: TaskGroup::wait() and Future::get() execute queued
- *    tasks on the waiting thread instead of blocking, so nested
- *    parallelism (a pool task spawning subtasks into the same pool)
- *    cannot deadlock even on a one-worker pool.
- *  - Exceptions thrown by TaskGroup/Future tasks are captured and
- *    rethrown at the join point (first one wins); tasks submitted via
- *    the raw submit() must not throw.
+ *  - Waiters help: TaskGroup::wait() executes queued tasks on the
+ *    waiting thread instead of blocking, so nested parallelism (a
+ *    pool task spawning subtasks into the same pool) cannot deadlock
+ *    even on a one-worker pool.
+ *  - Exceptions thrown by TaskGroup tasks are captured and rethrown
+ *    at the join point (first one wins); tasks submitted via the raw
+ *    submit() must not throw.
  */
 
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -69,7 +66,7 @@ class ThreadPool
     /**
      * Enqueue a task. Thread-safe; may be called from worker threads
      * (nested spawn, pushed to the caller's own deque). The task must
-     * not throw — use TaskGroup or async() for exception propagation.
+     * not throw — use TaskGroup for exception propagation.
      */
     void submit(std::function<void()> task);
 
@@ -195,125 +192,5 @@ class TaskGroup
     std::size_t pending_ POCO_GUARDED_BY(mutex_) = 0;
     std::exception_ptr error_ POCO_GUARDED_BY(mutex_);
 };
-
-/**
- * One-shot value channel for async(). get() helps the pool while
- * waiting and rethrows the task's exception, if any.
- */
-template <typename T>
-class Future
-{
-    static_assert(!std::is_void_v<T>,
-                  "use TaskGroup for tasks without a result");
-
-  public:
-    Future() = default;
-
-    bool valid() const { return state_ != nullptr; }
-
-    bool
-    ready() const
-    {
-        LockGuard guard(state_->mutex);
-        return state_->ready;
-    }
-
-    /**
-     * Wait for the task (helping the pool), then return its value or
-     * rethrow its exception. Consumes the future.
-     */
-    T
-    get()
-    {
-        auto state = std::move(state_);
-        for (;;) {
-            {
-                LockGuard guard(state->mutex);
-                if (state->ready)
-                    break;
-            }
-            if (state->pool != nullptr && state->pool->tryRunOne())
-                continue;
-            {
-                UniqueLock lock(state->mutex);
-                // The timed wait covers the window where the task is
-                // already executing elsewhere; the outer loop
-                // re-checks ready after every wakeup (spurious or
-                // not), so no predicate overload is needed.
-                if (!state->ready)
-                    state->done.waitFor(
-                        lock, std::chrono::microseconds(200));
-                if (state->ready)
-                    break;
-            }
-        }
-        std::exception_ptr error;
-        std::optional<T> value;
-        {
-            LockGuard guard(state->mutex);
-            error = state->error;
-            value = std::move(state->value);
-        }
-        if (error)
-            std::rethrow_exception(error);
-        return std::move(*value);
-    }
-
-    /** Launch @p fn on @p pool (inline when null) and bind a future. */
-    template <typename F>
-    static Future
-    launch(ThreadPool* pool, F&& fn)
-    {
-        auto state = std::make_shared<State>();
-        state->pool = pool;
-        auto task = [state, work = std::forward<F>(fn)]() mutable {
-            std::exception_ptr error;
-            std::optional<T> value;
-            try {
-                value.emplace(work());
-            } catch (...) {
-                error = std::current_exception();
-            }
-            {
-                LockGuard guard(state->mutex);
-                state->value = std::move(value);
-                state->error = error;
-                state->ready = true;
-            }
-            state->done.notifyAll();
-        };
-        if (pool != nullptr && pool->threadCount() > 0)
-            pool->submit(std::move(task));
-        else
-            task();
-        Future future;
-        future.state_ = std::move(state);
-        return future;
-    }
-
-  private:
-    struct State
-    {
-        mutable Mutex mutex;
-        CondVar done;
-        bool ready POCO_GUARDED_BY(mutex) = false;
-        std::exception_ptr error POCO_GUARDED_BY(mutex);
-        std::optional<T> value POCO_GUARDED_BY(mutex);
-        /** Set once before the state is shared; read-only after. */
-        ThreadPool* pool = nullptr;
-    };
-
-    std::shared_ptr<State> state_;
-};
-
-/** Launch @p fn asynchronously; null @p pool runs it inline. */
-template <typename F>
-auto
-async(ThreadPool* pool, F&& fn)
-    -> Future<std::decay_t<std::invoke_result_t<F&>>>
-{
-    using T = std::decay_t<std::invoke_result_t<F&>>;
-    return Future<T>::launch(pool, std::forward<F>(fn));
-}
 
 } // namespace poco::runtime

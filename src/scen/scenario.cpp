@@ -1,13 +1,13 @@
 #include "scen/scenario.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <string>
 #include <utility>
 
 #include "runtime/parallel.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "wl/load_trace.hpp"
 
@@ -27,36 +27,6 @@ constexpr std::uint64_t kStormStream = 0x300000000ULL;
 
 /** Offered load is floored here so FleetConfig accepts it. */
 constexpr double kLoadFloor = 0.05;
-
-// FNV-1a, the same construction FleetRollup::fingerprint uses, so
-// fingerprints stay wall-clock free and platform independent.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void
-foldU64(std::uint64_t& h, std::uint64_t bits)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        h ^= (bits >> (8 * byte)) & 0xffULL;
-        h *= kFnvPrime;
-    }
-}
-
-void
-foldDouble(std::uint64_t& h, double value)
-{
-    foldU64(h, std::bit_cast<std::uint64_t>(value));
-}
-
-void
-foldString(std::uint64_t& h, const std::string& s)
-{
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
-    foldU64(h, s.size());
-}
 
 /**
  * Synthesize the platform catalog: rank 0 is the paper's Xeon
@@ -291,48 +261,48 @@ Scenario::generate(const ScenarioSpec& raw_spec,
 
     // Fingerprint the emitted fleet (not the spec alone): any bit of
     // generated content changing must change the fingerprint.
-    std::uint64_t h = kFnvOffset;
-    foldU64(h, spec.clusters);
-    foldU64(h, static_cast<std::uint64_t>(spec.serversPerCluster));
-    foldU64(h, static_cast<std::uint64_t>(spec.lcApps));
-    foldU64(h, static_cast<std::uint64_t>(spec.beApps));
-    foldDouble(h, spec.platformZipf);
-    foldU64(h, static_cast<std::uint64_t>(spec.platformCount));
-    foldU64(h, static_cast<std::uint64_t>(spec.day));
-    foldU64(h, static_cast<std::uint64_t>(spec.epochs));
-    foldDouble(h, spec.diurnalLow);
-    foldDouble(h, spec.diurnalHigh);
-    foldDouble(h, spec.phaseJitter);
-    foldDouble(h, spec.jitterSigma);
-    foldU64(h, static_cast<std::uint64_t>(spec.jitterDwell));
-    foldU64(h, spec.regions);
-    foldU64(h, static_cast<std::uint64_t>(spec.flashCrowds));
-    foldDouble(h, spec.flashMagnitude);
-    foldU64(h, static_cast<std::uint64_t>(spec.flashDuration));
-    foldDouble(h, spec.beArrivalsPerHour);
-    foldU64(h, static_cast<std::uint64_t>(spec.faultStorms));
-    foldU64(h, static_cast<std::uint64_t>(spec.stormDuration));
-    foldDouble(h, spec.stormMagnitude);
-    foldU64(h, spec.seed);
+    std::uint64_t h = fnv::kOffset;
+    fnv::mixWord(h, spec.clusters);
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.serversPerCluster));
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.lcApps));
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.beApps));
+    fnv::mixDouble(h, spec.platformZipf);
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.platformCount));
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.day));
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.epochs));
+    fnv::mixDouble(h, spec.diurnalLow);
+    fnv::mixDouble(h, spec.diurnalHigh);
+    fnv::mixDouble(h, spec.phaseJitter);
+    fnv::mixDouble(h, spec.jitterSigma);
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.jitterDwell));
+    fnv::mixWord(h, spec.regions);
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.flashCrowds));
+    fnv::mixDouble(h, spec.flashMagnitude);
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.flashDuration));
+    fnv::mixDouble(h, spec.beArrivalsPerHour);
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.faultStorms));
+    fnv::mixWord(h, static_cast<std::uint64_t>(spec.stormDuration));
+    fnv::mixDouble(h, spec.stormMagnitude);
+    fnv::mixWord(h, spec.seed);
     for (const sim::ServerSpec& platform : out.platforms_) {
-        foldString(h, platform.name);
-        foldU64(h, static_cast<std::uint64_t>(platform.cores));
-        foldU64(h, static_cast<std::uint64_t>(platform.llcWays));
-        foldDouble(h, platform.freqMax.value());
-        foldDouble(h, platform.nominalActivePower.value());
+        fnv::mixString(h, platform.name);
+        fnv::mixWord(h, static_cast<std::uint64_t>(platform.cores));
+        fnv::mixWord(h, static_cast<std::uint64_t>(platform.llcWays));
+        fnv::mixDouble(h, platform.freqMax.value());
+        fnv::mixDouble(h, platform.nominalActivePower.value());
     }
     for (const ClusterScenario& cluster : out.clusters_) {
-        foldU64(h, cluster.platform);
-        foldU64(h, cluster.region);
+        fnv::mixWord(h, cluster.platform);
+        fnv::mixWord(h, cluster.region);
         for (const wl::LcApp& app : cluster.apps->lc)
-            foldString(h, app.name());
+            fnv::mixString(h, app.name());
         for (const wl::BeApp& app : cluster.apps->be)
-            foldString(h, app.name());
+            fnv::mixString(h, app.name());
         for (const double load : cluster.epochLoads)
-            foldDouble(h, load);
+            fnv::mixDouble(h, load);
     }
-    foldU64(h, out.beArrivals_.fingerprint());
-    foldU64(h, out.faultStorm_.fingerprint());
+    fnv::mixWord(h, out.beArrivals_.fingerprint());
+    fnv::mixWord(h, out.faultStorm_.fingerprint());
     out.fingerprint_ = h;
     return out;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Telemetry epoch rollups and the off-thread aggregator.
+ * Telemetry epoch rollups and the epoch aggregator.
  *
  * Per-server TelemetryRecorders answer windowed queries, but the
  * evaluation pipelines used to issue those queries inline — every
@@ -11,13 +11,13 @@
  * in fixed server order into cluster totals, and clusters combine in
  * canonical cluster order into the fleet total.
  *
- * TelemetryAggregator schedules those folds. Within an epoch, each
+ * TelemetryAggregator collects those folds. Within an epoch, each
  * evaluation task deposits samples into its own server-indexed slot
- * (slot exclusivity, no locks); sealEpoch() then moves the filled
- * buffers into a self-contained fold task — a Future on the shared
- * pool when async, an inline call when not. Both paths run the exact
- * same fold code in the exact same order, so async mode changes
- * wall-clock only, never a single output bit.
+ * (slot exclusivity, no locks); sealEpoch() then folds the filled
+ * buffers on the coordinating thread, in fixed server and cluster
+ * order. The fold is a fraction of a percent of an epoch's
+ * simulation time, so it runs inline rather than overlapped on the
+ * pool.
  */
 
 #pragma once
@@ -25,9 +25,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "runtime/parallel.hpp"
 #include "sim/telemetry.hpp"
 #include "util/units.hpp"
+
+namespace poco::runtime
+{
+class ThreadPool;
+}
 
 namespace poco::sim
 {
@@ -67,13 +71,13 @@ EpochRollup foldTelemetry(const std::vector<TelemetrySample>& samples,
                           Watts cap, SimTime start, SimTime end);
 
 /**
- * Double-buffered epoch aggregator.
+ * Epoch aggregator.
  *
  * Threading contract: within an epoch, any task may call add() for
  * a server slot as long as no two tasks share a slot; sealEpoch()
  * and drain() belong to the coordinating thread, which must join
  * the epoch's tasks first (their writes become visible through that
- * join). Sealed buffers are immutable — the fold task owns them.
+ * join).
  */
 class TelemetryAggregator
 {
@@ -82,12 +86,15 @@ class TelemetryAggregator
      * @param cluster_of_server cluster index for each server slot;
      *        its size fixes the fleet's server count.
      * @param clusters total cluster count (> every entry above).
-     * @param pool Fold-task pool; null folds inline even when async.
-     * @param async Fold off-thread (true) or inline at seal (false).
+     *
+     * The last two parameters are ignored (the fold always runs
+     * inline). They stay declared only because
+     * benchmark/src/streaming.cpp:729-731 still passes a pool and a
+     * mode.
      */
     TelemetryAggregator(std::vector<std::size_t> cluster_of_server,
                         std::size_t clusters,
-                        runtime::ThreadPool* pool, bool async);
+                        runtime::ThreadPool* = nullptr, bool = false);
 
     TelemetryAggregator(const TelemetryAggregator&) = delete;
     TelemetryAggregator& operator=(const TelemetryAggregator&) =
@@ -120,10 +127,9 @@ class TelemetryAggregator
     std::uint64_t deltaPushes() const { return delta_pushes_; }
 
     /**
-     * Seal the current epoch over [start, end): hand the filled
-     * buffers to the fold (async: a Future on the pool; sync: run
-     * here, which is the inline cost the async path avoids) and
-     * reset the front buffers for the next epoch.
+     * Seal the current epoch over [start, end): fold the filled
+     * buffers, store the result, and reset the front buffers for the
+     * next epoch.
      */
     void sealEpoch(SimTime start, SimTime end);
 
@@ -139,8 +145,8 @@ class TelemetryAggregator
     };
 
     /**
-     * Collect every sealed epoch, in seal order, blocking on folds
-     * still in flight. Leaves the aggregator empty and reusable.
+     * Collect every sealed epoch, in seal order. Leaves the
+     * aggregator empty and reusable.
      */
     std::vector<EpochResult> drain();
 
@@ -153,16 +159,10 @@ class TelemetryAggregator
 
     std::vector<std::size_t> cluster_of_server_;
     std::size_t clusters_;
-    runtime::ThreadPool* pool_;
-    bool async_;
     std::uint64_t delta_pushes_ = 0;
     std::vector<ServerBuffer> front_;
-    /**
-     * Sealed epochs in seal order. The fold tasks are self-contained
-     * (they capture the buffers and an index copy, never `this`), so
-     * async ones may still be folding while the front refills.
-     */
-    std::vector<runtime::Future<EpochResult>> pending_;
+    /** Folded epochs in seal order. */
+    std::vector<EpochResult> sealed_;
 };
 
 } // namespace poco::sim

@@ -2,8 +2,8 @@
  * @file
  * Clang thread-safety capability annotations (DESIGN.md §16).
  *
- * The determinism contract ("bit-identical replay for any thread or
- * shard count") used to rest entirely on runtime gates: the TSan
+ * The determinism contract ("bit-identical replay for any thread
+ * count") used to rest entirely on runtime gates: the TSan
  * tiers only catch interleavings that actually execute, and the
  * fingerprint suites only catch divergence that actually happened.
  * These macros move the locking half of that contract into the type

@@ -145,6 +145,24 @@ TEST_F(EndToEndTest, PairRunsAreCachedAndDeterministic)
     EXPECT_DOUBLE_EQ(a.run.powerUtilization, b.run.powerUtilization);
 }
 
+TEST_F(EndToEndTest, PairRunMemoKeysOnExactLoad)
+{
+    // Two loads that print alike at six significant digits are still
+    // two runs: the second call must not be served the first's memo
+    // entry, and must match what a fresh evaluator computes.
+    const auto at_half =
+        evaluator_->runPairAtLoad(0, 0, ManagerKind::Pom, 0.5);
+    const auto nudged =
+        evaluator_->runPairAtLoad(0, 0, ManagerKind::Pom, 0.50000049);
+    const ClusterEvaluator fresh(*set_);
+    const auto oracle =
+        fresh.runPairAtLoad(0, 0, ManagerKind::Pom, 0.50000049);
+    EXPECT_EQ(nudged.run.stats.energyJoules.value(),
+              oracle.run.stats.energyJoules.value());
+    EXPECT_NE(nudged.run.stats.energyJoules.value(),
+              at_half.run.stats.energyJoules.value());
+}
+
 TEST_F(EndToEndTest, RunPairAtLoadMonotoneInLoad)
 {
     // More primary load -> less BE throughput, for a fixed pairing.

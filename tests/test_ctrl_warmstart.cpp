@@ -5,12 +5,13 @@
  * bit-identical to solveAssignmentLp and solveWarm matches cold
  * field-exactly under randomized perturbation storms; HungarianRepair
  * matches solveAssignmentMax after single-row/column repairs; the
- * IncrementalPlacer ladder matches placeWithFallback event by event.
- * Runs under tier-ctrl.
+ * IncrementalPlacer ladder matches placeWithFallback event by event,
+ * and its memo answers exact repeats only. Runs under tier-ctrl.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -282,6 +283,46 @@ TEST(CtrlWarmstart, IncrementalPlacerResetForcesColdPath)
         placer.resolve(matrix, cluster::PlacementDelta::shape());
     EXPECT_EQ(first.value, second.value);
     EXPECT_GE(placer.stats().cold + placer.stats().cached, 2u);
+}
+
+TEST(CtrlWarmstart, IncrementalPlacerMemoAnswersExactRepeatsOnly)
+{
+    // Rung 0: a repeated matrix comes back from the placer's memo
+    // (tier Cached, no solver attempt), a one-ulp change to a single
+    // cell is a different key, and reset() drops the engines but
+    // keeps the memo.
+    Rng rng(808);
+    cluster::PerformanceMatrix matrix;
+    matrix.resize(5, 5);
+    for (std::size_t i = 0; i < 5; ++i)
+        for (std::size_t j = 0; j < 5; ++j)
+            matrix(i, j) = rng.uniform(0.0, 100.0);
+    cluster::IncrementalPlacer placer;
+
+    const auto first =
+        placer.resolve(matrix, cluster::PlacementDelta::shape());
+    EXPECT_EQ(first.tier, SolverTier::Lp);
+    const auto repeat =
+        placer.resolve(matrix, cluster::PlacementDelta::fullRefresh());
+    EXPECT_EQ(repeat.tier, SolverTier::Cached);
+    EXPECT_EQ(repeat.attempts, 0);
+    EXPECT_EQ(repeat.value, first.value);
+    EXPECT_EQ(placer.stats().cached, 1u);
+
+    cluster::PerformanceMatrix nudged = matrix;
+    nudged(0, 0) = std::nextafter(matrix(0, 0), 1e300);
+    const auto miss =
+        placer.resolve(nudged, cluster::PlacementDelta::row(0));
+    EXPECT_NE(miss.tier, SolverTier::Cached);
+    EXPECT_EQ(placer.stats().cached, 1u);
+
+    placer.reset();
+    const auto after_reset =
+        placer.resolve(matrix, cluster::PlacementDelta::shape());
+    EXPECT_EQ(after_reset.tier, SolverTier::Cached);
+    EXPECT_EQ(after_reset.attempts, 0);
+    EXPECT_EQ(after_reset.value, first.value);
+    EXPECT_EQ(placer.stats().cached, 2u);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * The fleet layer's headline guarantee: the fleet rollup is
- * bit-identical for any shard count x thread count x async-telemetry
- * setting. partitionFleet must be canonical (a pure function of the
+ * bit-identical for any thread count, owned or borrowed pool.
+ * partitionFleet must be canonical (a pure function of the
  * input server list), and the fingerprint must cover every result
  * bit while ignoring wall-clock timing. Runs under tier-fleet and
  * tier-tsan.
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fleet/fleet_evaluator.hpp"
+#include "runtime/thread_pool.hpp"
 #include "wl/registry.hpp"
 
 namespace poco::fleet
@@ -106,30 +107,17 @@ TEST_F(FleetFixture, PartitionRejectsBadServers)
 TEST_F(FleetFixture, RollupIsBitIdenticalForAnyShardAndThreadCount)
 {
     const std::uint64_t baseline =
-        fingerprintFor(smallConfig().withShards(1).withThreads(1));
-    for (const int shards : {1, 2, 4}) {
-        for (const int threads : {1, 4}) {
-            if (shards == 1 && threads == 1)
-                continue;
-            EXPECT_EQ(fingerprintFor(smallConfig()
-                                         .withShards(shards)
-                                         .withThreads(threads)),
-                      baseline)
-                << "shards=" << shards << " threads=" << threads;
-        }
-    }
-}
+        fingerprintFor(smallConfig().withThreads(1));
+    for (const int threads : {2, 4})
+        EXPECT_EQ(fingerprintFor(smallConfig().withThreads(threads)),
+                  baseline)
+            << "threads=" << threads;
 
-TEST_F(FleetFixture, AsyncAndSyncTelemetryRollupsMatch)
-{
-    EXPECT_EQ(fingerprintFor(smallConfig()
-                                 .withShards(2)
-                                 .withThreads(4)
-                                 .withAsyncTelemetry(false)),
-              fingerprintFor(smallConfig()
-                                 .withShards(2)
-                                 .withThreads(4)
-                                 .withAsyncTelemetry(true)));
+    // The benchmark's shape: three workers borrowed from the caller.
+    runtime::ThreadPool borrowed(3);
+    EXPECT_EQ(fingerprintFor(smallConfig().withPool(&borrowed)),
+              baseline)
+        << "borrowed 3-worker pool";
 }
 
 TEST_F(FleetFixture, FingerprintSeesResultBitsNotTiming)
@@ -155,8 +143,8 @@ TEST_F(FleetFixture, SeedChangesTheRollup)
 
 TEST_F(FleetFixture, RunIsRepeatable)
 {
-    const FleetEvaluator evaluator(
-        servers(), smallConfig().withShards(2).withThreads(4));
+    const FleetEvaluator evaluator(servers(),
+                                   smallConfig().withThreads(4));
     EXPECT_EQ(evaluator.run().value.fingerprint(),
               evaluator.run().value.fingerprint());
 }

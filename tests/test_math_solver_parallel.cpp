@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <optional>
 
 #include "cluster/placement.hpp"
 #include "flat_matrix.hpp"
@@ -190,12 +191,10 @@ randomMatrix(std::size_t n_be, std::size_t n_srv, std::uint64_t seed)
 }
 
 SolverContext
-pooledContext(runtime::ThreadPool* pool,
-              math::AssignmentCache* cache = nullptr)
+pooledContext(runtime::ThreadPool* pool)
 {
     SolverContext config;
     config.pool = pool;
-    config.cache = cache;
     return config;
 }
 
@@ -242,10 +241,10 @@ TEST(PlacementParallel, CacheReturnsMemoizedSolution)
 {
     const PerformanceMatrix matrix = randomMatrix(5, 5, 14);
     math::AssignmentCache cache;
-    const SolverContext cached = pooledContext(nullptr, &cache);
-    const auto first = place(matrix, PlacementKind::Lp, cached);
-    const auto second = place(matrix, PlacementKind::Lp, cached);
-    EXPECT_EQ(first, second);
+    EXPECT_FALSE(cache.lookup(matrix.view()).has_value());
+    const auto solved = place(matrix, PlacementKind::Lp);
+    cache.insert(matrix.view(), solved);
+    EXPECT_EQ(cache.lookup(matrix.view()), std::optional(solved));
     const auto stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 1u);
@@ -254,39 +253,32 @@ TEST(PlacementParallel, CacheReturnsMemoizedSolution)
 
 TEST(PlacementParallel, CacheKeysOnKindAndContent)
 {
+    // The key is the content alone: every exact kind reaches the same
+    // optimum, so a second kind's answer for the same matrix keeps
+    // the first entry.
     PerformanceMatrix matrix = randomMatrix(4, 4, 15);
     math::AssignmentCache cache;
-    const SolverContext cached = pooledContext(nullptr, &cache);
-    const auto lp = place(matrix, PlacementKind::Lp, cached);
-    const auto hungarian =
-        place(matrix, PlacementKind::Hungarian, cached);
-    // Same optimum, but memoized under distinct tags.
-    EXPECT_EQ(cache.stats().entries, 2u);
+    const auto lp = place(matrix, PlacementKind::Lp);
+    const auto hungarian = place(matrix, PlacementKind::Hungarian);
     EXPECT_EQ(placementValue(matrix, lp),
               placementValue(matrix, hungarian));
+    cache.insert(matrix.view(), lp);
+    cache.insert(matrix.view(), hungarian);
+    EXPECT_EQ(cache.stats().entries, 1u);
+    EXPECT_EQ(cache.lookup(matrix.view()), std::optional(lp));
     // A one-ulp perturbation is a different key: no stale hit.
     matrix(0, 0) = std::nextafter(matrix(0, 0), 1e300);
-    place(matrix, PlacementKind::Lp, cached);
-    EXPECT_EQ(cache.stats().entries, 3u);
-}
-
-TEST(PlacementParallel, AdmissionMemoHitsAcrossRounds)
-{
-    const PerformanceMatrix matrix = randomMatrix(9, 3, 16);
-    math::AssignmentCache cache;
-    const SolverContext cached = pooledContext(nullptr, &cache);
-    const auto round1 = admitAndPlace(matrix, cached);
-    const auto round2 = admitAndPlace(matrix, cached);
-    EXPECT_EQ(round1, round2);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(round1, admitAndPlace(matrix)); // uncached oracle
+    EXPECT_FALSE(cache.lookup(matrix.view()).has_value());
+    cache.insert(matrix.view(), place(matrix, PlacementKind::Lp));
+    EXPECT_EQ(cache.stats().entries, 2u);
 }
 
 TEST(PlacementParallel, CacheIsThreadSafeUnderContention)
 {
-    // Many tasks race to solve the same four matrices through one
-    // shared cache; every result must equal the serial oracle. Run
-    // under POCO_SANITIZE=thread (tier-tsan) to certify no races.
+    // Many tasks race to look up and store the same four matrices in
+    // one shared memo; every hit must return the serial oracle's
+    // assignment. Run under POCO_SANITIZE=thread (tier-tsan) to
+    // certify no races.
     constexpr std::size_t kMatrices = 4;
     std::vector<PerformanceMatrix> matrices;
     std::vector<std::vector<int>> expected;
@@ -299,12 +291,14 @@ TEST(PlacementParallel, CacheIsThreadSafeUnderContention)
     runtime::ThreadPool pool(8);
     std::atomic<int> mismatches{0};
     runtime::parallelFor(&pool, 64, [&](std::size_t i) {
-        SolverContext config;
-        config.cache = &cache;
         const std::size_t k = i % kMatrices;
-        const auto got =
-            place(matrices[k], PlacementKind::Hungarian, config);
-        if (got != expected[k])
+        std::optional<std::vector<int>> got =
+            cache.lookup(matrices[k].view());
+        if (!got.has_value()) {
+            got = place(matrices[k], PlacementKind::Hungarian);
+            cache.insert(matrices[k].view(), *got);
+        }
+        if (*got != expected[k])
             mismatches.fetch_add(1, std::memory_order_relaxed);
     });
     EXPECT_EQ(mismatches.load(), 0);

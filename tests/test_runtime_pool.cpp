@@ -2,7 +2,7 @@
  * @file
  * Tests for the work-stealing thread pool: lifecycle, load balance
  * under skewed task sizes, exception propagation out of parallelFor,
- * nested task groups, and futures. Runs under the tier-tsan label so
+ * and nested task groups. Runs under the tier-tsan label so
  * a ThreadSanitizer build (-DPOCO_SANITIZE=thread) vets the pool's
  * synchronization in-tree.
  */
@@ -201,42 +201,6 @@ TEST(TaskGroup, InlineModeStillPropagatesExceptions)
     TaskGroup group(nullptr);
     group.run([] { poco::fatal("inline failure"); });
     EXPECT_THROW(group.wait(), poco::FatalError);
-}
-
-TEST(Future, DeliversValue)
-{
-    ThreadPool pool(2);
-    auto future = async(&pool, [] { return 41 + 1; });
-    EXPECT_EQ(future.get(), 42);
-}
-
-TEST(Future, DeliversException)
-{
-    ThreadPool pool(2);
-    auto future = async(&pool, []() -> int {
-        poco::fatal("async failure");
-    });
-    EXPECT_THROW(future.get(), poco::FatalError);
-}
-
-TEST(Future, InlineWhenPoolIsNull)
-{
-    auto future = async(nullptr, [] { return std::string("done"); });
-    EXPECT_EQ(future.get(), "done");
-}
-
-TEST(Future, ManyConcurrentFutures)
-{
-    ThreadPool pool(4);
-    std::vector<Future<std::size_t>> futures;
-    futures.reserve(64);
-    for (std::size_t i = 0; i < 64; ++i)
-        futures.push_back(async(&pool, [i] {
-            spin(2000);
-            return i * 3;
-        }));
-    for (std::size_t i = 0; i < futures.size(); ++i)
-        EXPECT_EQ(futures[i].get(), i * 3);
 }
 
 TEST(ThreadPool, SubmitFromExternalThreads)

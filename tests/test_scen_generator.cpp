@@ -1,7 +1,7 @@
 /**
  * @file
  * poco::scen scenario generator: spec validation, seeded
- * determinism across thread and shard counts, Zipf platform-mix
+ * determinism across thread counts, Zipf platform-mix
  * sanity, and the end-to-end FleetConfig::withScenario seam.
  * Runs under tier-scen.
  */
@@ -42,14 +42,13 @@ smallSpec()
 
 /** Coarse evaluation config for the fleet round-trip tests. */
 FleetConfig
-coarseConfig(int shards, int threads)
+coarseConfig(int threads)
 {
     FleetConfig config = FleetConfig{}
                              .withLoadPoints({0.4, 0.8})
                              .withDwell(2 * kSecond)
                              .withHeraclesReplicas(1)
                              .withSeed(5)
-                             .withShards(shards)
                              .withThreads(threads);
     config.profiler.coreStep = 5;
     config.profiler.wayStep = 9;
@@ -196,30 +195,22 @@ TEST(ScenarioFleet, RollupIdenticalAcrossThreadsAndShards)
     const scen::Scenario scenario =
         scen::Scenario::generate(smallSpec());
 
-    std::uint64_t expected = 0;
-    bool first = true;
-    for (const int threads : {1, 4}) {
-        for (const int shards : {1, 4}) {
-            const auto outcome = fleet::evaluateScenario(
-                scenario, coarseConfig(shards, threads));
-            const std::uint64_t fp = outcome.value.fingerprint();
-            if (first) {
-                expected = fp;
-                first = false;
-            } else {
-                EXPECT_EQ(fp, expected)
-                    << "threads=" << threads
-                    << " shards=" << shards;
-            }
-        }
-    }
+    const std::uint64_t expected =
+        fleet::evaluateScenario(scenario, coarseConfig(1))
+            .value.fingerprint();
+    for (const int threads : {2, 4})
+        EXPECT_EQ(fleet::evaluateScenario(scenario,
+                                          coarseConfig(threads))
+                      .value.fingerprint(),
+                  expected)
+            << "threads=" << threads;
 }
 
 TEST(ScenarioFleet, WithScenarioAdoptsLoadsAndFingerprint)
 {
     const scen::Scenario scenario =
         scen::Scenario::generate(smallSpec());
-    FleetConfig config = coarseConfig(1, 1);
+    FleetConfig config = coarseConfig(1);
     config.withScenario(scenario);
 
     EXPECT_EQ(config.epochClusterWidth, scenario.clusterCount());
@@ -240,7 +231,7 @@ TEST(ScenarioFleet, WithScenarioAdoptsLoadsAndFingerprint)
     EXPECT_NO_THROW(config.validated());
 
     // The spec overload must expand and land on the same loads.
-    FleetConfig from_spec = coarseConfig(1, 1);
+    FleetConfig from_spec = coarseConfig(1);
     from_spec.withScenario(smallSpec());
     EXPECT_EQ(from_spec.epochClusterLoads, config.epochClusterLoads);
     EXPECT_EQ(from_spec.scenarioFingerprint,
@@ -251,7 +242,7 @@ TEST(ScenarioFleet, EvaluatorRejectsMismatchedWidth)
 {
     const scen::Scenario scenario =
         scen::Scenario::generate(smallSpec());
-    FleetConfig config = coarseConfig(1, 1);
+    FleetConfig config = coarseConfig(1);
     config.withScenario(scenario);
 
     // Drop one cluster's servers: the partition now disagrees with

@@ -1,8 +1,7 @@
 /**
  * @file
  * Telemetry epoch rollups: the zero-order-hold fold, the fixed-order
- * combine, and the double-buffered aggregator — whose async mode must
- * change wall-clock only, never an output bit.
+ * combine, and the epoch aggregator.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/thread_pool.hpp"
 #include "sim/telemetry_rollup.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
@@ -107,16 +105,16 @@ TEST(EpochRollup, CombineSumsMembersAndMaxesLatency)
 
 TEST(TelemetryAggregator, ValidatesTheClusterMapping)
 {
-    EXPECT_THROW(TelemetryAggregator({0, 2}, 2, nullptr, false),
+    EXPECT_THROW(TelemetryAggregator({0, 2}, 2),
                  FatalError);
-    EXPECT_THROW(TelemetryAggregator({}, 0, nullptr, false),
+    EXPECT_THROW(TelemetryAggregator({}, 0),
                  FatalError);
 }
 
 TEST(TelemetryAggregator, FoldsServersIntoClustersAndFleet)
 {
     // Servers 0,1 -> cluster 0; server 2 -> cluster 1.
-    TelemetryAggregator agg({0, 0, 1}, 2, nullptr, false);
+    TelemetryAggregator agg({0, 0, 1}, 2);
     agg.add(0, twoStepTrace(), Watts{150.0});
     agg.add(1, twoStepTrace(), Watts{150.0});
     agg.add(2, twoStepTrace(), Watts{250.0});
@@ -137,7 +135,7 @@ TEST(TelemetryAggregator, FoldsServersIntoClustersAndFleet)
 
 TEST(TelemetryAggregator, DoubleBufferSealsIndependentEpochs)
 {
-    TelemetryAggregator agg({0}, 1, nullptr, false);
+    TelemetryAggregator agg({0}, 1);
     agg.add(0, twoStepTrace(), Watts{150.0});
     agg.sealEpoch(0, 10 * kSecond);
     // Second epoch: the front buffer restarted empty.
@@ -147,44 +145,6 @@ TEST(TelemetryAggregator, DoubleBufferSealsIndependentEpochs)
     ASSERT_EQ(epochs.size(), 2u);
     EXPECT_EQ(epochs[0].fleet.samples, 1u);
     EXPECT_EQ(epochs[1].fleet.samples, 0u);
-}
-
-bool
-rollupsIdentical(const EpochRollup& a, const EpochRollup& b)
-{
-    return a.start == b.start && a.end == b.end &&
-           a.samples == b.samples && a.meanPower == b.meanPower &&
-           a.meanBeThroughput == b.meanBeThroughput &&
-           a.energy == b.energy &&
-           a.capOvershoot == b.capOvershoot &&
-           a.maxLatencyP99 == b.maxLatencyP99;
-}
-
-TEST(TelemetryAggregator, AsyncAndSyncFoldsAreBitIdentical)
-{
-    runtime::ThreadPool pool(2);
-    TelemetryAggregator sync({0, 0, 1}, 2, nullptr, false);
-    TelemetryAggregator async({0, 0, 1}, 2, &pool, true);
-    for (auto* agg : {&sync, &async}) {
-        for (std::size_t s = 0; s < 3; ++s)
-            agg->add(s, twoStepTrace(), Watts{120.0 + 10.0 * s});
-        agg->sealEpoch(0, 10 * kSecond);
-        for (std::size_t s = 0; s < 3; ++s)
-            agg->add(s, twoStepTrace(), Watts{150.0});
-        agg->sealEpoch(10 * kSecond, 20 * kSecond);
-    }
-
-    const auto a = sync.drain();
-    const auto b = async.drain();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t e = 0; e < a.size(); ++e) {
-        EXPECT_TRUE(rollupsIdentical(a[e].fleet, b[e].fleet));
-        ASSERT_EQ(a[e].clusters.size(), b[e].clusters.size());
-        for (std::size_t c = 0; c < a[e].clusters.size(); ++c)
-            EXPECT_TRUE(rollupsIdentical(a[e].clusters[c],
-                                         b[e].clusters[c]))
-                << "epoch " << e << " cluster " << c;
-    }
 }
 
 } // namespace

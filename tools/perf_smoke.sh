@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Perf smoke: run the solver-scaling benchmark and the parallel-solver
 # unit tests against an existing build tree. The scaling benchmark
-# cross-checks the pooled LP against the serial LP (and the memo cache
-# against both) and exits non-zero on any disagreement, so a passing
-# run certifies the parallel solver's determinism contract on this
-# host, not just its wall-clock.
+# cross-checks the pooled LP against the serial LP (and the LP's
+# optimal value against Hungarian's) and exits non-zero on any
+# disagreement; the unit tests add the solve memo's thread-safety
+# check. A passing run certifies the parallel solver's determinism
+# contract on this host, not just its wall-clock.
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build)
 
@@ -24,7 +25,7 @@ scaling="${build_dir}/bench/bench_ext_scaling"
 
 echo "perf_smoke: running ${scaling}"
 if ! "${scaling}"; then
-    fail "bench_ext_scaling exited non-zero: parallel solver disagrees with serial (or the memo cache is corrupt)"
+    fail "bench_ext_scaling exited non-zero: parallel solver disagrees with serial (or LP with Hungarian)"
 fi
 
 solver_tests="${build_dir}/tests/test_math_solver_parallel"
