@@ -5,25 +5,11 @@
 namespace poco::cluster
 {
 
-namespace
-{
-
-void
-validateMatrix(const PerformanceMatrix& matrix)
-{
-    POCO_REQUIRE(matrix.rows() > 0, "empty performance matrix");
-    POCO_REQUIRE(matrix.rows() <= matrix.cols(),
-                 "placement needs BE apps <= LC servers");
-}
-
-} // namespace
-
 const char*
 placementDeltaKindName(PlacementDelta::Kind kind)
 {
     switch (kind) {
       case PlacementDelta::Kind::FullRefresh: return "full-refresh";
-      case PlacementDelta::Kind::Row:         return "row";
       case PlacementDelta::Kind::Column:      return "column";
       case PlacementDelta::Kind::Shape:       return "shape";
     }
@@ -34,16 +20,12 @@ Outcome<std::vector<int>>
 IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
                            const PlacementDelta& delta)
 {
-    validateMatrix(matrix);
+    validatePlacementMatrix(matrix);
     const std::size_t rows = matrix.rows();
     const std::size_t cols = matrix.cols();
 
-    const bool single_subject =
-        delta.kind == PlacementDelta::Kind::Row ||
-        delta.kind == PlacementDelta::Kind::Column;
-    if (delta.kind == PlacementDelta::Kind::Row)
-        POCO_REQUIRE(delta.index < rows, "delta row out of range");
-    if (delta.kind == PlacementDelta::Kind::Column)
+    const bool column = delta.kind == PlacementDelta::Kind::Column;
+    if (column)
         POCO_REQUIRE(delta.index < cols, "delta column out of range");
 
     // Rung 0 — memo. Flapping event pairs (crash/recover, A<->B load
@@ -57,21 +39,15 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
         return {*std::move(hit), SolverTier::Cached, /*tries=*/0};
     }
 
-    // Rung 1 — single-subject Hungarian repair: one augmenting stage
+    // Rung 1 — single-column Hungarian repair: one augmenting stage
     // from the retained duals, self-verified against the optimality
     // conditions.
-    if (single_subject && repair_fresh_ &&
-        repair_.hasState(rows, cols)) {
-        std::optional<std::vector<int>> fixed;
-        if (delta.kind == PlacementDelta::Kind::Row) {
-            fixed = repair_.repairRow(delta.index,
-                                      matrix.row(delta.index), cols);
-        } else {
-            std::vector<double> column(rows);
-            for (std::size_t i = 0; i < rows; ++i)
-                column[i] = matrix(i, delta.index);
-            fixed = repair_.repairColumn(delta.index, column);
-        }
+    if (column && repair_fresh_ && repair_.hasState(rows, cols)) {
+        std::vector<double> values(rows);
+        for (std::size_t i = 0; i < rows; ++i)
+            values[i] = matrix(i, delta.index);
+        std::optional<std::vector<int>> fixed =
+            repair_.repairColumn(delta.index, values);
         if (fixed.has_value()) {
             ++stats_.repaired;
             warm_fresh_ = false;
@@ -95,10 +71,10 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
         warm_fresh_ = false;
     }
 
-    // Rung 3 — single-subject event with no fresh engine: re-arm the
-    // repair engine with a full Hungarian solve so the next
-    // one-subject event takes the cheap stage.
-    if (single_subject) {
+    // Rung 3 — column event with no fresh engine: re-arm the repair
+    // engine with a full Hungarian solve so the next column event
+    // takes the cheap stage.
+    if (column) {
         std::vector<int> full = repair_.solveFull(matrix.view());
         ++stats_.resynced;
         repair_fresh_ = true;
@@ -113,24 +89,16 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
 Outcome<std::vector<int>>
 IncrementalPlacer::coldResolve(const PerformanceMatrix& matrix)
 {
-    // Honor the fallback chain's injection hook for the cold LP rung
-    // so the degradation tests can force the escape path through this
-    // placer too.
-    const bool injected_lp_failure =
-        fallback_.failInjection &&
-        fallback_.failInjection(PlacementKind::Lp, 0);
-    if (!injected_lp_failure) {
-        try {
-            std::vector<int> sol = warm_.solveCold(matrix.view());
-            ++stats_.cold;
-            warm_fresh_ = true;
-            repair_fresh_ = false;
-            memo_.insert(matrix.view(), sol);
-            return {std::move(sol), SolverTier::Lp};
-        } catch (const FatalError&) {
-            warm_.invalidate();
-            warm_fresh_ = false;
-        }
+    try {
+        std::vector<int> sol = warm_.solveCold(matrix.view());
+        ++stats_.cold;
+        warm_fresh_ = true;
+        repair_fresh_ = false;
+        memo_.insert(matrix.view(), sol);
+        return {std::move(sol), SolverTier::Lp};
+    } catch (const FatalError&) {
+        warm_.invalidate();
+        warm_fresh_ = false;
     }
 
     // Escape hatch: the degradation-hardened batch chain. Its answer
@@ -138,7 +106,7 @@ IncrementalPlacer::coldResolve(const PerformanceMatrix& matrix)
     // allowed into the memo.
     ++stats_.fallback;
     Outcome<std::vector<int>> outcome =
-        placeWithFallback(matrix, context_, fallback_);
+        placeWithFallback(matrix, context_);
     ++outcome.attempts; // the cold LP try above
     repair_fresh_ = false;
     warm_fresh_ = false;
@@ -151,7 +119,7 @@ IncrementalPlacer::coldResolve(const PerformanceMatrix& matrix)
 Outcome<std::vector<int>>
 IncrementalPlacer::shed(const PerformanceMatrix& matrix)
 {
-    validateMatrix(matrix);
+    validatePlacementMatrix(matrix);
     ++stats_.shed;
     // The engines saw neither this matrix nor this answer; anything
     // they retain describes a state the stream has moved past.
@@ -164,15 +132,6 @@ IncrementalPlacer::shed(const PerformanceMatrix& matrix)
     flags.conservative = true;
     return {std::move(identity), SolverTier::Conservative,
             /*tries=*/0, flags};
-}
-
-void
-IncrementalPlacer::reset()
-{
-    repair_.invalidate();
-    warm_.invalidate();
-    repair_fresh_ = false;
-    warm_fresh_ = false;
 }
 
 } // namespace poco::cluster

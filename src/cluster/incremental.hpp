@@ -5,15 +5,23 @@
  * The batch path (place / placeWithFallback) solves every matrix from
  * scratch. Under an event stream most solves are tiny perturbations
  * of the previous one — a LoadShift re-prices one server's column, a
- * profile refresh one BE's row, a budget change rescales the whole
- * matrix but keeps its shape. IncrementalPlacer keeps the previous
- * optimum alive in three engines and picks the cheapest that applies:
+ * budget change rescales the whole matrix but keeps its shape.
+ * IncrementalPlacer keeps the previous optimum alive in three
+ * engines and picks the cheapest that applies:
  *
- *   Cached   exact memo hit (flapping A<->B states) — no solve at all
- *   Repair   one Hungarian augmenting stage from the retained duals
- *   WarmLp   simplex re-priced over the retained optimal basis
- *   Lp       cold two-phase solve (also re-arms the warm basis)
- *   ...      placeWithFallback's Hungarian/Greedy/Conservative chain
+ *   Cached     exact memo hit (flapping A<->B states) — no solve
+ *   Repair     one Hungarian augmenting stage from the retained duals
+ *              (single-column delta)
+ *   WarmLp     simplex re-priced over the retained optimal basis
+ *   Hungarian  full re-arm of the repair engine (column delta, no
+ *              fresh engine)
+ *   Lp         cold two-phase solve (also re-arms the warm basis)
+ *   ...        placeWithFallback's Hungarian/Greedy/Conservative chain
+ *
+ * The deltas are exactly the ones ctrl::ReplayEngine emits: Column
+ * (a LoadShift on one live server), FullRefresh (same shape, anything
+ * may have moved) and Shape (arrivals, departures, liveness changes,
+ * backpressure re-syncs). No event kind re-prices a single BE row.
  *
  * Every rung is exact: Repair self-verifies the LP optimality
  * conditions and WarmLp the integrality of its vertex, and both fall
@@ -23,15 +31,22 @@
  * Repair / WarmLp sit *above* Lp in the ladder because they are
  * cheaper, not worse.
  *
+ * What stays, and why: when a matrix has several optima, the rung
+ * order, the memo, the warm LP and the Hungarian re-arm each choose
+ * among them by their own history, and the streaming benchmark's
+ * fleet-stream fingerprint records those choices. Removing any of
+ * them moves that hash; collapsing the ladder waits for a canonical
+ * tie rule (ROADMAP).
+ *
  * The memo (rung 0) is the placer's own math::AssignmentCache, and
  * this is its one owner in the code base. It is the one rung whose
  * answers can differ from a fresh solve: when a matrix has several
  * optima, a hit returns the assignment stored on the earlier visit,
  * which another rung may not pick again. Its rules: look up before
  * any engine; insert only exact tiers (never Greedy or
- * Conservative); a hit marks both engines stale; reset() keeps the
- * entries; and ctrl::CtrlCheckpoint does not carry it, so a
- * restored master starts with an empty memo.
+ * Conservative); a hit marks both engines stale; and
+ * ctrl::CtrlCheckpoint does not carry it, so a restored master
+ * starts with an empty memo.
  *
  * The matrix side mirrors the delta: ctrl::ReplayEngine keeps its
  * cells resident and re-evaluates only those whose server load moved
@@ -66,8 +81,6 @@ struct PlacementDelta
     {
         /** Same shape, anything may have moved (e.g. BudgetChange). */
         FullRefresh,
-        /** Exactly row `index` (one BE app) was re-priced. */
-        Row,
         /** Exactly column `index` (one server) was re-priced. */
         Column,
         /** The matrix gained/lost rows or columns (arrive/crash). */
@@ -78,11 +91,6 @@ struct PlacementDelta
     std::size_t index = 0;
 
     static PlacementDelta fullRefresh() { return {}; }
-    static PlacementDelta
-    row(std::size_t i)
-    {
-        return {Kind::Row, i};
-    }
     static PlacementDelta
     column(std::size_t j)
     {
@@ -117,16 +125,14 @@ struct IncrementalStats
 class IncrementalPlacer
 {
   public:
-    explicit IncrementalPlacer(SolverContext context = {},
-                               FallbackOptions fallback = {})
-        : context_(context), fallback_(fallback),
-          warm_(math::LpOptions{context.pool})
+    explicit IncrementalPlacer(SolverContext context = {})
+        : context_(context), warm_(math::LpOptions{context.pool})
     {}
 
     /**
      * Place @p matrix given that @p delta describes how it differs
-     * from the previous resolve() argument. The first call (or any
-     * call after reset()) should pass PlacementDelta::shape().
+     * from the previous resolve() argument. The first call should
+     * pass PlacementDelta::shape().
      *
      * @return The assignment with the rung that produced it; never
      *         empty (inherits placeWithFallback's no-throw terminal).
@@ -146,18 +152,13 @@ class IncrementalPlacer
      */
     Outcome<std::vector<int>> shed(const PerformanceMatrix& matrix);
 
-    /** Drop the engines' retained state; the memo keeps its entries. */
-    void reset();
-
     const IncrementalStats& stats() const { return stats_; }
-    const SolverContext& context() const { return context_; }
 
   private:
     Outcome<std::vector<int>> coldResolve(
         const PerformanceMatrix& matrix);
 
     SolverContext context_;
-    FallbackOptions fallback_;
     math::AssignmentCache memo_;
     math::HungarianRepair repair_;
     math::AssignmentLpSolver warm_;

@@ -2,22 +2,21 @@
 
 #include "math/hungarian.hpp"
 #include "math/simplex.hpp"
-#include "runtime/parallel.hpp"
 #include "util/check.hpp"
 
 namespace poco::cluster
 {
 
-namespace
-{
-
 void
-validateMatrix(const PerformanceMatrix& matrix)
+validatePlacementMatrix(const PerformanceMatrix& matrix)
 {
     POCO_REQUIRE(matrix.rows() > 0, "empty performance matrix");
     POCO_REQUIRE(matrix.rows() <= matrix.cols(),
                  "placement needs BE apps <= LC servers");
 }
+
+namespace
+{
 
 /** Repeated argmax; lowest (row, col) wins ties. */
 std::vector<int>
@@ -93,7 +92,7 @@ place(const PerformanceMatrix& matrix, PlacementKind kind, Rng& rng,
       const SolverContext& context)
 {
     if (kind == PlacementKind::Random) {
-        validateMatrix(matrix);
+        validatePlacementMatrix(matrix);
         const std::size_t rows = matrix.rows();
         const std::vector<int> perm =
             rng.permutation(static_cast<int>(matrix.cols()));
@@ -110,7 +109,7 @@ place(const PerformanceMatrix& matrix, PlacementKind kind,
 {
     POCO_REQUIRE(kind != PlacementKind::Random,
                  "random placement needs an Rng");
-    validateMatrix(matrix);
+    validatePlacementMatrix(matrix);
     return solveExact(matrix, kind, context);
 }
 
@@ -122,8 +121,7 @@ placementValue(const PerformanceMatrix& matrix,
 }
 
 std::vector<int>
-admitAndPlace(const PerformanceMatrix& matrix,
-              const SolverContext& context)
+admitAndPlace(const PerformanceMatrix& matrix)
 {
     const std::size_t n_be = matrix.rows();
     POCO_REQUIRE(n_be > 0, "empty performance matrix");
@@ -131,20 +129,14 @@ admitAndPlace(const PerformanceMatrix& matrix,
 
     if (n_be <= n_srv) {
         // Everyone fits: ordinary (deterministic) assignment.
-        return place(matrix, PlacementKind::Hungarian, context);
+        return place(matrix, PlacementKind::Hungarian);
     }
 
-    // Transpose: servers are the agents, candidates the tasks. Each
-    // server's candidate-score row is an independent slice of one
-    // flat buffer, so the scoring batch fans out over the pool;
-    // slot-addressed writes keep the result identical for any worker
-    // count.
+    // Transpose: servers are the agents, candidates the tasks.
     std::vector<double> transposed(n_srv * n_be);
-    runtime::parallelFor(context.pool, n_srv, [&](std::size_t j) {
-        double* __restrict__ scores = transposed.data() + j * n_be;
+    for (std::size_t j = 0; j < n_srv; ++j)
         for (std::size_t i = 0; i < n_be; ++i)
-            scores[i] = matrix(i, j);
-    });
+            transposed[j * n_be + i] = matrix(i, j);
     const std::vector<int> choice = math::solveAssignmentMax(
         math::MatrixView{transposed.data(), n_srv, n_be});
 
@@ -179,7 +171,7 @@ placeWithFallback(const PerformanceMatrix& matrix,
                   const SolverContext& context,
                   const FallbackOptions& options)
 {
-    validateMatrix(matrix);
+    validatePlacementMatrix(matrix);
     POCO_REQUIRE(options.maxAttemptsPerStage >= 1,
                  "fallback needs at least one attempt per stage");
 

@@ -10,13 +10,20 @@
  *
  * The exact policies (LP, Hungarian, exhaustive) are deterministic
  * pure functions of the matrix, so they take a SolverContext instead
- * of an Rng: a thread pool accelerates the admission path's batch
- * candidate scoring and the LP's pivot elimination on tableaus past
- * its size cutoff (48x48 and up). With or without a pool, every
- * solve returns field-identical assignments. These batch paths keep
- * no solve memo: the cluster matrices they see are 2x2 to 4x4 and
- * cost about as much to hash as to solve. The streaming
- * IncrementalPlacer (incremental.hpp) owns the one memo.
+ * of an Rng: a thread pool accelerates only the LP's pivot
+ * elimination, on tableaus past its size cutoff (48x48 and up). With
+ * or without a pool, every solve returns field-identical
+ * assignments. These batch paths keep no solve memo: the cluster
+ * matrices they see are 2x2 to 4x4 and cost about as much to hash as
+ * to solve. The streaming IncrementalPlacer (incremental.hpp) owns
+ * the one memo.
+ *
+ * The Hungarian policy is math::solveAssignmentMax and the LP policy
+ * math::solveAssignmentLp: one Kuhn-Munkres kernel and one cold LP,
+ * shared with the streaming ladder. placeWithFallback and its
+ * FallbackOptions injection hook stay for the fault benches
+ * (bench_ext_faults, bench_ext_robustness), which force solver
+ * failures through them; the streaming placer takes no options.
  */
 
 #pragma once
@@ -61,7 +68,7 @@ const char* placementKindName(PlacementKind kind);
  */
 struct SolverContext
 {
-    /** Pool for large LP pivots and batch admission scoring. */
+    /** Pool for large LP pivots. */
     runtime::ThreadPool* pool = nullptr;
     /**
      * Ignored: read by nothing in src/. The LP's fan-out cutoff is a
@@ -78,6 +85,13 @@ struct SolverContext
 
 /** The degradation tier a given solver kind reports as. */
 SolverTier placementTier(PlacementKind kind);
+
+/**
+ * The placeable-shape precondition every placement entry point
+ * checks: at least one BE row and no more rows than server columns.
+ * @throws poco::FatalError when it does not hold.
+ */
+void validatePlacementMatrix(const PerformanceMatrix& matrix);
 
 /**
  * Compute an assignment: result[i] = LC server index for BE app i.
@@ -109,15 +123,14 @@ double placementValue(const PerformanceMatrix& matrix,
  * to admit and where, maximizing total estimated throughput.
  *
  * Solved exactly as the transposed assignment problem (each server
- * "chooses" a candidate; unchosen candidates wait). Candidate score
- * rows are batched over context.pool.
+ * "chooses" a candidate; unchosen candidates wait) by the Hungarian
+ * kernel, which takes no pool.
  *
  * @return admitted[i] = server index for BE i, or -1 when BE i is
  *         not admitted this round. Exactly min(#BE, #servers)
  *         entries are >= 0.
  */
-std::vector<int> admitAndPlace(const PerformanceMatrix& matrix,
-                               const SolverContext& context = {});
+std::vector<int> admitAndPlace(const PerformanceMatrix& matrix);
 
 /** Retry/fallback knobs for placeWithFallback. */
 struct FallbackOptions

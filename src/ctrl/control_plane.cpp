@@ -42,7 +42,9 @@ degradationBits(const Degradation& d)
 /**
  * One record's contribution. The semantic view drops tier/attempts:
  * a failover catch-up legitimately re-solves cold where the oracle
- * ran warm, but every rung is exact, so the *answers* must agree.
+ * ran warm, but every rung is exact, so the *answers* must agree
+ * (bit for bit only when every optimum is unique; on ties, in the
+ * objective's value).
  */
 void
 mixRecord(std::uint64_t& h, const EventRecord& r, bool semantic)
@@ -191,9 +193,10 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
     dirty_sheds_ = checkpoint.dirtySheds;
     // The placer (memo included) and the cell cache start cold:
     // the ladder's rungs are all exact and cells are pure, so the
-    // restored master re-derives the same assignments the
-    // checkpointed one would have — only tier counters differ, which
-    // is why the oracle comparison uses the semantic fingerprint.
+    // restored master re-derives objectives of the same value as
+    // the checkpointed one would have, and the same assignments when
+    // every optimum is unique — tier counters differ, which is why
+    // the oracle comparison uses the semantic fingerprint.
 }
 
 void

@@ -181,10 +181,16 @@ struct CtrlRollup
      * Like fingerprint, but over result semantics only: tiers and
      * attempt counters are excluded. A failover catch-up re-solves
      * cold where the uninterrupted oracle ran warm, so the two runs
-     * legitimately differ in tier counters while every assignment,
-     * objective, shed decision, liveness bit, and milliwatt of
-     * budget must agree — this is the fingerprint the chaos
-     * invariants compare against the oracle.
+     * legitimately differ in tier counters while every shed
+     * decision, liveness bit, and milliwatt of budget must agree —
+     * this is the fingerprint the chaos invariants compare against
+     * the oracle. Precondition for the assignments and objectives,
+     * and so for this fingerprint, to agree too: every optimum is
+     * unique. When several assignments tie (repeated platforms and
+     * apps), the ladder's pick depends on solver history a restored
+     * master does not have, so it may choose another optimum of
+     * equal value, whose objective (a sum in row order) may then
+     * differ in its last bit.
      */
     std::uint64_t semanticFingerprint = 0;
 };
@@ -195,9 +201,11 @@ struct CtrlRollup
  * modeled cluster state, the partial rollup, and the backpressure
  * queue. Deliberately NOT checkpointed: the IncrementalPlacer's
  * engines and memo, and the engine's cell cache — pure accelerators
- * a restored master re-arms from scratch (exactness of every rung
- * and purity of the CellModel keep the answers identical; only tiers
- * differ).
+ * a restored master re-arms from scratch. Exactness of every rung
+ * and purity of the CellModel keep every objective equal in value;
+ * assignments and objectives are bit-identical when every optimum
+ * is unique (on ties a cold placer may pick another optimum, whose
+ * row-order sum may differ in the last bit), and tiers differ.
  */
 struct CtrlCheckpoint
 {

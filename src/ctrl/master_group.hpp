@@ -15,13 +15,18 @@
  * elected after a master *kill* restores the latest checkpoint and
  * replays the log suffix from that LSN; a master recovering from a
  * *pause* still holds its own engine and catches up warm from its
- * own LSN. Both paths re-derive bit-identical semantics — the
- * heartbeat ledger restores by copy (granted-flag idempotence, see
+ * own LSN. Both paths re-derive the same semantics — the heartbeat
+ * ledger restores by copy (granted-flag idempotence, see
  * heartbeat.hpp), every placer rung is exact, and shed decisions
  * are a pure function of the checkpointed backpressure queue — so
  * the post-catch-up rollup matches an uninterrupted oracle run on
- * the semantic fingerprint, conserves budget to the milliwatt, and
- * never double-grants.
+ * every shed flag, liveness bit and milliwatt of budget, equals it
+ * in the value of every objective, and never double-grants. It
+ * matches on the assignments, and so bit for bit on the objectives
+ * and the semantic fingerprint, when every optimum is unique: on
+ * exact ties (repeated platforms and apps) a restored master's cold
+ * placer and empty memo may pick another optimum of equal value,
+ * whose objective (a sum in row order) may differ in the last bit.
  *
  * Failure detection is event-driven: the group notices a dead
  * primary when the next event arrives (the lease is advanced to the

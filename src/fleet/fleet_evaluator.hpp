@@ -217,8 +217,13 @@ class FleetEvaluator
      *
      * Invariants (the chaos suite gates on these): the rollup holds
      * exactly one record per log event, conserves budget to the
-     * milliwatt, and matches an uninterrupted single-master run on
-     * the semantic fingerprint. No telemetry on this path.
+     * milliwatt, matches an uninterrupted single-master run on every
+     * shed flag and liveness bit, and equals it in every objective's
+     * value. It matches on the semantic fingerprint (assignments and
+     * objectives bit for bit) when every optimum is unique; a fleet
+     * with repeated platforms has tied optima, and a restored master
+     * may pick another of equal value, whose objective (a sum in row
+     * order) may differ in the last bit. No telemetry on this path.
      */
     Outcome<ctrl::MasterGroupRollup>
     runStreamingWithFailover(const ctrl::EventLog& log,

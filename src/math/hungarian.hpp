@@ -7,10 +7,15 @@
  * Munkres [30] among the standard methods); tests cross-check both
  * against exhaustive search.
  *
+ * The repo has one Kuhn-Munkres kernel: the augmenting stage in
+ * math::HungarianRepair (hungarian_repair.hpp). solveAssignmentMax
+ * is a cold HungarianRepair::solveFull, so the batch placer and the
+ * streaming ladder's Hungarian rung return the same bits.
+ *
  * Every entry point takes a math::MatrixView over flat row-major
- * storage (the cluster layer's PerformanceMatrix buffer). The
- * nested-vector compatibility shims are gone: callers that assemble
- * rows incrementally pack them flat and view the buffer.
+ * storage (the cluster layer's PerformanceMatrix buffer). Callers
+ * that assemble rows incrementally pack them flat and view the
+ * buffer.
  */
 
 #pragma once
@@ -23,19 +28,11 @@ namespace poco::math
 {
 
 /**
- * Minimum-cost assignment.
- *
- * @param cost cost(i, j) is the cost of assigning agent i to task j.
- *             Requires rows <= cols.
- * @return assignment[i] = task chosen for agent i (distinct tasks).
- */
-std::vector<int> solveAssignmentMin(MatrixView cost);
-
-/**
- * Maximum-value assignment (negates and delegates to the min solver).
+ * Maximum-value assignment.
  *
  * @param value value(i, j) is the benefit of assigning agent i to
  *              task j. Requires rows <= cols.
+ * @return assignment[i] = task chosen for agent i (distinct tasks).
  */
 std::vector<int> solveAssignmentMax(MatrixView value);
 

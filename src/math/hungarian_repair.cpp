@@ -19,7 +19,6 @@ constexpr double inf = std::numeric_limits<double>::infinity();
 void
 HungarianRepair::augment(int row1)
 {
-    ++last_stages_;
     const int m = static_cast<int>(cols_);
     std::vector<double> minv(cols_ + 1, inf);
     std::vector<char> used(cols_ + 1, 0);
@@ -128,11 +127,7 @@ HungarianRepair::extract() const
 std::vector<int>
 HungarianRepair::solveFull(MatrixView value)
 {
-    POCO_REQUIRE(value.rows > 0,
-                 "assignment matrix must be non-empty");
-    POCO_REQUIRE(value.cols > 0,
-                 "assignment matrix must have columns");
-    POCO_REQUIRE(value.rows <= value.cols, "requires rows <= cols");
+    requireAssignmentShape(value);
     rows_ = value.rows;
     cols_ = value.cols;
 
@@ -148,46 +143,9 @@ HungarianRepair::solveFull(MatrixView value)
     v_.assign(cols_ + 1, 0.0);
     p_.assign(cols_ + 1, 0);
 
-    last_stages_ = 0;
     for (std::size_t i = 1; i <= rows_; ++i)
         augment(static_cast<int>(i));
     valid_ = true;
-    return extract();
-}
-
-std::optional<std::vector<int>>
-HungarianRepair::repairRow(std::size_t row, const double* rowValues,
-                           std::size_t n)
-{
-    POCO_REQUIRE(valid_, "repairRow without retained state");
-    POCO_REQUIRE(row < rows_, "repairRow row out of range");
-    POCO_REQUIRE(n == cols_, "repairRow arity mismatch");
-
-    double* __restrict__ dst = cost_.data() + row * cols_;
-    for (std::size_t j = 0; j < cols_; ++j)
-        dst[j] = -rowValues[j];
-
-    // Restore dual feasibility on the changed row: the tightest u
-    // that keeps every reduced cost in the row non-negative.
-    double lo = inf;
-    for (std::size_t j = 0; j < cols_; ++j)
-        lo = std::min(lo, dst[j] - v_[j + 1]);
-    u_[row + 1] = lo;
-
-    // Free the row and re-match it with one stage.
-    for (std::size_t j = 1; j <= cols_; ++j) {
-        if (p_[j] == static_cast<int>(row) + 1) {
-            p_[j] = 0;
-            break;
-        }
-    }
-    last_stages_ = 0;
-    augment(static_cast<int>(row) + 1);
-
-    if (!verify()) {
-        valid_ = false;
-        return std::nullopt;
-    }
     return extract();
 }
 
@@ -213,7 +171,6 @@ HungarianRepair::repairColumn(std::size_t col,
     // Free whichever row held the column and re-match it.
     const int displaced = p_[col + 1];
     p_[col + 1] = 0;
-    last_stages_ = 0;
     if (displaced != 0)
         augment(displaced);
 

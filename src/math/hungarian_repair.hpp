@@ -1,14 +1,17 @@
 /**
  * @file
- * Stateful Kuhn-Munkres engine with single-row / single-column repair.
+ * Stateful Kuhn-Munkres engine with single-column repair.
+ *
+ * This file holds the repo's one Kuhn-Munkres augmenting stage:
+ * math::solveAssignmentMax (hungarian.hpp) is a cold solveFull().
  *
  * The streaming control plane mostly sees one-subject perturbations:
- * a LoadShift re-prices one server's column, a BE profile refresh
- * re-prices one job's row. A full O(n^3) re-solve throws away n-1
- * still-valid augmenting stages; this engine instead retains the dual
- * potentials and matching from the previous optimum, patches the one
- * changed row/column back to dual feasibility, and runs a single
- * O(n*m) augmenting stage.
+ * a LoadShift re-prices one server's column. A full O(n^3) re-solve
+ * throws away n-1 still-valid augmenting stages; this engine instead
+ * retains the dual potentials and matching from the previous
+ * optimum, patches the changed column back to dual feasibility, and
+ * runs a single O(n*m) augmenting stage. No event kind re-prices a
+ * single BE row, so there is no row repair.
  *
  * Safety over cleverness: every repair ends with an O(n*m) check of
  * the LP optimality conditions (dual feasibility, complementary
@@ -43,7 +46,7 @@ class HungarianRepair
     /**
      * Cold solve: maximum-value assignment of @p value (rectangular,
      * rows <= cols), retaining potentials and matching for repairs.
-     * Same optimum as solveAssignmentMax.
+     * solveAssignmentMax is exactly this call on a fresh engine.
      */
     std::vector<int> solveFull(MatrixView value);
 
@@ -54,35 +57,15 @@ class HungarianRepair
         return valid_ && rows == rows_ && cols == cols_;
     }
 
-    /** Drop the retained state (next solve must be solveFull). */
-    void invalidate() { valid_ = false; }
-
     /**
-     * Re-optimize after row @p row changed to @p rowValues (@p n ==
-     * cols entries, e.g. a PerformanceMatrix row pointer — no copy).
-     * One augmenting stage plus an optimality check.
+     * Re-optimize after column @p col changed to @p colValues (size
+     * rows). One augmenting stage plus an optimality check.
      * @return The new optimal assignment, or nullopt (state
      *         invalidated) when the check fails — fall back cold.
      */
     std::optional<std::vector<int>>
-    repairRow(std::size_t row, const double* rowValues,
-              std::size_t n);
-    std::optional<std::vector<int>>
-    repairRow(std::size_t row, const std::vector<double>& rowValues)
-    {
-        return repairRow(row, rowValues.data(), rowValues.size());
-    }
-
-    /**
-     * Re-optimize after column @p col changed to @p colValues (size
-     * rows). Analogous to repairRow.
-     */
-    std::optional<std::vector<int>>
     repairColumn(std::size_t col,
                  const std::vector<double>& colValues);
-
-    /** Augmenting stages spent by the most recent call. */
-    std::size_t lastStages() const { return last_stages_; }
 
   private:
     /** One shortest-augmenting-path stage for 1-based row @p row1. */
@@ -95,7 +78,6 @@ class HungarianRepair
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     bool valid_ = false;
-    std::size_t last_stages_ = 0;
     /** Min-form costs (negated benefits), flat row-major, 0-based. */
     std::vector<double> cost_;
     double costAt(std::size_t i, std::size_t j) const

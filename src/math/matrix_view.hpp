@@ -77,4 +77,18 @@ struct MatrixView
     }
 };
 
+/**
+ * The assignment solvers' shape precondition (Hungarian, LP,
+ * exhaustive): at least one agent row, at least one task column, and
+ * no more agents than tasks.
+ * @throws poco::FatalError when it does not hold.
+ */
+inline void
+requireAssignmentShape(MatrixView m)
+{
+    POCO_REQUIRE(m.rows > 0, "assignment matrix must be non-empty");
+    POCO_REQUIRE(m.cols > 0, "assignment matrix must have columns");
+    POCO_REQUIRE(m.rows <= m.cols, "requires rows <= cols");
+}
+
 } // namespace poco::math

@@ -149,7 +149,7 @@ phase2Costs(const Canonical& c, const std::vector<double>& objective)
  */
 LpStatus
 runTwoPhase(Canonical& c, const std::vector<double>& objective,
-            const LpOptions& options, std::size_t* pivots)
+            const LpOptions& options)
 {
     SimplexTableau& t = c.t;
     const std::size_t m = t.constraintRows();
@@ -161,7 +161,7 @@ runTwoPhase(Canonical& c, const std::vector<double>& objective,
         for (std::size_t j = c.art_begin; j < ncols; ++j)
             phase1[j] = -1.0;
         t.setObjective(phase1);
-        if (!t.iterate(options, pivots)) {
+        if (!t.iterate(options)) {
             // Cannot be unbounded: the phase-1 objective is bounded
             // above by zero.
             poco::panic("phase-1 simplex reported unbounded");
@@ -179,11 +179,8 @@ runTwoPhase(Canonical& c, const std::vector<double>& objective,
                         break;
                     }
                 }
-                if (enter != ncols) {
+                if (enter != ncols)
                     t.pivot(r, enter, options);
-                    if (pivots != nullptr)
-                        ++*pivots;
-                }
                 // else: the row is all-zero over real variables, i.e. a
                 // redundant constraint; the artificial stays basic at 0
                 // and is harmless because phase 2 gives it a huge
@@ -194,7 +191,7 @@ runTwoPhase(Canonical& c, const std::vector<double>& objective,
 
     // Phase 2: the real objective.
     t.setObjective(phase2Costs(c, objective));
-    if (!t.iterate(options, pivots))
+    if (!t.iterate(options))
         return LpStatus::Unbounded;
     return LpStatus::Optimal;
 }
@@ -218,12 +215,9 @@ extractX(const SimplexTableau& t, std::size_t n)
 LpProblem
 buildAssignmentProblem(MatrixView value)
 {
+    requireAssignmentShape(value);
     const std::size_t rows = value.rows;
-    POCO_REQUIRE(rows > 0, "assignment needs at least one agent");
     const std::size_t cols = value.cols;
-    POCO_REQUIRE(cols > 0, "assignment matrix must have columns");
-    POCO_REQUIRE(rows <= cols,
-                 "assignment LP requires agents <= tasks");
 
     const std::size_t n = rows * cols;
     LpProblem lp;
@@ -431,7 +425,7 @@ SimplexTableau::pivot(std::size_t prow, std::size_t pcol,
 }
 
 bool
-SimplexTableau::iterate(const LpOptions& options, std::size_t* pivots)
+SimplexTableau::iterate(const LpOptions& options)
 {
     // Dantzig pricing can cycle on degenerate vertices; after this
     // many consecutive zero-progress pivots, switch to Bland's rule
@@ -455,8 +449,6 @@ SimplexTableau::iterate(const LpOptions& options, std::size_t* pivots)
             degenerate = 0;
         }
         pivot(leave, enter, options);
-        if (pivots != nullptr)
-            ++*pivots;
     }
 }
 
@@ -466,8 +458,7 @@ solveLp(const LpProblem& problem, const LpOptions& options)
     Canonical c = canonicalize(problem);
 
     LpSolution solution;
-    solution.status =
-        runTwoPhase(c, problem.objective, options, nullptr);
+    solution.status = runTwoPhase(c, problem.objective, options);
     if (solution.status != LpStatus::Optimal)
         return solution;
 
@@ -481,16 +472,7 @@ solveLp(const LpProblem& problem, const LpOptions& options)
 std::vector<int>
 solveAssignmentLp(MatrixView value, const LpOptions& options)
 {
-    const LpProblem lp = buildAssignmentProblem(value);
-    const LpSolution sol = solveLp(lp, options);
-    POCO_ASSERT(sol.status == LpStatus::Optimal,
-                "assignment LP must be feasible and bounded");
-
-    auto assignment =
-        tryExtractAssignment(sol.x, value.rows, value.cols);
-    POCO_ASSERT(assignment.has_value(),
-                "assignment LP produced a fractional solution");
-    return *assignment;
+    return AssignmentLpSolver(options).solveCold(value);
 }
 
 std::vector<int>
@@ -502,9 +484,7 @@ AssignmentLpSolver::solveCold(MatrixView value)
     const LpProblem lp = buildAssignmentProblem(value);
     Canonical c = canonicalize(lp);
 
-    last_pivots_ = 0;
-    const LpStatus status =
-        runTwoPhase(c, lp.objective, options_, &last_pivots_);
+    const LpStatus status = runTwoPhase(c, lp.objective, options_);
     POCO_ASSERT(status == LpStatus::Optimal,
                 "assignment LP must be feasible and bounded");
 
@@ -550,8 +530,7 @@ AssignmentLpSolver::solveWarm(MatrixView value)
         cost[j] = kArtificialPenalty;
     tableau_.setObjective(cost);
 
-    last_pivots_ = 0;
-    if (!tableau_.iterate(options_, &last_pivots_)) {
+    if (!tableau_.iterate(options_)) {
         // The assignment polytope is bounded; an unbounded report
         // means the retained tableau is corrupt. Drop it.
         invalidate();

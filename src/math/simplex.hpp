@@ -22,7 +22,16 @@
  *    only on tableaus large enough to pay for the dispatch (a fixed
  *    cell-count cutoff in simplex.cpp). Each row's arithmetic is the
  *    same either way, so every output field is bit-identical for any
- *    thread count, including the serial path.
+ *    thread count, including the serial path. The pooled elimination
+ *    stays because it pays on the streaming benchmark's 64x64
+ *    re-solves: a serial-only build lost ~24% of fleet-stream
+ *    throughput.
+ *
+ * What else stays, and why: solveLp/LpProblem and the public
+ * SimplexTableau kernels are driven directly by the tests and
+ * bench_micro; AssignmentLpSolver's warm path is a rung of the
+ * streaming ladder whose choice among tied optima the streaming
+ * fingerprints record (cluster/incremental.hpp).
  *
  * Pivot rule: Dantzig pricing (most positive reduced cost, ties to
  * the lowest column index) with an exact lexicographic
@@ -195,12 +204,9 @@ class SimplexTableau
      * pricing with a Bland's-rule fallback after a long run of
      * degenerate pivots (anti-cycling).
      *
-     * @param pivots When non-null, incremented once per pivot — the
-     *        warm-start benches count how much work a hot basis saves.
      * @return true when an optimum was reached, false when unbounded.
      */
-    bool iterate(const LpOptions& options = {},
-                 std::size_t* pivots = nullptr);
+    bool iterate(const LpOptions& options = {});
 
   private:
     std::size_t m_ = 0;      // constraint rows
@@ -227,7 +233,9 @@ LpSolution solveLp(const LpProblem& problem,
  * Builds the standard doubly-stochastic formulation: variable x_ij is
  * the fraction of "agent" i assigned to "task" j; row and column sums
  * are constrained to 1 (rows <= 1 when rectangular). Integrality of
- * the assignment polytope makes the optimum a 0/1 matrix.
+ * the assignment polytope makes the optimum a 0/1 matrix. This is
+ * AssignmentLpSolver(options).solveCold(value): the repo has one
+ * cold assignment-LP path.
  *
  * @param value value(i, j) is the benefit of assigning agent i to
  *              task j. Requires rows <= cols.
@@ -248,8 +256,7 @@ std::vector<int> solveAssignmentLp(MatrixView value,
  * reduced-cost row and however few pivots separate the old vertex
  * from the new optimum, not a cold two-phase solve.
  *
- * solveCold() runs the exact code path of solveAssignmentLp() (same
- * canonicalization, same pivot sequence — bit-identical assignments)
+ * solveCold() is the one cold path (solveAssignmentLp() calls it)
  * and retains the final tableau; solveWarm() re-prices and iterates
  * from the retained basis. Warm solves are field-exact equals of cold
  * solves whenever the optimum is unique; the degenerate-tie case is
@@ -265,7 +272,7 @@ class AssignmentLpSolver
 
     /**
      * Two-phase solve from scratch; retains the optimal basis for
-     * subsequent warm solves. Bit-identical to solveAssignmentLp().
+     * subsequent warm solves.
      */
     std::vector<int> solveCold(MatrixView value);
 
@@ -290,8 +297,10 @@ class AssignmentLpSolver
 
     /**
      * The retained basis: basic-variable index per constraint row.
-     * Exported so replay checkpoints and the determinism tests can
-     * compare solver states across runs. Empty when !hasBasis().
+     * Exported so tests can compare solver states across runs
+     * (FingerprintPins.SimplexBasis pins a cold solve's basis);
+     * ctrl::CtrlCheckpoint does not carry it. Empty before the
+     * first solve; meaningful only while a basis is held.
      */
     const std::vector<std::size_t>& basis() const
     {
@@ -301,11 +310,6 @@ class AssignmentLpSolver
     /** FNV-1a over the retained basis (0 when none is held). */
     std::uint64_t basisFingerprint() const;
 
-    /** Pivots the most recent solve spent (cold or warm). */
-    std::size_t lastPivots() const { return last_pivots_; }
-
-    const LpOptions& options() const { return options_; }
-
   private:
     LpOptions options_;
     SimplexTableau tableau_;
@@ -314,7 +318,6 @@ class AssignmentLpSolver
     std::size_t art_begin_ = 0;
     bool has_basis_ = false;
     std::vector<std::size_t> exported_basis_;
-    std::size_t last_pivots_ = 0;
 };
 
 } // namespace poco::math

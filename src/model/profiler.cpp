@@ -14,6 +14,11 @@ namespace poco::model
 namespace
 {
 
+/** Smallest core count in the allocation grid. */
+constexpr int kMinCores = 1;
+/** Smallest LLC way count in the allocation grid. */
+constexpr int kMinWays = 2;
+
 /**
  * The (cores, ways) sweep in deterministic grid order. Cell index ==
  * position in this vector.
@@ -22,8 +27,8 @@ std::vector<std::pair<int, int>>
 allocationGrid(const ProfilerConfig& config, const sim::ServerSpec& spec)
 {
     std::vector<std::pair<int, int>> grid;
-    for (int c = config.minCores; c <= spec.cores; c += config.coreStep)
-        for (int w = config.minWays; w <= spec.llcWays;
+    for (int c = kMinCores; c <= spec.cores; c += config.coreStep)
+        for (int w = kMinWays; w <= spec.llcWays;
              w += config.wayStep)
             grid.emplace_back(c, w);
     return grid;
@@ -77,8 +82,6 @@ Profiler::Profiler(ProfilerConfig config) : config_(config)
 {
     POCO_REQUIRE(config_.coreStep >= 1 && config_.wayStep >= 1,
                  "grid steps must be >= 1");
-    POCO_REQUIRE(config_.minCores >= 1 && config_.minWays >= 1,
-                 "grid minima must be >= 1");
     POCO_REQUIRE(config_.minSlack >= 0.0 && config_.minSlack < 1.0,
                  "slack guard must be in [0, 1)");
     POCO_REQUIRE(config_.perfNoiseSigma >= 0.0 &&

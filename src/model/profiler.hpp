@@ -46,11 +46,12 @@ constexpr std::size_t kNumResources = 2;
 /** Profiling configuration. */
 struct ProfilerConfig
 {
-    /** Grid steps over the allocation space. */
+    /**
+     * Grid steps over the allocation space. The grid starts at
+     * 1 core and 2 ways (constants in profiler.cpp).
+     */
     int coreStep = 1;
     int wayStep = 2;
-    int minCores = 1;
-    int minWays = 2;
 
     /** Lognormal measurement noise (sigma of the underlying normal). */
     double perfNoiseSigma = 0.12;

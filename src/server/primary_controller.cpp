@@ -10,6 +10,18 @@
 namespace poco::server
 {
 
+namespace
+{
+
+/** Control periods to wait after a grow before shrinking again. */
+constexpr int kShrinkCooldown = 5;
+/** Consecutive high-slack periods required per DVFS down-step. */
+constexpr int kFreqStepPatience = 3;
+/** Slack above minSlack + this margin is "excess" for DVFS. */
+constexpr double kFreqSlackMargin = 0.12;
+
+} // namespace
+
 HeraclesController::HeraclesController(ControllerConfig config,
                                        std::uint64_t seed)
     : config_(config), rng_(seed)
@@ -79,7 +91,7 @@ HeraclesController::decide(const ColocatedServer& server)
             else if (alloc.cores < spec.cores)
                 ++alloc.cores;
         }
-        cooldown_ = config_.shrinkCooldown;
+        cooldown_ = kShrinkCooldown;
     } else if (slack > config_.highSlack && cooldown_ == 0) {
         // Excess slack: walk back toward the curve one way at a time
         // — capacity is steeply sensitive to ways near small
@@ -178,9 +190,8 @@ PomController::decide(const ColocatedServer& server)
         if (slack < config_.minSlack) {
             freq_ = spec.freqMax;
             high_slack_streak_ = 0;
-        } else if (slack >
-                   config_.minSlack + config_.freqSlackMargin) {
-            if (++high_slack_streak_ >= config_.freqStepPatience) {
+        } else if (slack > config_.minSlack + kFreqSlackMargin) {
+            if (++high_slack_streak_ >= kFreqStepPatience) {
                 freq_ = spec.stepDown(freq_);
                 high_slack_streak_ = 0;
             }

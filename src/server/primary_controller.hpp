@@ -40,8 +40,6 @@ struct ControllerConfig
     double highSlack = 0.28;
     /** Demand inflation when converting model output to allocations. */
     double headroom = 1.0;
-    /** Control periods to wait after a grow before shrinking again. */
-    int shrinkCooldown = 5;
     /**
      * Let POM fine-tune the primary's core frequency (Section IV-C:
      * feedback tunes "the allocations (including core frequency)").
@@ -51,10 +49,6 @@ struct ControllerConfig
      * model is frequency-blind, so this is a pure-feedback knob.
      */
     bool tunePrimaryFrequency = false;
-    /** Consecutive high-slack periods required per down-step. */
-    int freqStepPatience = 3;
-    /** Slack above minSlack + this margin is "excess" for DVFS. */
-    double freqSlackMargin = 0.12;
 };
 
 /** Interface: one decision per control period. */

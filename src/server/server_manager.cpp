@@ -11,6 +11,39 @@
 namespace poco::server
 {
 
+namespace
+{
+
+/** BE power-throttle period (paper: every 100 ms). */
+constexpr SimTime kThrottlePeriod = 100 * kMillisecond;
+/** Telemetry sampling period. */
+constexpr SimTime kTelemetryPeriod = 100 * kMillisecond;
+/** Offered-load update period (trace resolution). */
+constexpr SimTime kLoadPeriod = 1 * kSecond;
+
+// Degradation-ladder thresholds (DESIGN.md §10), counted in
+// throttle ticks.
+
+/** Readings above cap * factor are treated as sensor garbage. */
+constexpr double kMaxCredibleFactor = 1.6;
+/** Consecutive bad throttle ticks before entering degraded. */
+constexpr int kFaultTicksToDegrade = 3;
+/** Consecutive sane ticks before leaving degraded. */
+constexpr int kSaneTicksToRecover = 30;
+/**
+ * Frozen identical readings before a deliberate DVFS probe. A
+ * steady fault-free system also produces identical readings, so
+ * every probe interval pays a 100 ms throughput dip — this probes a
+ * quiet meter every ~5 s.
+ */
+constexpr int kFrozenTicksToProbe = 50;
+/** Degraded ticks of overshoot evidence before BE eviction. */
+constexpr int kOvershootTicksToEvict = 20;
+/** Watts above cap that count as overshoot while degraded. */
+constexpr Watts kOvershootMargin{1.0};
+
+} // namespace
+
 ServerManager::ServerManager(
     ColocatedServer& server,
     std::unique_ptr<PrimaryController> controller,
@@ -20,10 +53,8 @@ ServerManager::ServerManager(
       throttler_(config.throttler)
 {
     POCO_REQUIRE(controller_ != nullptr, "controller must be set");
-    POCO_REQUIRE(config_.controlPeriod > 0 &&
-                 config_.throttlePeriod > 0 &&
-                 config_.telemetryPeriod > 0 && config_.loadPeriod > 0,
-                 "manager periods must be positive");
+    POCO_REQUIRE(config_.controlPeriod > 0,
+                 "control period must be positive");
 }
 
 void
@@ -46,9 +77,9 @@ ServerManager::attach(sim::EventQueue& queue)
     loadTick(now);
     queue.schedule(now + config_.controlPeriod,
                    [this](SimTime t) { controlTick(t); });
-    queue.schedule(now + config_.throttlePeriod,
+    queue.schedule(now + kThrottlePeriod,
                    [this](SimTime t) { throttleTick(t); });
-    queue.schedule(now + config_.telemetryPeriod,
+    queue.schedule(now + kTelemetryPeriod,
                    [this](SimTime t) { telemetryTick(t); });
 }
 
@@ -62,7 +93,7 @@ ServerManager::loadTick(SimTime now)
         fraction = std::min(1.0,
                             fraction * injector_->loadFactor(now));
     server_->setLoad(now, fraction * server_->lc().peakLoad());
-    queue_->schedule(now + config_.loadPeriod,
+    queue_->schedule(now + kLoadPeriod,
                      [this](SimTime t) { loadTick(t); });
 }
 
@@ -151,7 +182,7 @@ ServerManager::throttleTick(SimTime now)
                 applyBeAlloc(now, slot, next);
         }
     }
-    queue_->schedule(now + config_.throttlePeriod,
+    queue_->schedule(now + kThrottlePeriod,
                      [this](SimTime t) { throttleTick(t); });
 }
 
@@ -193,11 +224,10 @@ ServerManager::watchdogArmed() const
 bool
 ServerManager::watchdogTick(SimTime now, Watts measured)
 {
-    const WatchdogConfig& wd = config_.watchdog;
     const Watts cap = server_->powerCap();
     const bool valid = std::isfinite(measured.value()) &&
                        measured >= Watts{} &&
-                       measured <= cap * wd.maxCredibleFactor;
+                       measured <= cap * kMaxCredibleFactor;
 
     bool bad = false;
     if (!valid) {
@@ -263,16 +293,15 @@ ServerManager::watchdogTick(SimTime now, Watts measured)
         bad_streak_ = 0;
     }
     if (probe_failed)
-        bad_streak_ = std::max(bad_streak_,
-                               config_.watchdog.faultTicksToDegrade);
+        bad_streak_ = std::max(bad_streak_, kFaultTicksToDegrade);
 
     if (!degraded_) {
-        if (bad_streak_ >= wd.faultTicksToDegrade) {
+        if (bad_streak_ >= kFaultTicksToDegrade) {
             degraded_ = true;
             ++fault_stats_.degradedEntries;
             overshoot_streak_ = 0;
             frozen_streak_ = 0;
-        } else if (frozen_streak_ >= wd.frozenTicksToProbe &&
+        } else if (frozen_streak_ >= kFrozenTicksToProbe &&
                    !command_pending_ && !server_->beAlloc().empty()) {
             // Step the secondary down one DVFS notch (or one duty
             // step at the frequency floor) and watch whether the
@@ -312,12 +341,12 @@ ServerManager::watchdogTick(SimTime now, Watts measured)
     const bool clamp_unconfirmed =
         !clamp.empty() && !(server_->beAlloc() == clamp);
     const bool overshooting =
-        valid && measured > cap + wd.overshootMargin;
+        valid && measured > cap + kOvershootMargin;
     if (clamp_unconfirmed || overshooting)
         ++overshoot_streak_;
     else
         overshoot_streak_ = 0;
-    if (overshoot_streak_ >= wd.overshootTicksToEvict &&
+    if (overshoot_streak_ >= kOvershootTicksToEvict &&
         !server_->beAlloc().empty()) {
         // Eviction is a job kill, not a DVFS write: it always lands.
         server_->setBeAlloc(now, sim::Allocation{
@@ -327,7 +356,7 @@ ServerManager::watchdogTick(SimTime now, Watts measured)
         ++fault_stats_.evictions;
         overshoot_streak_ = 0;
     }
-    if (sane_streak_ >= wd.saneTicksToRecover) {
+    if (sane_streak_ >= kSaneTicksToRecover) {
         degraded_ = false;
         conservative_regrant_ = true;
     }
@@ -350,7 +379,7 @@ ServerManager::telemetryTick(SimTime now)
     sample.beAlloc = server_->beAlloc();
     sample.power = server_->power();
     telemetry_.record(sample);
-    queue_->schedule(now + config_.telemetryPeriod,
+    queue_->schedule(now + kTelemetryPeriod,
                      [this](SimTime t) { telemetryTick(t); });
 }
 

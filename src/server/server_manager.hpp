@@ -27,43 +27,24 @@ namespace poco::server
 {
 
 /**
- * Degradation-ladder tunables (DESIGN.md §10). The watchdog only
- * runs when a fault injector is wired in; the fault-free path never
- * evaluates it.
+ * Degradation-ladder switch (DESIGN.md §10). The watchdog only runs
+ * when a fault injector is wired in; the fault-free path never
+ * evaluates it. Its thresholds are constants in server_manager.cpp.
  */
 struct WatchdogConfig
 {
     bool enabled = true;
-    /** Readings above cap * factor are treated as sensor garbage. */
-    double maxCredibleFactor = 1.6;
-    /** Consecutive bad throttle ticks before entering degraded. */
-    int faultTicksToDegrade = 3;
-    /** Consecutive sane ticks before leaving degraded. */
-    int saneTicksToRecover = 30;
-    /**
-     * Frozen identical readings before a deliberate DVFS probe. A
-     * steady fault-free system also produces identical readings, so
-     * every probe interval pays a 100 ms throughput dip — the
-     * default probes a quiet meter every ~5 s.
-     */
-    int frozenTicksToProbe = 50;
-    /** Degraded ticks of overshoot evidence before BE eviction. */
-    int overshootTicksToEvict = 20;
-    /** Watts above cap that count as overshoot while degraded. */
-    Watts overshootMargin{1.0};
 };
 
-/** Periods and tunables of the management loops. */
+/**
+ * Periods and tunables of the management loops. The BE throttle
+ * (paper: every 100 ms), telemetry (100 ms) and offered-load (1 s)
+ * periods are constants in server_manager.cpp.
+ */
 struct ServerManagerConfig
 {
     /** Primary controller decision period (paper: every second). */
     SimTime controlPeriod = 1 * kSecond;
-    /** BE power-throttle period (paper: every 100 ms). */
-    SimTime throttlePeriod = 100 * kMillisecond;
-    /** Telemetry sampling period. */
-    SimTime telemetryPeriod = 100 * kMillisecond;
-    /** Offered-load update period (trace resolution). */
-    SimTime loadPeriod = 1 * kSecond;
     /** Settling time excluded from the reported statistics. */
     SimTime warmup = 60 * kSecond;
     /**

@@ -1,65 +1,41 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace poco::sim
 {
 
-EventQueue::EventId
+void
 EventQueue::schedule(SimTime when, Callback callback)
 {
     POCO_REQUIRE(when >= now_, "cannot schedule an event in the past");
-    const EventId id = next_id_++;
-    queue_.push(Event{when, id, std::move(callback)});
-    pending_.insert(id);
-    return id;
-}
-
-EventQueue::EventId
-EventQueue::scheduleAfter(SimTime delay, Callback callback)
-{
-    POCO_REQUIRE(delay >= 0, "delay must be non-negative");
-    return schedule(now_ + delay, std::move(callback));
-}
-
-void
-EventQueue::cancel(EventId id)
-{
-    // Cancelling an already-fired (or already-cancelled) event is a
-    // harmless no-op.
-    if (pending_.erase(id) > 0)
-        cancelled_.insert(id);
+    heap_.push_back(Event{when, next_seq_++, std::move(callback)});
+    std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
 bool
 EventQueue::runOne()
 {
-    while (!queue_.empty()) {
-        Event ev = queue_.top();
-        queue_.pop();
-        if (cancelled_.erase(ev.id) > 0)
-            continue;
-        POCO_ASSERT(ev.when >= now_, "event queue went backwards");
-        pending_.erase(ev.id);
-        now_ = ev.when;
-        ev.callback(now_);
-        return true;
-    }
-    return false;
+    if (heap_.empty())
+        return false;
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    // Move the event out before its callback runs: the callback may
+    // schedule, which can reallocate the heap.
+    Event ev = std::move(heap_.back());
+    heap_.pop_back();
+    POCO_ASSERT(ev.when >= now_, "event queue went backwards");
+    now_ = ev.when;
+    ev.callback(now_);
+    return true;
 }
 
 std::size_t
 EventQueue::runUntil(SimTime deadline)
 {
     std::size_t executed = 0;
-    while (!queue_.empty()) {
-        // Skip cancelled heads so the peek below is accurate.
-        while (!queue_.empty() && cancelled_.count(queue_.top().id)) {
-            cancelled_.erase(queue_.top().id);
-            queue_.pop();
-        }
-        if (queue_.empty() || queue_.top().when > deadline)
-            break;
+    while (!heap_.empty() && heap_.front().when <= deadline) {
         runOne();
         ++executed;
     }
@@ -77,12 +53,6 @@ EventQueue::runAll()
     while (runOne())
         ++executed;
     return executed;
-}
-
-bool
-EventQueue::empty() const
-{
-    return pending_.empty();
 }
 
 } // namespace poco::sim

@@ -4,16 +4,20 @@
  *
  * A minimal calendar: events are (time, sequence, callback) triples
  * executed in time order, with the sequence number breaking ties so
- * same-timestamp events run in scheduling order (deterministic runs).
- * Controllers reschedule themselves to form periodic loops.
+ * same-timestamp events run in scheduling order (deterministic runs;
+ * fault::FaultInjector relies on it to open its windows ahead of
+ * same-time manager ticks). Controllers reschedule themselves to
+ * form periodic loops.
+ *
+ * There is no cancellation: no simulation ever withdraws an event, so
+ * the calendar keeps no id bookkeeping. Each event is moved out of
+ * the heap before its callback runs, never copied.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "util/units.hpp"
@@ -21,11 +25,10 @@
 namespace poco::sim
 {
 
-/** Time-ordered event calendar with cancellation. */
+/** Time-ordered event calendar. */
 class EventQueue
 {
   public:
-    using EventId = std::uint64_t;
     using Callback = std::function<void(SimTime)>;
 
     /** Current simulated time (microseconds). */
@@ -36,15 +39,8 @@ class EventQueue
      *
      * @param when Absolute time, must be >= now().
      * @param callback Invoked with the event's timestamp.
-     * @return Id usable with cancel().
      */
-    EventId schedule(SimTime when, Callback callback);
-
-    /** Schedule a callback @p delay after now(). */
-    EventId scheduleAfter(SimTime delay, Callback callback);
-
-    /** Cancel a pending event. Cancelling a fired event is a no-op. */
-    void cancel(EventId id);
+    void schedule(SimTime when, Callback callback);
 
     /** Execute the next pending event. @return false if none remain. */
     bool runOne();
@@ -60,34 +56,29 @@ class EventQueue
     /** Drain the calendar completely. @return events executed. */
     std::size_t runAll();
 
-    bool empty() const;
+    bool empty() const { return heap_.empty(); }
 
   private:
     struct Event
     {
         SimTime when;
-        EventId id;
+        std::uint64_t seq;
         Callback callback;
     };
 
-    struct Later
+    /** Heap order: the earliest (when, seq) pair sits at the front. */
+    static bool
+    later(const Event& a, const Event& b)
     {
-        bool
-        operator()(const Event& a, const Event& b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.id > b.id;
-        }
-    };
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.seq > b.seq;
+    }
 
     SimTime now_ = 0;
-    EventId next_id_ = 1;
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
-    /** Ids scheduled but not yet fired or cancelled. */
-    std::unordered_set<EventId> pending_;
-    /** Ids cancelled while still sitting in queue_. */
-    std::unordered_set<EventId> cancelled_;
+    std::uint64_t next_seq_ = 0;
+    /** Binary heap under later() (std::push_heap / std::pop_heap). */
+    std::vector<Event> heap_;
 };
 
 } // namespace poco::sim

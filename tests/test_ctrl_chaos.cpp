@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "ctrl/control_plane.hpp"
@@ -21,6 +22,7 @@
 #include "ctrl/master_group.hpp"
 #include "fault/fault_plan.hpp"
 #include "fleet/fleet_evaluator.hpp"
+#include "fleet/scenario_fleet.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/check.hpp"
 #include "util/milliwatts.hpp"
@@ -604,6 +606,76 @@ TEST(CtrlChaos, FleetFailoverMatchesStreamingSemantics)
     const auto again =
         fleet.runStreamingWithFailover(log, faults);
     EXPECT_EQ(again.value.fingerprint, failover.value.fingerprint);
+}
+
+TEST(CtrlChaos, FleetFailoverKeepsObjectivesOnTiedFleets)
+{
+    // A generated fleet with repeated platforms and apps: identical
+    // matrix rows and columns make several assignments optimal. A
+    // restored master re-solves with a cold placer and an empty memo,
+    // and on exact ties the ladder's pick depends on that history, so
+    // failover may choose other (equally good) assignments than the
+    // uninterrupted run. What must hold: one record per event, and
+    // every other semantic field — tick, kind, subject, shed bit,
+    // objective, fleet shape, liveness and budget — equal to
+    // runStreaming's. Assignments match only when every optimum is
+    // unique (FleetFailoverMatchesStreamingSemantics). The objective
+    // is compared bit for bit, which holds on these seeds; in general
+    // only its value is fixed, because a tied assignment sums the
+    // same cells in another row order and floating-point addition is
+    // not associative.
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        const scen::Scenario scenario = scen::Scenario::generate(
+            scen::ScenarioSpec{}
+                .withClusters(8)
+                .withServersPerCluster(2)
+                .withApps(2, 2)
+                .withPlatformCount(2)
+                .withSeed(seed));
+        FleetConfig config = FleetConfig{}.withSeed(seed);
+        config.withScenario(scenario);
+        const fleet::FleetEvaluator fleet(
+            fleet::serversFromScenario(scenario), config);
+
+        EventLogConfig log_config;
+        log_config.horizon = 12 * kSecond;
+        log_config.servers = 16;
+        log_config.bePool = 16;
+        log_config.loadShiftRate = 4.0;
+        log_config.beChurnRate = 0.0;
+        log_config.crashRate = 0.0;
+        log_config.budgetChangeRate = 0.0;
+        log_config.seed = seed + 100;
+        const EventLog log = EventLog::generate(log_config);
+
+        const fault::FaultPlan faults = fault::FaultPlan::fromWindows(
+            {masterWindow(fault::FaultKind::MasterKill, 0,
+                          6 * kSecond, 14 * kSecond)});
+
+        const auto plain = fleet.runStreaming(log);
+        const auto failover =
+            fleet.runStreamingWithFailover(log, faults);
+
+        ASSERT_GE(failover.value.failovers.size(), 1u)
+            << "seed " << seed;
+        const auto& want = plain.value.records;
+        const auto& got = failover.value.rollup.records;
+        ASSERT_EQ(want.size(), log.size()) << "seed " << seed;
+        ASSERT_EQ(got.size(), log.size()) << "seed " << seed;
+        // Every semantic field but the assignment fingerprint.
+        auto fields = [](const EventRecord& r) {
+            return std::make_tuple(r.tick, static_cast<int>(r.kind),
+                                   r.subject, r.shed, r.objective,
+                                   r.activeBe, r.placeableServers);
+        };
+        for (std::size_t k = 0; k < got.size(); ++k)
+            EXPECT_EQ(fields(got[k]), fields(want[k]))
+                << "seed " << seed << " record " << k;
+        EXPECT_EQ(failover.value.rollup.livenessFingerprint,
+                  plain.value.livenessFingerprint);
+        EXPECT_EQ(toMilliwatts(failover.value.rollup.budgetPool),
+                  toMilliwatts(plain.value.budgetPool));
+    }
 }
 
 } // namespace

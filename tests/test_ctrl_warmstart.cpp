@@ -2,11 +2,15 @@
  * @file
  * Warm-start equivalence: every incremental solve rung must return
  * exactly what a cold solve would. AssignmentLpSolver::solveCold is
- * bit-identical to solveAssignmentLp and solveWarm matches cold
- * field-exactly under randomized perturbation storms; HungarianRepair
- * matches solveAssignmentMax after single-row/column repairs; the
- * IncrementalPlacer ladder matches placeWithFallback event by event,
- * and its memo answers exact repeats only. Runs under tier-ctrl.
+ * the one cold LP path (solveAssignmentLp is a fresh solver's
+ * solveCold); a reused solver's cold solve leaves the same assignment
+ * and basis as a fresh one's across shape changes, and solveWarm
+ * matches cold field-exactly under randomized perturbation storms.
+ * HungarianRepair matches solveAssignmentMax after single-column
+ * repairs; the IncrementalPlacer ladder matches placeWithFallback
+ * event by event (on value when ties make several assignments
+ * optimal), and its memo answers exact repeats only. Runs under
+ * tier-ctrl.
  */
 
 #include <gtest/gtest.h>
@@ -52,15 +56,36 @@ objectiveOf(const FlatMatrix& value,
 
 TEST(CtrlWarmstart, ColdSolveMatchesSolveAssignmentLpBitwise)
 {
+    // One solver is reused across growing and shrinking shapes; each
+    // cold solve must leave exactly the assignment and basis a fresh
+    // solver (what solveAssignmentLp builds) leaves on the same
+    // matrix, so nothing of the previous tableau leaks into it, and
+    // must hold a basis for the new shape only.
     Rng rng(101);
+    const std::size_t shapes[][2] = {{2, 2}, {3, 4}, {6, 6},
+                                     {3, 3}, {7, 8}, {4, 5}};
     math::AssignmentLpSolver solver;
-    for (int round = 0; round < 6; ++round) {
-        const std::size_t n = 2 + static_cast<std::size_t>(round);
-        const auto value = randomMatrix(rng, n, n + round % 2);
-        EXPECT_EQ(solver.solveCold(value),
-                  math::solveAssignmentLp(value))
-            << "round " << round;
-        EXPECT_TRUE(solver.hasBasis(n, n + round % 2));
+    std::size_t prev_rows = 0;
+    std::size_t prev_cols = 0;
+    for (const auto& shape : shapes) {
+        const std::size_t rows = shape[0];
+        const std::size_t cols = shape[1];
+        const auto value = randomMatrix(rng, rows, cols);
+        math::AssignmentLpSolver fresh;
+        const auto expected = fresh.solveCold(value);
+        EXPECT_EQ(expected, math::solveAssignmentLp(value));
+        EXPECT_EQ(solver.solveCold(value), expected)
+            << rows << "x" << cols;
+        EXPECT_NE(solver.basisFingerprint(), 0u);
+        EXPECT_EQ(solver.basis(), fresh.basis()) << rows << "x" << cols;
+        EXPECT_EQ(solver.basisFingerprint(), fresh.basisFingerprint());
+        EXPECT_TRUE(solver.hasBasis(rows, cols));
+        if (prev_rows != 0) {
+            EXPECT_FALSE(solver.hasBasis(prev_rows, prev_cols))
+                << "basis kept for the old shape";
+        }
+        prev_rows = rows;
+        prev_cols = cols;
     }
 }
 
@@ -139,37 +164,6 @@ TEST(CtrlWarmstart, WarmSolveRefusesShapeChange)
     EXPECT_FALSE(solver.hasBasis(4, 4)) << "mismatch invalidates";
 }
 
-TEST(CtrlWarmstart, HungarianRepairMatchesOracleAfterRowChange)
-{
-    Rng rng(404);
-    math::HungarianRepair engine;
-    for (int instance = 0; instance < 5; ++instance) {
-        const std::size_t n = 3 + static_cast<std::size_t>(instance);
-        auto value = randomMatrix(rng, n, n + 1);
-        EXPECT_EQ(engine.solveFull(value),
-                  math::solveAssignmentMax(value));
-
-        for (int round = 0; round < 20; ++round) {
-            const auto row = static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<int>(n) - 1));
-            for (std::size_t j = 0; j < value.cols; ++j)
-                value.at(row, j) = rng.uniform(0.0, 100.0);
-            const auto repaired = engine.repairRow(
-                row, value.cells.data() + row * value.cols,
-                value.cols);
-            const std::vector<int> oracle =
-                math::solveAssignmentMax(value);
-            if (repaired.has_value()) {
-                EXPECT_EQ(*repaired, oracle)
-                    << "instance " << instance << " round " << round;
-            } else {
-                // Self-verification rejected the repair; re-arm.
-                engine.solveFull(value);
-            }
-        }
-    }
-}
-
 TEST(CtrlWarmstart, HungarianRepairMatchesOracleAfterColumnChange)
 {
     Rng rng(505);
@@ -238,12 +232,13 @@ TEST(CtrlWarmstart, IncrementalPlacerMatchesColdChainEventByEvent)
             check(cluster::PlacementDelta::column(col), round);
             break;
           }
-          case 1: { // BE profile refresh: one row re-priced
+          case 1: { // one row re-priced: the product names no
+                    // row delta, so it sends a full refresh
             const auto row = static_cast<std::size_t>(rng.uniformInt(
                 0, static_cast<int>(rows) - 1));
             for (std::size_t j = 0; j < cols; ++j)
                 matrix(row, j) = rng.uniform(0.0, 100.0);
-            check(cluster::PlacementDelta::row(row), round);
+            check(cluster::PlacementDelta::fullRefresh(), round);
             break;
           }
           default: { // BudgetChange: same shape, everything scaled
@@ -267,30 +262,90 @@ TEST(CtrlWarmstart, IncrementalPlacerMatchesColdChainEventByEvent)
     (void)last;
 }
 
-TEST(CtrlWarmstart, IncrementalPlacerResetForcesColdPath)
+TEST(CtrlWarmstart, IncrementalPlacerKeepsObjectiveOnTiedMatrix)
 {
-    Rng rng(707);
+    // A 12x16 matrix of small integers whose rows come in identical
+    // pairs, driven through the two deltas the control plane sends
+    // for a fixed shape: a column re-priced (fresh values, or a copy
+    // of another column, which ties the two servers) and a full
+    // refresh (an exact rescale, as a budget change rescales every
+    // cell). Ties make several assignments optimal, and the ladder
+    // may pick another than the batch chain, but never another
+    // value. Integer cells keep every sum exact.
+    Rng rng(909);
+    const std::size_t rows = 12;
+    const std::size_t cols = 16;
+    double scale = 1.0;
+
     cluster::PerformanceMatrix matrix;
-    matrix.resize(4, 4);
-    for (std::size_t i = 0; i < 4; ++i)
-        for (std::size_t j = 0; j < 4; ++j)
-            matrix(i, j) = rng.uniform(0.0, 100.0);
+    matrix.resize(rows, cols);
+    auto drawColumn = [&](std::size_t col) {
+        for (std::size_t i = 0; i < rows; i += 2) {
+            matrix(i, col) = scale * rng.uniformInt(0, 3);
+            matrix(i + 1, col) = matrix(i, col);
+        }
+    };
+    for (std::size_t j = 0; j < cols; ++j)
+        drawColumn(j);
+
     cluster::IncrementalPlacer placer;
-    const auto first =
-        placer.resolve(matrix, cluster::PlacementDelta::shape());
-    placer.reset();
-    const auto second =
-        placer.resolve(matrix, cluster::PlacementDelta::shape());
-    EXPECT_EQ(first.value, second.value);
-    EXPECT_GE(placer.stats().cold + placer.stats().cached, 2u);
+    auto check = [&](const cluster::PlacementDelta& delta,
+                     int round) {
+        const auto incremental = placer.resolve(matrix, delta);
+        const auto cold = cluster::placeWithFallback(matrix);
+        EXPECT_EQ(cluster::placementValue(matrix, incremental.value),
+                  cluster::placementValue(matrix, cold.value))
+            << "round " << round << " delta "
+            << cluster::placementDeltaKindName(delta.kind) << " tier "
+            << solverTierName(incremental.tier);
+        std::vector<char> used(cols, 0);
+        for (const int j : incremental.value) {
+            ASSERT_EQ(used[static_cast<std::size_t>(j)], 0)
+                << "column used twice, round " << round;
+            used[static_cast<std::size_t>(j)] = 1;
+        }
+    };
+
+    check(cluster::PlacementDelta::shape(), -1);
+    for (int round = 0; round < 60; ++round) {
+        const auto col = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(cols) - 1));
+        switch (rng.uniformInt(0, 2)) {
+          case 0:
+            drawColumn(col);
+            check(cluster::PlacementDelta::column(col), round);
+            break;
+          case 1: {
+            const auto src = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(cols) - 1));
+            for (std::size_t i = 0; i < rows; ++i)
+                matrix(i, col) = matrix(i, src);
+            check(cluster::PlacementDelta::column(col), round);
+            break;
+          }
+          default: {
+            // Scale up by 2 or 3, or back down to 1 once past 64.
+            // Every cell is a multiple of `scale`, so both are exact.
+            const double up = rng.uniformInt(2, 3);
+            const bool down = scale > 64.0;
+            for (std::size_t i = 0; i < rows; ++i)
+                for (std::size_t j = 0; j < cols; ++j)
+                    matrix(i, j) = down ? matrix(i, j) / scale
+                                        : matrix(i, j) * up;
+            scale = down ? 1.0 : scale * up;
+            check(cluster::PlacementDelta::fullRefresh(), round);
+            break;
+          }
+        }
+    }
 }
 
 TEST(CtrlWarmstart, IncrementalPlacerMemoAnswersExactRepeatsOnly)
 {
     // Rung 0: a repeated matrix comes back from the placer's memo
     // (tier Cached, no solver attempt), a one-ulp change to a single
-    // cell is a different key, and reset() drops the engines but
-    // keeps the memo.
+    // cell is a different key, and going back to the first matrix
+    // after that miss (A -> B -> A) answers from the memo again.
     Rng rng(808);
     cluster::PerformanceMatrix matrix;
     matrix.resize(5, 5);
@@ -312,16 +367,15 @@ TEST(CtrlWarmstart, IncrementalPlacerMemoAnswersExactRepeatsOnly)
     cluster::PerformanceMatrix nudged = matrix;
     nudged(0, 0) = std::nextafter(matrix(0, 0), 1e300);
     const auto miss =
-        placer.resolve(nudged, cluster::PlacementDelta::row(0));
+        placer.resolve(nudged, cluster::PlacementDelta::column(0));
     EXPECT_NE(miss.tier, SolverTier::Cached);
     EXPECT_EQ(placer.stats().cached, 1u);
 
-    placer.reset();
-    const auto after_reset =
-        placer.resolve(matrix, cluster::PlacementDelta::shape());
-    EXPECT_EQ(after_reset.tier, SolverTier::Cached);
-    EXPECT_EQ(after_reset.attempts, 0);
-    EXPECT_EQ(after_reset.value, first.value);
+    const auto revisit =
+        placer.resolve(matrix, cluster::PlacementDelta::column(0));
+    EXPECT_EQ(revisit.tier, SolverTier::Cached);
+    EXPECT_EQ(revisit.attempts, 0);
+    EXPECT_EQ(revisit.value, first.value);
     EXPECT_EQ(placer.stats().cached, 2u);
 }
 

@@ -23,7 +23,7 @@ using poco::test::flat;
 
 TEST(Hungarian, TrivialSingleton)
 {
-    EXPECT_EQ(solveAssignmentMin(flat({{5.0}})),
+    EXPECT_EQ(solveAssignmentMax(flat({{-5.0}})),
               (std::vector<int>{0}));
     EXPECT_EQ(solveAssignmentMax(flat({{5.0}})),
               (std::vector<int>{0}));
@@ -32,11 +32,14 @@ TEST(Hungarian, TrivialSingleton)
 TEST(Hungarian, KnownMinimum)
 {
     // Classic 3x3: optimal cost 5 via (0->1, 1->0, 2->2) for this
-    // matrix.
+    // matrix. Minimizing cost is maximizing its negation.
     const FlatMatrix cost = flat({{4.0, 1.0, 3.0},
                                   {2.0, 0.0, 5.0},
                                   {3.0, 2.0, 2.0}});
-    const auto a = solveAssignmentMin(cost);
+    FlatMatrix negated = cost;
+    for (double& v : negated.cells)
+        v = -v;
+    const auto a = solveAssignmentMax(negated);
     double total = 0.0;
     for (std::size_t i = 0; i < a.size(); ++i)
         total += cost.at(i, static_cast<std::size_t>(a[i]));
@@ -86,8 +89,8 @@ TEST(Hungarian, TiesResolveToSomeOptimum)
 
 TEST(Hungarian, InputValidation)
 {
-    EXPECT_THROW(solveAssignmentMin(MatrixView{}), poco::FatalError);
-    EXPECT_THROW(solveAssignmentMin(flat({{1.0}, {2.0}})),
+    EXPECT_THROW(solveAssignmentMax(MatrixView{}), poco::FatalError);
+    EXPECT_THROW(solveAssignmentMax(flat({{-1.0}, {-2.0}})),
                  poco::FatalError); // rows > cols
     // Ragged nested literals can no longer reach the solver: the
     // flat() packer rejects them before a view exists.

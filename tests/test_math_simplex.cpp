@@ -283,5 +283,57 @@ TEST_P(LpVsHungarian, AgreeOnRandomInstances)
 INSTANTIATE_TEST_SUITE_P(Sizes, LpVsHungarian,
                          ::testing::Values(2, 3, 4, 5, 6, 7));
 
+/**
+ * Tied instances: integer cells from a tiny range, or rows and
+ * columns copied from each other, give several optimal assignments.
+ * The exact solvers may pick different ones, but never a different
+ * value; integer cells make every sum exact, so the comparison is
+ * bitwise.
+ */
+TEST(TiedMatrices, ExactSolversAgreeOnValue)
+{
+    poco::Rng rng(1717);
+    for (std::size_t rows = 1; rows <= 8; ++rows) {
+        for (std::size_t extra = 0; extra <= 2; ++extra) {
+            for (int variant = 0; variant < 3; ++variant) {
+                const std::size_t cols = rows + extra;
+                // Variant 0: cells 0-3. Variants 1 and 2: cells 0-20
+                // or 0-3, then each row (column) past the first
+                // copies a random earlier one or keeps its own.
+                poco::test::FlatMatrix value(rows, cols);
+                const int hi = variant == 1 ? 20 : 3;
+                for (double& v : value.cells)
+                    v = rng.uniformInt(0, hi);
+                if (variant > 0) {
+                    for (std::size_t i = 1; i < rows; ++i) {
+                        const auto src = static_cast<std::size_t>(
+                            rng.uniformInt(0, static_cast<int>(i)));
+                        for (std::size_t j = 0; j < cols; ++j)
+                            value.at(i, j) = value.at(src, j);
+                    }
+                    for (std::size_t j = 1; j < cols; ++j) {
+                        const auto src = static_cast<std::size_t>(
+                            rng.uniformInt(0, static_cast<int>(j)));
+                        for (std::size_t i = 0; i < rows; ++i)
+                            value.at(i, j) = value.at(i, src);
+                    }
+                }
+                const double exhaustive = assignmentValue(
+                    value, solveAssignmentExhaustive(value));
+                EXPECT_EQ(assignmentValue(value,
+                                          solveAssignmentMax(value)),
+                          exhaustive)
+                    << "Hungarian, " << rows << "x" << cols
+                    << " variant " << variant;
+                EXPECT_EQ(assignmentValue(value,
+                                          solveAssignmentLp(value)),
+                          exhaustive)
+                    << "LP, " << rows << "x" << cols << " variant "
+                    << variant;
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace poco::math

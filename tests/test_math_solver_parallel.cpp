@@ -2,8 +2,9 @@
  * @file
  * Determinism and thread-safety tests for the parallel solver layer:
  * the flat-tableau simplex (row-parallel pivot elimination past its
- * size cutoff), the placement SolverContext path, batch admission,
- * and the assignment solve memo. Labeled tier-tsan: a
+ * size cutoff), the placement SolverContext path, batch admission
+ * (which takes no pool, so only repeat-stability is checked), and
+ * the assignment solve memo. Labeled tier-tsan: a
  * POCO_SANITIZE=thread build runs these suites to catch data races.
  *
  * The contract under test is the determinism contract: every output
@@ -223,18 +224,18 @@ TEST(PlacementParallel, DeterministicOverloadRejectsRandom)
 
 TEST(PlacementParallel, AdmitAndPlaceFieldExactForAnyThreadCount)
 {
+    // Admission takes no pool, so thread count cannot reach it; what
+    // is left to pin is the admitted count and that a repeated call
+    // gives the same answer field for field.
     const PerformanceMatrix matrix = randomMatrix(10, 4, 13);
-    const auto serial = admitAndPlace(matrix);
+    const auto first = admitAndPlace(matrix);
     int admitted = 0;
-    for (int s : serial)
+    for (int s : first)
         if (s >= 0)
             ++admitted;
     EXPECT_EQ(admitted, 4);
-    for (unsigned threads : {1u, 2u, 8u}) {
-        runtime::ThreadPool pool(threads);
-        EXPECT_EQ(serial, admitAndPlace(matrix,
-                                        pooledContext(&pool)));
-    }
+    for (int repeat = 0; repeat < 3; ++repeat)
+        EXPECT_EQ(first, admitAndPlace(matrix));
 }
 
 TEST(PlacementParallel, CacheReturnsMemoizedSolution)
