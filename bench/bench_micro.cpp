@@ -5,13 +5,16 @@
  *
  * The paper claims the analytic allocation decision is "a constant
  * time operation (less than a millisecond)"; BM_MinPowerAllocation
- * and BM_ClosedFormDemand verify our implementation meets that
- * budget with wide margin.
+ * (the scalar oracle), BM_MinPowerAllocationGrid (the grid search
+ * PomController runs every control period) and BM_ClosedFormDemand
+ * verify our implementation meets that budget with wide margin.
  *
  * The default run executes the gate: each kernel is timed against its
  * predecessor and checked bit-identical — matrix-build against the
  * scalar reference, pivot elimination serial against row-parallel,
- * incremental-resolve against a cold solve; results
+ * incremental-resolve against a cold solve, pom-decision (one
+ * AllocationGrid build plus a minPowerFor per target) against the
+ * scalar minPowerAllocationFor scan over the same targets; results
  * land in BENCH_micro.json (argv[1] overrides the path) and any
  * divergence — or a matrix-build speedup below 1.5x at >= 64 cells —
  * exits 1. Pass --benchmarks to also run the google-benchmark suite.
@@ -23,7 +26,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "cluster/incremental.hpp"
 #include "cluster/performance_matrix.hpp"
@@ -83,6 +88,21 @@ BM_MinPowerAllocation(benchmark::State& state)
     }
 }
 BENCHMARK(BM_MinPowerAllocation);
+
+void
+BM_MinPowerAllocationGrid(benchmark::State& state)
+{
+    auto& ctx = bench::context();
+    const auto& model = ctx.lcModel("xapian");
+    const double target =
+        (0.5 * ctx.apps.lcByName("xapian").peakLoad()).value();
+    const model::AllocationGrid grid(model, ctx.apps.spec);
+    for (auto _ : state) {
+        auto plan = grid.minPowerFor(target);
+        benchmark::DoNotOptimize(plan);
+    }
+}
+BENCHMARK(BM_MinPowerAllocationGrid);
 
 void
 BM_UtilityFit(benchmark::State& state)
@@ -730,6 +750,56 @@ gateIncrementalResolve()
     return row;
 }
 
+bool
+plansIdentical(const std::optional<model::AllocationPlan>& a,
+               const std::optional<model::AllocationPlan>& b)
+{
+    if (a.has_value() != b.has_value())
+        return false;
+    return !a || (a->alloc == b->alloc &&
+                  a->modeledPower.value() == b->modeledPower.value() &&
+                  a->modeledPerf == b->modeledPerf);
+}
+
+/**
+ * POM's control decision over a 10-minute run's worth of targets,
+ * 0.2% to 120% of the primary's peak: the scalar scan per target vs
+ * one AllocationGrid build plus minPowerFor per target, every plan
+ * checked bit-identical.
+ */
+GateRow
+gatePomDecision()
+{
+    auto& ctx = bench::context();
+    const auto& model = ctx.lcModel("xapian");
+    const double peak = ctx.apps.lcByName("xapian").peakLoad().value();
+    constexpr std::size_t kTargets = 600;
+    std::vector<double> targets(kTargets);
+    for (std::size_t k = 0; k < kTargets; ++k)
+        targets[k] = 1.2 * peak * static_cast<double>(k + 1) /
+                     static_cast<double>(kTargets);
+
+    GateRow row;
+    row.kernel = "pom-decision";
+    row.size = kTargets;
+
+    std::vector<std::optional<model::AllocationPlan>> scalar(kTargets);
+    std::vector<std::optional<model::AllocationPlan>> grid(kTargets);
+    row.beforeSeconds = bestOf(3, [&] {
+        for (std::size_t k = 0; k < kTargets; ++k)
+            scalar[k] = model::minPowerAllocationFor(model, targets[k],
+                                                     ctx.apps.spec);
+    });
+    row.afterSeconds = bestOf(3, [&] {
+        const model::AllocationGrid lattice(model, ctx.apps.spec);
+        for (std::size_t k = 0; k < kTargets; ++k)
+            grid[k] = lattice.minPowerFor(targets[k]);
+    });
+    for (std::size_t k = 0; k < kTargets; ++k)
+        row.identical = row.identical && plansIdentical(scalar[k], grid[k]);
+    return row;
+}
+
 int
 runGate(const std::string& out_path)
 {
@@ -746,6 +816,7 @@ runGate(const std::string& out_path)
     rows.push_back(gateMatrixBuild(pool));
     rows.push_back(gateElimination(pool));
     rows.push_back(gateIncrementalResolve());
+    rows.push_back(gatePomDecision());
 
     bool pass = true;
     TextTable table({"kernel", "size", "before s", "after s",

@@ -44,7 +44,7 @@ ColocatedServer::ColocatedServer(const wl::LcApp& lc,
     : lc_(&lc)
 {
     if (be != nullptr)
-        secondaries_.push_back(Secondary{be, {}, 0.0});
+        secondaries_.push_back(Secondary{be, {}, 0.0, Rps{}});
     init(power_cap);
 }
 
@@ -54,7 +54,7 @@ ColocatedServer::ColocatedServer(
     : lc_(&lc)
 {
     for (const wl::BeApp* be : secondaries)
-        secondaries_.push_back(Secondary{be, {}, 0.0});
+        secondaries_.push_back(Secondary{be, {}, 0.0, Rps{}});
     init(power_cap);
 }
 
@@ -69,7 +69,7 @@ ColocatedServer::init(Watts power_cap)
     empty_alloc_ = sim::Allocation{0, 0, spec().freqMax, 1.0};
     for (auto& s : secondaries_)
         s.alloc = empty_alloc_;
-    refreshMeter(0);
+    refresh(0);
 }
 
 const wl::BeApp*
@@ -107,7 +107,7 @@ ColocatedServer::setLoad(SimTime now, Rps load)
     POCO_REQUIRE(load >= Rps{}, "load must be non-negative");
     integrate(now);
     load_ = load;
-    refreshMeter(now);
+    refresh(now);
 }
 
 void
@@ -152,7 +152,7 @@ ColocatedServer::setPrimaryAlloc(SimTime now,
                                 std::max(0, spare_ways -
                                                 reserved_ways));
     }
-    refreshMeter(now);
+    refresh(now);
 }
 
 void
@@ -179,7 +179,7 @@ ColocatedServer::setBeAllocAt(SimTime now, std::size_t i,
     }
     integrate(now);
     secondaries_[i].alloc = alloc;
-    refreshMeter(now);
+    refresh(now);
 }
 
 void
@@ -190,37 +190,39 @@ ColocatedServer::setBeApp(SimTime now, std::size_t i,
                  "secondary slot out of range");
     integrate(now);
     secondaries_[i].app = be;
-    refreshMeter(now);
+    refresh(now);
 }
 
 double
 ColocatedServer::latencyP99() const
 {
-    return lc_->latencyP99(load_, primary_);
+    return p99_;
+}
+
+double
+ColocatedServer::latencyP95() const
+{
+    return p99_ * lc_->slo95() / lc_->slo99();
 }
 
 double
 ColocatedServer::slack99() const
 {
-    return lc_->slack99(load_, primary_);
+    return 1.0 - p99_ / lc_->slo99();
 }
 
 Watts
 ColocatedServer::power() const
 {
-    Watts total = spec().idlePower + lc_->power(load_, primary_);
-    for (const auto& s : secondaries_)
-        if (s.app != nullptr && !s.alloc.empty())
-            total += s.app->power(s.alloc);
-    return total;
+    return power_;
 }
 
 Rps
 ColocatedServer::beThroughput() const
 {
     Rps total;
-    for (std::size_t i = 0; i < secondaries_.size(); ++i)
-        total += beThroughputAt(i);
+    for (const auto& s : secondaries_)
+        total += s.throughput;
     return total;
 }
 
@@ -229,10 +231,7 @@ ColocatedServer::beThroughputAt(std::size_t i) const
 {
     POCO_REQUIRE(i < secondaries_.size(),
                  "secondary slot out of range");
-    const auto& s = secondaries_[i];
-    if (s.app == nullptr || s.alloc.empty())
-        return Rps{};
-    return s.app->throughput(s.alloc);
+    return secondaries_[i].throughput;
 }
 
 void
@@ -243,23 +242,22 @@ ColocatedServer::integrate(SimTime now)
     const SimTime dt = now - last_integrated_;
     if (dt == 0)
         return;
-    const Watts p = power();
+    // The cache holds the state being integrated: every setter
+    // integrates before it mutates and refreshes after.
+    const Watts p = power_;
     stats_.elapsed += dt;
     stats_.energyJoules += p * simSeconds(dt);
     bool throttled = false;
-    for (std::size_t i = 0; i < secondaries_.size(); ++i) {
-        const double work =
-            beThroughputAt(i).value() * toSeconds(dt);
-        secondaries_[i].workDone += work;
+    for (auto& s : secondaries_) {
+        const double work = s.throughput.value() * toSeconds(dt);
+        s.workDone += work;
         stats_.beWorkDone += work;
-        const auto& alloc = secondaries_[i].alloc;
         throttled = throttled ||
-                    (secondaries_[i].app != nullptr &&
-                     !alloc.empty() &&
-                     (alloc.dutyCycle < 1.0 ||
-                      alloc.freq < spec().freqMax - GHz{1e-9}));
+                    (s.app != nullptr && !s.alloc.empty() &&
+                     (s.alloc.dutyCycle < 1.0 ||
+                      s.alloc.freq < spec().freqMax - GHz{1e-9}));
     }
-    if (latencyP99() > lc_->slo99())
+    if (p99_ > lc_->slo99())
         stats_.sloViolationTime += dt;
     if (throttled)
         stats_.cappedTime += dt;
@@ -278,9 +276,17 @@ ColocatedServer::beWorkAt(std::size_t i) const
 }
 
 void
-ColocatedServer::refreshMeter(SimTime now)
+ColocatedServer::refresh(SimTime now)
 {
-    meter_.setPower(now, power());
+    p99_ = lc_->latencyP99(load_, primary_);
+    power_ = spec().idlePower + lc_->power(load_, primary_);
+    for (auto& s : secondaries_) {
+        const bool running = s.app != nullptr && !s.alloc.empty();
+        s.throughput = running ? s.app->throughput(s.alloc) : Rps{};
+        if (running)
+            power_ += s.app->power(s.alloc);
+    }
+    meter_.setPower(now, power_);
 }
 
 void

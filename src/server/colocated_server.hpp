@@ -15,6 +15,14 @@
  * or an allocation changes. Between changes the server integrates
  * energy, best-effort work, and SLO-compliance time, so long runs
  * are exact regardless of event spacing.
+ *
+ * The observables are cached the same way. The one refresh that
+ * construction and every setter end with computes the primary's p99,
+ * the total power and each slot's BE throughput from the ground-truth
+ * models; the getters and the integrator only read those values, so
+ * each returns bit for bit what a fresh evaluation through lc() and
+ * beAppAt() would. Every setter integrates before it mutates, so the
+ * integrator always sees the cache of the state it integrates.
  */
 
 #pragma once
@@ -117,6 +125,8 @@ class ColocatedServer
 
     /** p99 latency of the primary at the current state (seconds). */
     double latencyP99() const;
+    /** p95 latency of the primary at the current state (seconds). */
+    double latencyP95() const;
     /** Tail-latency slack: 1 - p99/slo99. */
     double slack99() const;
     /** Current server power draw (watts). */
@@ -147,11 +157,14 @@ class ColocatedServer
         const wl::BeApp* app = nullptr;
         sim::Allocation alloc;
         double workDone = 0.0;
+        /** Throughput at the current state (cached by refresh). */
+        Rps throughput;
     };
 
     void init(Watts power_cap);
     void integrate(SimTime now);
-    void refreshMeter(SimTime now);
+    /** Recompute the cached observables and feed the meter. */
+    void refresh(SimTime now);
     /** Total cores/ways held by secondaries other than slot skip. */
     void otherUsage(std::size_t skip, int& cores, int& ways) const;
 
@@ -162,6 +175,10 @@ class ColocatedServer
     Rps load_;
     sim::Allocation primary_;
     sim::Allocation empty_alloc_;
+
+    /** Observables at the current state (cached by refresh). */
+    double p99_ = 0.0;
+    Watts power_;
 
     sim::PowerMeter meter_;
     SimTime last_integrated_ = 0;

@@ -153,8 +153,9 @@ PomController::decide(const ColocatedServer& server)
     const double target =
         std::max(server.load().value(), 1e-6) * config_.headroom *
         (1.0 + 0.02 * feedback_boost_);
-    const auto plan =
-        model::minPowerAllocationFor(utility_, target, spec);
+    if (!grid_)
+        grid_.emplace(utility_, spec);
+    const auto plan = grid_->minPowerFor(target);
     if (!plan) {
         // Even the full server is predicted short: give everything.
         POCO_DEBUG("pom", "load " << server.load()

@@ -15,15 +15,19 @@
  *  - PomController (Power Optimized Management): steers to the
  *    minimum-power allocation the fitted Cobb-Douglas model predicts
  *    for the current load (the expansion path of Fig. 5), then uses
- *    the same latency feedback to correct model error.
+ *    the same latency feedback to correct model error. The search
+ *    runs over a model::AllocationGrid built once per controller, a
+ *    bit-identical replay of model::minPowerAllocationFor().
  */
 
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "model/cobb_douglas.hpp"
+#include "model/demand.hpp"
 #include "util/rng.hpp"
 #include "server/colocated_server.hpp"
 #include "sim/allocation.hpp"
@@ -119,6 +123,11 @@ class PomController : public PrimaryController
     std::string name_ = "pom";
     model::CobbDouglasUtility utility_;
     ControllerConfig config_;
+    /**
+     * The utility over the server's lattice, built on the first
+     * decide(): a controller drives one server, whose spec is fixed.
+     */
+    std::optional<model::AllocationGrid> grid_;
     /** Extra demand headroom (2% units) learned from shortfalls. */
     int feedback_boost_ = 0;
     /** Load at the last regime change; <0 before the first decide. */

@@ -370,9 +370,7 @@ ServerManager::telemetryTick(SimTime now)
     sim::TelemetrySample sample;
     sample.when = now;
     sample.lcLoad = server_->load();
-    sample.lcLatencyP95 =
-        server_->lc().latencyP95(server_->load(),
-                                 server_->primaryAlloc());
+    sample.lcLatencyP95 = server_->latencyP95();
     sample.lcLatencyP99 = server_->latencyP99();
     sample.lcAlloc = server_->primaryAlloc();
     sample.beThroughput = server_->beThroughput();

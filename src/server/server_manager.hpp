@@ -49,9 +49,10 @@ struct ServerManagerConfig
     SimTime warmup = 60 * kSecond;
     /**
      * Copy the run's telemetry samples into ServerRunResult so
-     * aggregation layers (the fleet's epoch rollups) can fold them
-     * off-thread after the simulation finished. Off by default: a
-     * long run retains up to ~2^20 samples.
+     * aggregation layers can fold them after the simulation finished
+     * (the fleet's epoch rollups: sim::TelemetryAggregator::sealEpoch
+     * folds them inline). Off by default: a long run retains up to
+     * ~2^20 samples.
      */
     bool keepTelemetry = false;
 

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+#include <vector>
+
 #include "model/demand.hpp"
 #include "model/edgeworth.hpp"
 #include "model/fitter.hpp"
@@ -113,6 +117,86 @@ TEST_F(AnalysisTest, MinPowerAllocationHeadroomGrowsAllocation)
                               1.3);
     ASSERT_TRUE(tight && padded);
     EXPECT_GE(padded->modeledPower, tight->modeledPower);
+}
+
+/** Same engaged state, allocation and bitwise modeled values. */
+::testing::AssertionResult
+samePlan(const std::optional<AllocationPlan>& grid,
+         const std::optional<AllocationPlan>& scalar)
+{
+    if (grid.has_value() != scalar.has_value())
+        return ::testing::AssertionFailure()
+               << "grid " << (grid ? "engaged" : "nullopt")
+               << ", scalar " << (scalar ? "engaged" : "nullopt");
+    if (!grid)
+        return ::testing::AssertionSuccess();
+    if (!(grid->alloc == scalar->alloc) ||
+        grid->modeledPower.value() != scalar->modeledPower.value() ||
+        grid->modeledPerf != scalar->modeledPerf)
+        return ::testing::AssertionFailure()
+               << "grid " << grid->alloc.toString() << " "
+               << grid->modeledPower.value() << " W "
+               << grid->modeledPerf << ", scalar "
+               << scalar->alloc.toString() << " "
+               << scalar->modeledPower.value() << " W "
+               << scalar->modeledPerf;
+    return ::testing::AssertionSuccess();
+}
+
+TEST_F(AnalysisTest, AllocationGridMatchesScalarScanBitwise)
+{
+    // POM decides through AllocationGrid::minPowerFor; the scalar
+    // scan is its oracle. Sweep every calibrated LC fit over three
+    // lattice shapes: the default spec, the scenario catalog's wider
+    // rank-1 platform, and a spec whose way count changes the grid's
+    // row stride.
+    std::vector<CobbDouglasUtility> fits;
+    Profiler profiler;
+    UtilityFitter fitter;
+    for (const auto& lc : set_->lc)
+        fits.push_back(fitter.fit(profiler.profileLc(lc)));
+    ASSERT_EQ(fits.size(), 4u);
+
+    sim::ServerSpec gen1 = set_->spec;
+    gen1.name = "xeon-gen1";
+    gen1.cores = 14;
+    gen1.freqMax = GHz{2.3};
+    gen1.idlePower = Watts{52.5};
+    gen1.nominalActivePower = Watts{150.0};
+    sim::ServerSpec narrow = set_->spec;
+    narrow.name = "xeon-11way";
+    narrow.llcWays = 11;
+
+    for (const sim::ServerSpec& spec : {set_->spec, gen1, narrow}) {
+        for (const CobbDouglasUtility& fit : fits) {
+            const AllocationGrid grid(fit, spec);
+            // A log sweep from 0.1% to 150% of the full server, then
+            // every cell's own performance, where `perf < want`
+            // flips.
+            const double full = grid.perfAt(spec.cores, spec.llcWays);
+            std::vector<double> targets;
+            constexpr int kSweep = 40;
+            for (int k = 0; k < kSweep; ++k)
+                targets.push_back(
+                    full * 1e-3 *
+                    std::pow(1500.0, static_cast<double>(k) /
+                                         (kSweep - 1)));
+            for (int c = 1; c <= spec.cores; ++c)
+                for (int w = 1; w <= spec.llcWays; ++w)
+                    targets.push_back(grid.perfAt(c, w));
+
+            for (const double headroom : {1.0, 1.05})
+                for (const double eps : {0.0, 0.002, 0.05})
+                    for (const double target : targets)
+                        ASSERT_TRUE(samePlan(
+                            grid.minPowerFor(target, headroom, eps),
+                            minPowerAllocationFor(fit, target, spec,
+                                                  headroom, eps)))
+                            << spec.name << " target " << target
+                            << " headroom " << headroom << " eps "
+                            << eps;
+        }
+    }
 }
 
 TEST_F(AnalysisTest, RoundedDemandIsFeasible)

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "server/be_throttler.hpp"
 #include "server/colocated_server.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "wl/registry.hpp"
 
 namespace poco::server
@@ -39,13 +43,170 @@ TEST_F(RuntimeTest, ObservablesMatchGroundTruth)
     ColocatedServer server(lc, nullptr, lc.provisionedPower());
     server.setLoad(0, 0.5 * lc.peakLoad());
     const auto& alloc = server.primaryAlloc();
-    EXPECT_DOUBLE_EQ(server.latencyP99(),
-                     lc.latencyP99(0.5 * lc.peakLoad(), alloc));
-    EXPECT_DOUBLE_EQ(server.slack99(),
-                     lc.slack99(0.5 * lc.peakLoad(), alloc));
-    EXPECT_DOUBLE_EQ(
-        server.power().value(),
-        lc.serverPower(0.5 * lc.peakLoad(), alloc).value());
+    EXPECT_EQ(server.latencyP99(),
+              lc.latencyP99(0.5 * lc.peakLoad(), alloc));
+    EXPECT_EQ(server.latencyP95(),
+              lc.latencyP95(0.5 * lc.peakLoad(), alloc));
+    EXPECT_EQ(server.slack99(), lc.slack99(0.5 * lc.peakLoad(), alloc));
+    EXPECT_EQ(server.power().value(),
+              lc.serverPower(0.5 * lc.peakLoad(), alloc).value());
+}
+
+/** A random DVFS step of @p spec. */
+GHz
+randomFreq(Rng& rng, const sim::ServerSpec& spec)
+{
+    return spec.clampFreq(
+        spec.freqMin +
+        static_cast<double>(rng.uniformInt(0, spec.freqSteps() - 1)) *
+            spec.freqStep);
+}
+
+/** The observables, evaluated afresh through lc() and beAppAt(i). */
+struct FreshObservables
+{
+    double p99 = 0.0;
+    double slack99 = 0.0;
+    double p95 = 0.0;
+    Watts power;
+    std::vector<Rps> throughput;
+    Rps totalThroughput;
+};
+
+FreshObservables
+evaluateFresh(const ColocatedServer& server)
+{
+    const wl::LcApp& lc = server.lc();
+    const Rps load = server.load();
+    const sim::Allocation& primary = server.primaryAlloc();
+    FreshObservables fresh;
+    fresh.p99 = lc.latencyP99(load, primary);
+    fresh.slack99 = lc.slack99(load, primary);
+    fresh.p95 = lc.latencyP95(load, primary);
+    fresh.power = server.spec().idlePower + lc.power(load, primary);
+    for (std::size_t i = 0; i < server.secondaryCount(); ++i) {
+        const wl::BeApp* app = server.beAppAt(i);
+        const sim::Allocation& alloc = server.beAllocAt(i);
+        const bool running = app != nullptr && !alloc.empty();
+        fresh.throughput.push_back(running ? app->throughput(alloc)
+                                           : Rps{});
+        if (running)
+            fresh.power += app->power(alloc);
+        fresh.totalThroughput += fresh.throughput.back();
+    }
+    return fresh;
+}
+
+/**
+ * The server caches its observables in the refresh every setter
+ * ends with. Drive it through random setter sequences and compare
+ * every getter with a fresh evaluation after every step; the energy
+ * and work integrals must equal running sums of those fresh values,
+ * accumulated in the server's order.
+ */
+void
+checkCachedObservables(const wl::AppSet& set, std::size_t slots,
+                       std::uint64_t seed)
+{
+    SCOPED_TRACE("slots " + std::to_string(slots) + " seed " +
+                 std::to_string(seed));
+    Rng rng(seed);
+    const sim::ServerSpec& spec = set.spec;
+    const wl::LcApp& lc =
+        set.lc[static_cast<std::size_t>(rng.uniformInt(0, 3))];
+    std::vector<const wl::BeApp*> apps(slots);
+    for (auto& app : apps)
+        app = &set.be[static_cast<std::size_t>(rng.uniformInt(0, 3))];
+    ColocatedServer server(lc, apps, lc.provisionedPower());
+
+    FreshObservables fresh = evaluateFresh(server);
+    SimTime now = 0;
+    Joules energy;
+    double work = 0.0;
+    for (int step = 0; step < 200; ++step) {
+        // Until the next setter the server runs at the state the
+        // previous step checked: integrate it the way the server
+        // does, from the fresh values.
+        const SimTime dt =
+            rng.bernoulli(0.15)
+                ? 0
+                : static_cast<SimTime>(rng.uniformInt(1, 2000)) *
+                      kMillisecond;
+        if (dt > 0) {
+            energy += fresh.power * simSeconds(dt);
+            for (const Rps& thr : fresh.throughput)
+                work += thr.value() * toSeconds(dt);
+        }
+        now += dt;
+
+        const auto slot = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(slots) - 1));
+        switch (rng.uniformInt(0, 3)) {
+        case 0:
+            server.setLoad(now, rng.uniform(0.0, 1.0) * lc.peakLoad());
+            break;
+        case 1:
+            // Any size: growth clips the secondaries.
+            server.setPrimaryAlloc(
+                now, {rng.uniformInt(1, spec.cores),
+                      rng.uniformInt(1, spec.llcWays),
+                      randomFreq(rng, spec), 1.0});
+            break;
+        case 2: {
+            int free_cores = spec.cores - server.primaryAlloc().cores;
+            int free_ways = spec.llcWays - server.primaryAlloc().ways;
+            for (std::size_t i = 0; i < slots; ++i) {
+                if (i == slot)
+                    continue;
+                free_cores -= server.beAllocAt(i).cores;
+                free_ways -= server.beAllocAt(i).ways;
+            }
+            if (free_cores < 1 || free_ways < 1 || rng.bernoulli(0.2)) {
+                server.setBeAllocAt(now, slot,
+                                    {0, 0, spec.freqMax, 1.0});
+            } else {
+                const double duty = rng.bernoulli(0.5)
+                                        ? 1.0
+                                        : rng.uniform(0.2, 1.0);
+                server.setBeAllocAt(now, slot,
+                                    {rng.uniformInt(1, free_cores),
+                                     rng.uniformInt(1, free_ways),
+                                     randomFreq(rng, spec), duty});
+            }
+            break;
+        }
+        default:
+            server.setBeApp(
+                now, slot,
+                rng.bernoulli(0.25)
+                    ? nullptr
+                    : &set.be[static_cast<std::size_t>(
+                          rng.uniformInt(0, 3))]);
+            break;
+        }
+
+        fresh = evaluateFresh(server);
+        EXPECT_EQ(server.latencyP99(), fresh.p99);
+        EXPECT_EQ(server.slack99(), fresh.slack99);
+        EXPECT_EQ(server.latencyP95(), fresh.p95);
+        EXPECT_EQ(server.power().value(), fresh.power.value());
+        for (std::size_t i = 0; i < slots; ++i)
+            EXPECT_EQ(server.beThroughputAt(i).value(),
+                      fresh.throughput[i].value());
+        EXPECT_EQ(server.beThroughput().value(),
+                  fresh.totalThroughput.value());
+        EXPECT_EQ(server.stats().energyJoules.value(), energy.value());
+        EXPECT_EQ(server.stats().beWorkDone, work);
+        if (::testing::Test::HasFailure())
+            return; // one diverging step is enough to report
+    }
+}
+
+TEST_F(RuntimeTest, CachedObservablesNeverGoStale)
+{
+    for (const std::size_t slots : {1u, 3u})
+        for (std::uint64_t seed = 1; seed <= 8; ++seed)
+            checkCachedObservables(set_, slots, seed);
 }
 
 TEST_F(RuntimeTest, EnergyIntegrationOverStateChanges)

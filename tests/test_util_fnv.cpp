@@ -7,11 +7,17 @@
  * compare them), so a refactor of the hash plumbing must reproduce
  * each one bit for bit. A pinned value changes only when the hashed
  * content or the hash construction changes on purpose.
+ *
+ * FingerprintPins.ServerScenario pins a simulated server run the same
+ * way: every statistic and telemetry sample of a short managed run
+ * under POM, under Heracles, and under POM with the watchdog armed.
+ * A speed-up of the server simulation must leave all three unmoved.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ctrl/control_plane.hpp"
@@ -22,8 +28,12 @@
 #include "flat_matrix.hpp"
 #include "fleet/fleet_evaluator.hpp"
 #include "math/simplex.hpp"
+#include "model/fitter.hpp"
+#include "model/profiler.hpp"
 #include "scen/scenario.hpp"
+#include "server/server_manager.hpp"
 #include "util/fnv.hpp"
+#include "wl/registry.hpp"
 
 namespace poco
 {
@@ -215,6 +225,95 @@ TEST(FingerprintPins, Scenario)
             .withFaultStorms(1, 10 * kMinute, 0.2)
             .withSeed(11));
     EXPECT_EQ(scenario.fingerprint(), 0x80040f90c7627e6bull);
+}
+
+void
+mixAllocation(std::uint64_t& h, const sim::Allocation& alloc)
+{
+    fnv::mixWord(h, static_cast<std::uint64_t>(alloc.cores));
+    fnv::mixWord(h, static_cast<std::uint64_t>(alloc.ways));
+    fnv::mixDouble(h, alloc.freq.value());
+    fnv::mixDouble(h, alloc.dutyCycle);
+}
+
+/** Every field a managed server run reports, telemetry included. */
+std::uint64_t
+runFingerprint(const server::ServerRunResult& run)
+{
+    std::uint64_t h = fnv::kOffset;
+    const server::ServerStats& stats = run.stats;
+    fnv::mixWord(h, static_cast<std::uint64_t>(stats.elapsed));
+    fnv::mixDouble(h, stats.energyJoules.value());
+    fnv::mixDouble(h, stats.beWorkDone);
+    fnv::mixWord(h, static_cast<std::uint64_t>(stats.sloViolationTime));
+    fnv::mixWord(h, static_cast<std::uint64_t>(stats.cappedTime));
+    fnv::mixDouble(h, stats.maxPower.value());
+    fnv::mixDouble(h, stats.capOvershootJoules.value());
+    fnv::mixDouble(h, run.powerUtilization);
+    fnv::mixDouble(h, run.averageSlack);
+    fnv::mixDouble(h, run.slackShortfallFraction);
+    const server::FaultRunStats& faults = run.faults;
+    for (const long count :
+         {faults.degradedTicks, faults.degradedEntries, faults.evictions,
+          faults.invalidReadings, faults.unconfirmedTicks, faults.probes})
+        fnv::mixWord(h, static_cast<std::uint64_t>(count));
+    fnv::mixDouble(h, faults.capOvershootJoules.value());
+    fnv::mixDouble(h, faults.maxOvershoot.value());
+    fnv::mixWord(h, run.telemetry.size());
+    for (const sim::TelemetrySample& sample : run.telemetry) {
+        fnv::mixWord(h, static_cast<std::uint64_t>(sample.when));
+        fnv::mixDouble(h, sample.lcLoad.value());
+        fnv::mixDouble(h, sample.lcLatencyP95);
+        fnv::mixDouble(h, sample.lcLatencyP99);
+        mixAllocation(h, sample.lcAlloc);
+        fnv::mixDouble(h, sample.beThroughput.value());
+        mixAllocation(h, sample.beAlloc);
+        fnv::mixDouble(h, sample.power.value());
+    }
+    return h;
+}
+
+TEST(FingerprintPins, ServerScenario)
+{
+    const wl::AppSet set = wl::defaultAppSet();
+    const wl::LcApp& lc = set.lcByName("xapian");
+    const wl::BeApp& be = set.beByName("graph");
+    const model::CobbDouglasUtility utility =
+        model::UtilityFitter{}.fit(model::Profiler{}.profileLc(lc));
+    const wl::LoadTrace trace =
+        wl::LoadTrace::stepped({0.3, 0.8, 0.5, 0.1}, 25 * kSecond);
+    const SimTime duration = 160 * kSecond;
+    server::ServerManagerConfig config;
+    config.keepTelemetry = true;
+
+    const auto run = [&](std::unique_ptr<server::PrimaryController> brain,
+                         const fault::FaultPlan* faults) {
+        return server::runServerScenario(lc, &be, lc.provisionedPower(),
+                                         std::move(brain), trace,
+                                         duration, config, faults);
+    };
+
+    const auto pom =
+        run(std::make_unique<server::PomController>(utility), nullptr);
+    EXPECT_EQ(runFingerprint(pom), 0x145eb358322c8372ull);
+
+    const auto heracles = run(std::make_unique<server::HeraclesController>(
+                                  server::ControllerConfig{}, /*seed=*/5),
+                              nullptr);
+    EXPECT_EQ(runFingerprint(heracles), 0xbdfeca6a045c85a0ull);
+
+    // A dropout degrades the watchdog and lets it recover; a frozen
+    // meter later draws its DVFS probes.
+    const fault::FaultPlan faults = fault::FaultPlan::fromWindows(
+        {{70 * kSecond, 75 * kSecond, fault::FaultKind::SensorDropout,
+          0.0, 0},
+         {100 * kSecond, 150 * kSecond, fault::FaultKind::SensorStuck,
+          0.0, 0}});
+    const auto guarded =
+        run(std::make_unique<server::PomController>(utility), &faults);
+    EXPECT_GE(guarded.faults.degradedEntries, 1);
+    EXPECT_GE(guarded.faults.probes, 1);
+    EXPECT_EQ(runFingerprint(guarded), 0xc5580f0fd9de89a9ull);
 }
 
 } // namespace
