@@ -91,17 +91,8 @@ ClusterEvaluator::ClusterEvaluator(const wl::AppSet& apps,
     // one across every cluster), serial, the shared pool, or a
     // dedicated one. Results are identical either way (see
     // FleetConfig::threads).
-    if (config_.pool != nullptr) {
-        pool_ = config_.pool;
-    } else if (config_.threads == 1) {
-        pool_ = nullptr;
-    } else if (config_.threads <= 0) {
-        pool_ = &runtime::ThreadPool::global();
-    } else {
-        owned_pool_ = std::make_unique<runtime::ThreadPool>(
-            static_cast<unsigned>(config_.threads));
-        pool_ = owned_pool_.get();
-    }
+    pool_ = runtime::selectPool(config_.pool, config_.threads,
+                                owned_pool_);
 
     // Stage I (Fig. 7): profile and fit every application once. Each
     // app is an independent task (its profile noise comes from a

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <utility>
 
 #include "runtime/parallel.hpp"
 #include "sim/telemetry_rollup.hpp"
@@ -108,89 +110,71 @@ CtrlCheckpoint::fingerprint() const
     return h;
 }
 
-ReplayEngine::ReplayEngine(const CellModel& cells,
-                           const ControlPlaneConfig& config,
-                           cluster::SolverContext context,
-                           sim::TelemetryAggregator* telemetry)
-    : cells_(cells), config_(config),
-      context_(context),
-      telemetry_(telemetry),
-      placer_(context_),
-      tracker_(config.servers, config.heartbeat,
-               config.perServerBudget),
-      cell_raw_(config.bePool * config.servers),
-      cell_load_(config.bePool * config.servers, kNeverComputed)
+void
+validateControlPlaneConfig(const ControlPlaneConfig& config)
 {
-    POCO_REQUIRE(static_cast<bool>(cells),
-                 "replay engine needs a cell model");
-    POCO_REQUIRE(config.bePool > 0,
-                 "replay engine needs a BE candidate pool");
-    POCO_REQUIRE(config.initialLoad > 0.0 &&
-                     config.initialLoad <= 1.0,
+    POCO_REQUIRE(config.servers >= 1,
+                 "control plane needs at least one server");
+    POCO_REQUIRE(config.bePool >= 1,
+                 "control plane needs a BE candidate pool");
+    POCO_REQUIRE(config.initialLoad > 0.0 && config.initialLoad <= 1.0,
                  "initialLoad must be in (0, 1]");
     POCO_REQUIRE(!config.backpressure.enabled ||
                      (config.backpressure.window >= 1 &&
                       config.backpressure.resolveCost > 0),
                  "backpressure needs window >= 1 and a positive "
                  "resolve cost");
-    if (telemetry_ != nullptr)
-        POCO_REQUIRE(telemetry_->servers() == config.servers,
-                     "telemetry sink must cover every server");
+}
 
+CtrlCheckpoint
+CtrlCheckpoint::initial(const ControlPlaneConfig& config)
+{
+    CtrlCheckpoint state(HeartbeatTracker(
+        config.servers, config.heartbeat, config.perServerBudget));
     const std::size_t initial_be =
         std::min(config.initialBe, config.bePool);
-    active_.assign(config.bePool, 0);
-    active_list_.reserve(config.bePool);
-    for (std::size_t i = 0; i < initial_be; ++i) {
-        active_[i] = 1;
-        active_list_.push_back(i);
-    }
-    load_.assign(config.servers, config.initialLoad);
-    prev_alive_ = tracker_.placeableServers();
-    pending_.reserve(config.backpressure.window + 1);
+    state.active.assign(config.bePool, 0);
+    std::fill_n(state.active.begin(), initial_be, 1);
+    state.activeList.resize(initial_be);
+    std::iota(state.activeList.begin(), state.activeList.end(),
+              std::size_t{0});
+    state.load.assign(config.servers, config.initialLoad);
+    state.prevAlive = state.tracker.placeableServers();
+    return state;
 }
 
 ReplayEngine::ReplayEngine(const CellModel& cells,
                            const ControlPlaneConfig& config,
                            cluster::SolverContext context,
-                           const CtrlCheckpoint& checkpoint,
+                           sim::TelemetryAggregator* telemetry)
+    : ReplayEngine(cells, config, context,
+                   CtrlCheckpoint::initial(config), telemetry)
+{}
+
+ReplayEngine::ReplayEngine(const CellModel& cells,
+                           const ControlPlaneConfig& config,
+                           cluster::SolverContext context,
+                           CtrlCheckpoint checkpoint,
                            sim::TelemetryAggregator* telemetry)
     : cells_(cells), config_(config),
       context_(context),
       telemetry_(telemetry),
       placer_(context_),
-      tracker_(checkpoint.tracker),
+      state_(std::move(checkpoint)),
       cell_raw_(config.bePool * config.servers),
       cell_load_(config.bePool * config.servers, kNeverComputed)
 {
     POCO_REQUIRE(static_cast<bool>(cells),
                  "replay engine needs a cell model");
-    POCO_REQUIRE(checkpoint.active.size() == config.bePool &&
-                     checkpoint.load.size() == config.servers,
+    validateControlPlaneConfig(config);
+    POCO_REQUIRE(state_.active.size() == config.bePool &&
+                     state_.load.size() == config.servers,
                  "checkpoint shape does not match the config");
     if (telemetry_ != nullptr)
         POCO_REQUIRE(telemetry_->servers() == config.servers,
                      "telemetry sink must cover every server");
-
-    applied_ = checkpoint.lsn;
-    last_tick_ = checkpoint.tick;
-    active_ = checkpoint.active;
-    active_list_ = checkpoint.activeList;
-    active_list_.reserve(config.bePool);
-    load_ = checkpoint.load;
-    budget_scale_ = checkpoint.budgetScale;
-    prev_alive_ = checkpoint.prevAlive;
-    records_ = checkpoint.records;
-    resolves_ = checkpoint.resolves;
-    sheds_ = checkpoint.sheds;
-    coalesced_ = checkpoint.coalesced;
-    max_queue_depth_ = checkpoint.maxQueueDepth;
-    worst_ = checkpoint.worst;
-    total_attempts_ = checkpoint.attempts;
-    degradation_ = checkpoint.degradation;
-    pending_ = checkpoint.pending;
-    pending_.reserve(config.backpressure.window + 1);
-    dirty_sheds_ = checkpoint.dirtySheds;
+    state_.activeList.reserve(config.bePool);
+    state_.pending.reserve(config.backpressure.window + 1);
     // The placer (memo included) and the cell cache start cold:
     // the ladder's rungs are all exact and cells are pure, so the
     // restored master re-derives objectives of the same value as
@@ -202,7 +186,7 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
 void
 ReplayEngine::reserveRecords(std::size_t events)
 {
-    records_.reserve(records_.size() + events);
+    state_.records.reserve(state_.records.size() + events);
 }
 
 void
@@ -210,13 +194,14 @@ ReplayEngine::apply(const ControlEvent& e)
 {
     POCO_REQUIRE(!finished_, "replay engine already finished");
     const ControlPlaneConfig& cfg = config_;
-    tracker_.advanceTo(e.tick);
-    last_tick_ = e.tick;
-    std::vector<std::size_t> alive = tracker_.placeableServers();
+    state_.tracker.advanceTo(e.tick);
+    state_.tick = e.tick;
+    std::vector<std::size_t> alive =
+        state_.tracker.placeableServers();
     // Liveness transitions (dead servers leaving the matrix,
     // recovered ones re-registering) change the topology even when
     // the event itself would not.
-    const bool topo_changed = alive != prev_alive_;
+    const bool topo_changed = alive != state_.prevAlive;
     bool matrix_changed = topo_changed;
     cluster::PlacementDelta delta =
         topo_changed ? cluster::PlacementDelta::shape()
@@ -226,12 +211,13 @@ ReplayEngine::apply(const ControlEvent& e)
       case EventKind::LoadShift: {
         const double level = std::clamp(e.value, 0.01, 1.0);
         if (e.subject < 0) {
-            std::fill(load_.begin(), load_.end(), level);
+            std::fill(state_.load.begin(), state_.load.end(),
+                      level);
             matrix_changed = true;
         } else if (static_cast<std::size_t>(e.subject) <
                    cfg.servers) {
             const auto srv = static_cast<std::size_t>(e.subject);
-            load_[srv] = level;
+            state_.load[srv] = level;
             const auto col =
                 std::find(alive.begin(), alive.end(), srv);
             if (col != alive.end()) {
@@ -249,9 +235,9 @@ ReplayEngine::apply(const ControlEvent& e)
       }
       case EventKind::BeArrive: {
         for (std::size_t i = 0; i < cfg.bePool; ++i) {
-            if (!active_[i]) {
-                active_[i] = 1;
-                active_list_.push_back(i);
+            if (!state_.active[i]) {
+                state_.active[i] = 1;
+                state_.activeList.push_back(i);
                 matrix_changed = true;
                 delta = cluster::PlacementDelta::shape();
                 break;
@@ -262,10 +248,11 @@ ReplayEngine::apply(const ControlEvent& e)
       case EventKind::BeDepart: {
         const auto be =
             static_cast<std::size_t>(e.subject < 0 ? 0 : e.subject);
-        if (be < cfg.bePool && active_[be]) {
-            active_[be] = 0;
-            active_list_.erase(std::find(active_list_.begin(),
-                                         active_list_.end(), be));
+        if (be < cfg.bePool && state_.active[be]) {
+            state_.active[be] = 0;
+            state_.activeList.erase(
+                std::find(state_.activeList.begin(),
+                          state_.activeList.end(), be));
             matrix_changed = true;
             delta = cluster::PlacementDelta::shape();
         }
@@ -274,7 +261,8 @@ ReplayEngine::apply(const ControlEvent& e)
       case EventKind::ServerCrash: {
         if (e.subject >= 0 &&
             static_cast<std::size_t>(e.subject) < cfg.servers)
-            tracker_.crash(static_cast<std::size_t>(e.subject));
+            state_.tracker.crash(
+                static_cast<std::size_t>(e.subject));
         // The matrix only changes when the liveness ladder later
         // declares the server dead.
         break;
@@ -282,11 +270,12 @@ ReplayEngine::apply(const ControlEvent& e)
       case EventKind::ServerRecover: {
         if (e.subject >= 0 &&
             static_cast<std::size_t>(e.subject) < cfg.servers)
-            tracker_.recover(static_cast<std::size_t>(e.subject));
+            state_.tracker.recover(
+                static_cast<std::size_t>(e.subject));
         break;
       }
       case EventKind::BudgetChange: {
-        budget_scale_ = std::max(0.05, e.value);
+        state_.budgetScale = std::max(0.05, e.value);
         matrix_changed = true;
         if (!topo_changed)
             delta = cluster::PlacementDelta::fullRefresh();
@@ -298,31 +287,34 @@ ReplayEngine::apply(const ControlEvent& e)
     rec.tick = e.tick;
     rec.kind = e.kind;
     rec.subject = e.subject;
-    rec.activeBe = static_cast<std::uint32_t>(active_list_.size());
+    rec.activeBe =
+        static_cast<std::uint32_t>(state_.activeList.size());
     rec.placeableServers = static_cast<std::uint32_t>(alive.size());
 
-    if (matrix_changed && !alive.empty() && !active_list_.empty()) {
+    if (matrix_changed && !alive.empty() &&
+        !state_.activeList.empty()) {
         const BackpressureConfig& bp = cfg.backpressure;
         bool shed_now = false;
         if (bp.enabled) {
             // Re-solves finish in admission order, so the completed
             // prefix of the pending queue drains off the front.
             std::size_t done = 0;
-            while (done < pending_.size() &&
-                   pending_[done] <= e.tick)
+            while (done < state_.pending.size() &&
+                   state_.pending[done] <= e.tick)
                 ++done;
-            pending_.erase(pending_.begin(),
-                           pending_.begin() +
-                               static_cast<std::ptrdiff_t>(done));
-            shed_now = pending_.size() >= bp.window;
+            state_.pending.erase(
+                state_.pending.begin(),
+                state_.pending.begin() +
+                    static_cast<std::ptrdiff_t>(done));
+            shed_now = state_.pending.size() >= bp.window;
         }
 
         // Rows: active BEs in arrival order, shed past the live
         // server count (rows <= cols is a hard solver precond).
-        std::vector<std::size_t> rows = active_list_;
+        std::vector<std::size_t> rows = state_.activeList;
         if (rows.size() > alive.size()) {
             rows.resize(alive.size());
-            degradation_.workShed = true;
+            state_.degradation.workShed = true;
         }
 
         // Each cell is an independent pure call, re-evaluated only
@@ -342,11 +334,12 @@ ReplayEngine::apply(const ControlEvent& e)
                 for (std::size_t c = 0; c < alive.size(); ++c) {
                     const std::size_t srv = alive[c];
                     // NaN (never computed) compares unequal.
-                    if (at[srv] != load_[srv]) {
-                        raw[srv] = cells_(be, srv, load_[srv]);
-                        at[srv] = load_[srv];
+                    const double load = state_.load[srv];
+                    if (at[srv] != load) {
+                        raw[srv] = cells_(be, srv, load);
+                        at[srv] = load;
                     }
-                    row[c] = raw[srv] * budget_scale_;
+                    row[c] = raw[srv] * state_.budgetScale;
                 }
             });
 
@@ -354,18 +347,18 @@ ReplayEngine::apply(const ControlEvent& e)
             [&]() -> Outcome<std::vector<int>> {
             if (shed_now) {
                 rec.shed = true;
-                ++sheds_;
-                ++dirty_sheds_;
+                ++state_.sheds;
+                ++state_.dirtySheds;
                 return placer_.shed(matrix);
             }
-            if (bp.enabled && dirty_sheds_ > 0) {
+            if (bp.enabled && state_.dirtySheds > 0) {
                 // The shed events mutated the modeled state without
                 // a solve; this admitted re-solve coalesces all of
                 // them (LoadShift-last-wins: the state holds only
                 // the latest level) under one shape re-sync.
                 delta = cluster::PlacementDelta::shape();
-                coalesced_ += dirty_sheds_;
-                dirty_sheds_ = 0;
+                state_.coalesced += state_.dirtySheds;
+                state_.dirtySheds = 0;
             }
             Outcome<std::vector<int>> out =
                 cfg.forceCold
@@ -375,25 +368,26 @@ ReplayEngine::apply(const ControlEvent& e)
                 // The master is busy until its queue drains; this
                 // re-solve starts after the last admitted one.
                 const SimTime busy_from =
-                    pending_.empty()
+                    state_.pending.empty()
                         ? e.tick
-                        : std::max(e.tick, pending_.back());
-                pending_.push_back(busy_from + bp.resolveCost);
+                        : std::max(e.tick, state_.pending.back());
+                state_.pending.push_back(busy_from +
+                                         bp.resolveCost);
             }
             return out;
         }();
         if (bp.enabled)
-            max_queue_depth_ =
-                std::max(max_queue_depth_, pending_.size());
+            state_.maxQueueDepth = std::max(state_.maxQueueDepth,
+                                            state_.pending.size());
 
         rec.tier = placed.tier;
         rec.attempts = placed.attempts;
         rec.objective = cluster::placementValue(matrix, placed.value);
         rec.assignmentFingerprint = hashAssignment(placed.value);
-        worst_ = worseTier(worst_, placed.tier);
-        total_attempts_ += placed.attempts;
-        degradation_ |= placed.degradation;
-        ++resolves_;
+        state_.worst = worseTier(state_.worst, placed.tier);
+        state_.attempts += placed.attempts;
+        state_.degradation |= placed.degradation;
+        ++state_.resolves;
 
         if (telemetry_ != nullptr) {
             for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -404,44 +398,27 @@ ReplayEngine::apply(const ControlEvent& e)
                 const std::size_t srv = alive[c];
                 sim::TelemetrySample sample;
                 sample.when = e.tick;
-                sample.lcLoad = Rps(load_[srv]);
+                sample.lcLoad = Rps(state_.load[srv]);
                 sample.beThroughput = Rps(matrix(i, c));
-                sample.power = Watts(tracker_.granted(srv).value() *
-                                     load_[srv]);
+                sample.power =
+                    Watts(state_.tracker.granted(srv).value() *
+                          state_.load[srv]);
                 telemetry_->appendDelta(srv, {sample},
-                                        tracker_.granted(srv));
+                                        state_.tracker.granted(srv));
             }
         }
     }
 
-    records_.push_back(rec);
-    prev_alive_ = std::move(alive);
-    ++applied_;
+    state_.records.push_back(rec);
+    state_.prevAlive = std::move(alive);
+    ++state_.lsn;
 }
 
 CtrlCheckpoint
 ReplayEngine::checkpoint() const
 {
     POCO_REQUIRE(!finished_, "replay engine already finished");
-    CtrlCheckpoint cp(tracker_);
-    cp.lsn = applied_;
-    cp.tick = last_tick_;
-    cp.active = active_;
-    cp.activeList = active_list_;
-    cp.load = load_;
-    cp.budgetScale = budget_scale_;
-    cp.prevAlive = prev_alive_;
-    cp.records = records_;
-    cp.resolves = resolves_;
-    cp.sheds = sheds_;
-    cp.coalesced = coalesced_;
-    cp.maxQueueDepth = max_queue_depth_;
-    cp.worst = worst_;
-    cp.attempts = total_attempts_;
-    cp.degradation = degradation_;
-    cp.pending = pending_;
-    cp.dirtySheds = dirty_sheds_;
-    return cp;
+    return state_;
 }
 
 Outcome<CtrlRollup>
@@ -453,23 +430,24 @@ ReplayEngine::finish(SimTime horizon)
     if (telemetry_ != nullptr)
         telemetry_->sealEpoch(0, horizon + 1);
 
-    POCO_ASSERT(tracker_.conservesBudget(),
+    POCO_ASSERT(state_.tracker.conservesBudget(),
                 "heartbeat tracker leaked budget");
 
     CtrlRollup roll;
-    roll.records = std::move(records_);
-    roll.resolves = resolves_;
-    roll.sheds = sheds_;
-    roll.coalesced = coalesced_;
-    roll.maxQueueDepth = max_queue_depth_;
+    roll.records = std::move(state_.records);
+    roll.resolves = state_.resolves;
+    roll.sheds = state_.sheds;
+    roll.coalesced = state_.coalesced;
+    roll.maxQueueDepth = state_.maxQueueDepth;
     roll.solver = placer_.stats();
-    roll.heartbeat = tracker_.stats();
-    roll.budgetPool = tracker_.pool();
-    roll.livenessFingerprint = tracker_.fingerprint();
+    roll.heartbeat = state_.tracker.stats();
+    roll.budgetPool = state_.tracker.pool();
+    roll.livenessFingerprint = state_.tracker.fingerprint();
     roll.fingerprint = rollupFingerprint(roll, /*semantic=*/false);
     roll.semanticFingerprint =
         rollupFingerprint(roll, /*semantic=*/true);
-    return {std::move(roll), worst_, total_attempts_, degradation_};
+    return {std::move(roll), state_.worst, state_.attempts,
+            state_.degradation};
 }
 
 ControlPlane::ControlPlane(CellModel cells,
@@ -479,14 +457,7 @@ ControlPlane::ControlPlane(CellModel cells,
 {
     POCO_REQUIRE(static_cast<bool>(cells_),
                  "control plane needs a cell model");
-    POCO_REQUIRE(config_.servers > 0,
-                 "control plane needs at least one server");
-    POCO_REQUIRE(config_.bePool > 0,
-                 "control plane needs a BE candidate pool");
-    POCO_REQUIRE(config_.initialLoad > 0.0 &&
-                     config_.initialLoad <= 1.0,
-                 "initialLoad must be in (0, 1]");
-    config_.initialBe = std::min(config_.initialBe, config_.bePool);
+    validateControlPlaneConfig(config_);
 }
 
 Outcome<CtrlRollup>

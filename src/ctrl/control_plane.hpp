@@ -106,14 +106,18 @@ struct BackpressureConfig
     SimTime resolveCost = 100 * kMillisecond;
 };
 
-/** Cluster shape and initial conditions for a control-plane run. */
+/**
+ * Cluster shape and initial conditions for a control-plane run.
+ * Range-checked in one place, validateControlPlaneConfig.
+ */
 struct ControlPlaneConfig
 {
     /** Servers under management (heartbeat-tracked, columns). */
     std::size_t servers = 4;
     /** BE candidate pool BeArrive draws from (rows). */
     std::size_t bePool = 4;
-    /** Candidates active at tick 0 (clipped to bePool). */
+    /** Candidates active at tick 0 (clipped to bePool by
+     *  CtrlCheckpoint::initial). */
     std::size_t initialBe = 4;
     /** LC load fraction every server starts at. */
     double initialLoad = 0.5;
@@ -131,6 +135,15 @@ struct ControlPlaneConfig
      */
     bool forceCold = false;
 };
+
+/**
+ * The one range check every entry point runs (ControlPlane,
+ * MasterGroup, ReplayEngine): servers >= 1, bePool >= 1, initialLoad
+ * in (0, 1], and with backpressure on, window >= 1 and a positive
+ * resolveCost. Throws FatalError otherwise. The heartbeat fields are
+ * HeartbeatTracker's to check; initialBe is clipped, never rejected.
+ */
+void validateControlPlaneConfig(const ControlPlaneConfig& config);
 
 /** What one event did to the system (one rollup line per event). */
 struct EventRecord
@@ -199,19 +212,30 @@ struct CtrlRollup
  * A master's cheap durable state after applying events [0, lsn):
  * the heartbeat ledger (checkpoint-by-copy, see heartbeat.hpp), the
  * modeled cluster state, the partial rollup, and the backpressure
- * queue. Deliberately NOT checkpointed: the IncrementalPlacer's
- * engines and memo, and the engine's cell cache — pure accelerators
- * a restored master re-arms from scratch. Exactness of every rung
- * and purity of the CellModel keep every objective equal in value;
- * assignments and objectives are bit-identical when every optimum
- * is unique (on ties a cold placer may pick another optimum, whose
- * row-order sum may differ in the last bit), and tiers differ.
+ * queue. This is also the ReplayEngine's live state — the engine
+ * holds exactly one CtrlCheckpoint and no other durable member, so
+ * checkpoint() is a copy and restoring is construction from one.
+ * Deliberately NOT part of it: the IncrementalPlacer's engines and
+ * memo, and the engine's cell cache — pure accelerators a restored
+ * master re-arms from scratch. Exactness of every rung and purity of
+ * the CellModel keep every objective equal in value; assignments and
+ * objectives are bit-identical when every optimum is unique (on ties
+ * a cold placer may pick another optimum, whose row-order sum may
+ * differ in the last bit), and tiers differ.
  */
 struct CtrlCheckpoint
 {
     explicit CtrlCheckpoint(HeartbeatTracker tracker_state)
         : tracker(std::move(tracker_state))
     {}
+
+    /**
+     * The LSN-0 state for @p config: every server registered,
+     * candidates [0, min(initialBe, bePool)) active — the one place
+     * initialBe is clipped — and every load at initialLoad. The
+     * engine that restores it validates the config.
+     */
+    static CtrlCheckpoint initial(const ControlPlaneConfig& config);
 
     /** Events [0, lsn) are reflected in this state. */
     std::size_t lsn = 0;
@@ -244,24 +268,32 @@ struct CtrlCheckpoint
 /**
  * The per-event replay state machine. Apply events one at a time,
  * checkpoint() at any LSN boundary, restore from a checkpoint and
- * keep applying, finish() exactly once for the rollup. Not copyable
- * or movable (the placer's memo holds a lock); MasterGroup
- * heap-allocates one per live master.
+ * keep applying, finish() exactly once for the rollup. Its durable
+ * state is one CtrlCheckpoint value: apply() and finish() read and
+ * write it, checkpoint() copies it, and a fresh engine is a restore
+ * from CtrlCheckpoint::initial. Not copyable or movable (the
+ * placer's memo holds a lock); MasterGroup heap-allocates one per
+ * live master.
  */
 class ReplayEngine
 {
   public:
-    /** Fresh engine: state as of LSN 0 (nothing applied). */
+    /** Fresh engine: restored from CtrlCheckpoint::initial(config). */
     ReplayEngine(const CellModel& cells,
                  const ControlPlaneConfig& config,
                  cluster::SolverContext context,
                  sim::TelemetryAggregator* telemetry = nullptr);
 
-    /** Restored engine: state as of @p checkpoint (solver cold). */
+    /**
+     * Restored engine: state as of @p checkpoint (solver and cell
+     * cache cold). Throws FatalError when @p config fails
+     * validateControlPlaneConfig or the checkpoint was taken under
+     * another shape (servers, bePool).
+     */
     ReplayEngine(const CellModel& cells,
                  const ControlPlaneConfig& config,
                  cluster::SolverContext context,
-                 const CtrlCheckpoint& checkpoint,
+                 CtrlCheckpoint checkpoint,
                  sim::TelemetryAggregator* telemetry = nullptr);
 
     ReplayEngine(const ReplayEngine&) = delete;
@@ -271,9 +303,9 @@ class ReplayEngine
     void apply(const ControlEvent& event);
 
     /** Events applied so far — the engine's LSN. */
-    std::size_t applied() const { return applied_; }
+    std::size_t applied() const { return state_.lsn; }
 
-    /** Snapshot the cheap state (see CtrlCheckpoint). */
+    /** A copy of the durable state (see CtrlCheckpoint). */
     CtrlCheckpoint checkpoint() const;
 
     /** Pre-size the record vector (log length known up front). */
@@ -295,15 +327,8 @@ class ReplayEngine
     cluster::SolverContext context_;
     sim::TelemetryAggregator* telemetry_;
     cluster::IncrementalPlacer placer_;
-    HeartbeatTracker tracker_;
-
-    std::size_t applied_ = 0;
-    SimTime last_tick_ = 0;
-    std::vector<char> active_;
-    std::vector<std::size_t> active_list_;
-    std::vector<double> load_;
-    double budget_scale_ = 1.0;
-    std::vector<std::size_t> prev_alive_;
+    /** Everything durable; nothing else survives a failover. */
+    CtrlCheckpoint state_;
     /**
      * Resident cell cache, bePool x servers row-major: the raw cell
      * value and the load it was computed at (NaN: never computed).
@@ -311,18 +336,6 @@ class ReplayEngine
      */
     std::vector<double> cell_raw_;
     std::vector<double> cell_load_;
-
-    std::vector<EventRecord> records_;
-    std::size_t resolves_ = 0;
-    std::size_t sheds_ = 0;
-    std::size_t coalesced_ = 0;
-    std::size_t max_queue_depth_ = 0;
-    SolverTier worst_ = SolverTier::None;
-    int total_attempts_ = 0;
-    Degradation degradation_;
-
-    std::vector<SimTime> pending_;
-    std::size_t dirty_sheds_ = 0;
     bool finished_ = false;
 };
 

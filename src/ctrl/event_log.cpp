@@ -187,21 +187,6 @@ EventLog::horizon() const
     return events_.empty() ? 0 : events_.back().tick;
 }
 
-EventLog
-EventLog::suffixFrom(std::size_t lsn) const
-{
-    POCO_REQUIRE(lsn <= events_.size(),
-                 "replay LSN past the end of the log");
-    EventLog tail;
-    // The suffix of a sorted log is sorted; copy it verbatim rather
-    // than re-sorting through fromEvents (which could reorder
-    // same-tick events relative to the prefix the caller applied).
-    tail.events_.assign(events_.begin() +
-                            static_cast<std::ptrdiff_t>(lsn),
-                        events_.end());
-    return tail;
-}
-
 std::uint64_t
 EventLog::fingerprint() const
 {

@@ -113,17 +113,6 @@ class EventLog
     /** Last event's tick (0 for an empty log). */
     SimTime horizon() const;
 
-    /**
-     * The log's tail starting at position @p lsn — the replay-from-
-     * LSN seam for checkpoint recovery: a master that checkpointed
-     * after applying events [0, lsn) catches up by replaying exactly
-     * suffixFrom(lsn). LSNs are positions, not ticks, so a
-     * checkpoint taken between two same-tick events splits the
-     * burst exactly where the primary stopped. lsn == size() yields
-     * an empty log; lsn > size() is a caller error (throws).
-     */
-    EventLog suffixFrom(std::size_t lsn) const;
-
     /** FNV-1a over every event's fields (replay identity checks). */
     [[nodiscard]] std::uint64_t fingerprint() const;
 

@@ -74,9 +74,7 @@ MasterGroup::MasterGroup(CellModel cells, ControlPlaneConfig config,
                  "master group needs at least one master");
     POCO_REQUIRE(group_.checkpointEvery >= 1,
                  "checkpoint cadence must be at least 1 event");
-    POCO_REQUIRE(config_.servers > 0 && config_.bePool > 0,
-                 "master group needs servers and a BE pool");
-    config_.initialBe = std::min(config_.initialBe, config_.bePool);
+    validateControlPlaneConfig(config_);
 }
 
 Outcome<MasterGroupRollup>

@@ -125,17 +125,8 @@ FleetEvaluator::FleetEvaluator(std::vector<FleetServer> servers,
     // One pool for everything: the per-cluster tasks and each
     // cluster's internal parallelism. Helping joins make the nesting
     // safe on any pool size.
-    if (config_.pool != nullptr) {
-        pool_ = config_.pool;
-    } else if (config_.threads == 1) {
-        pool_ = nullptr;
-    } else if (config_.threads <= 0) {
-        pool_ = &runtime::ThreadPool::global();
-    } else {
-        owned_pool_ = std::make_unique<runtime::ThreadPool>(
-            static_cast<unsigned>(config_.threads));
-        pool_ = owned_pool_.get();
-    }
+    pool_ = runtime::selectPool(config_.pool, config_.threads,
+                                owned_pool_);
 
     slot_base_.resize(clusters_.size());
     std::size_t slots = 0;

@@ -58,6 +58,20 @@ ThreadPool::global()
     return *pool;
 }
 
+ThreadPool*
+selectPool(ThreadPool* borrowed, int threads,
+           std::unique_ptr<ThreadPool>& owned)
+{
+    if (borrowed != nullptr)
+        return borrowed;
+    if (threads == 1)
+        return nullptr;
+    if (threads <= 0)
+        return &ThreadPool::global();
+    owned = std::make_unique<ThreadPool>(static_cast<unsigned>(threads));
+    return owned.get();
+}
+
 void
 ThreadPool::submit(std::function<void()> task)
 {

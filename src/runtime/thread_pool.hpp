@@ -119,6 +119,16 @@ class ThreadPool
 };
 
 /**
+ * The one rule mapping a `threads` setting to the pool work runs on:
+ * a @p borrowed pool wins; 1 runs serial (null); <= 0 uses the shared
+ * global(); N > 1 builds a dedicated N-worker pool into @p owned,
+ * which the caller keeps alive for as long as it uses the result.
+ * No result depends on the choice.
+ */
+ThreadPool* selectPool(ThreadPool* borrowed, int threads,
+                       std::unique_ptr<ThreadPool>& owned);
+
+/**
  * A set of tasks joined as a unit ("structured concurrency").
  *
  * run() spawns onto the pool (or runs inline when the pool is null);

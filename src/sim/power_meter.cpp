@@ -33,18 +33,11 @@ PowerMeter::setPower(SimTime when, Watts watts)
 void
 PowerMeter::prune(SimTime now)
 {
-    // Fold segments that ended before (now - retention) into the
-    // energy accumulator so window queries stay O(window changes).
+    // Drop segments that ended before (now - retention) so window
+    // queries stay O(window changes).
     const SimTime horizon = now - retention_;
-    while (history_.size() > 1 && history_[1].start <= horizon) {
-        const Segment& first = history_.front();
-        const SimTime end = history_[1].start;
-        folded_joules_ +=
-            first.watts * simSeconds(end - std::max(first.start,
-                                                    folded_until_));
-        folded_until_ = end;
+    while (history_.size() > 1 && history_[1].start <= horizon)
         history_.pop_front();
-    }
 }
 
 Watts
@@ -68,24 +61,6 @@ PowerMeter::average(SimTime now, SimTime window) const
             joules += history_[i].watts * simSeconds(hi - lo);
     }
     return joules / simSeconds(now - begin);
-}
-
-Joules
-PowerMeter::energyJoules(SimTime now) const
-{
-    POCO_REQUIRE(now >= last_change_,
-                 "query time precedes last recorded change");
-    Joules joules = folded_joules_;
-    for (std::size_t i = 0; i < history_.size(); ++i) {
-        const SimTime seg_start =
-            std::max(history_[i].start, folded_until_);
-        const SimTime seg_end =
-            (i + 1 < history_.size()) ? history_[i + 1].start : now;
-        if (seg_end > seg_start)
-            joules +=
-                history_[i].watts * simSeconds(seg_end - seg_start);
-    }
-    return joules;
 }
 
 } // namespace poco::sim

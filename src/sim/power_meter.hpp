@@ -5,8 +5,9 @@
  * Plays the role of the paper's socket power meter: the server's
  * instantaneous power is a step function of time (it changes only when
  * an allocation or load changes), and managers query the average draw
- * over a trailing window (the BE throttler samples every 100 ms). The
- * meter also integrates total energy for the TCO analysis.
+ * over a trailing window (the BE throttler samples every 100 ms). It
+ * keeps only the retained history those window queries read; the
+ * server's energy total is ColocatedServer's own integral.
  */
 
 #pragma once
@@ -18,13 +19,13 @@
 namespace poco::sim
 {
 
-/** Integrates a piecewise-constant power signal over simulated time. */
+/** Windowed averages of a piecewise-constant power signal. */
 class PowerMeter
 {
   public:
     /**
      * @param retention How much history to keep for window queries.
-     *                  Older segments are folded into the energy total.
+     *                  Older segments are dropped.
      */
     explicit PowerMeter(SimTime retention = 10 * kSecond);
 
@@ -45,9 +46,6 @@ class PowerMeter
      */
     Watts average(SimTime now, SimTime window) const;
 
-    /** Total energy from time zero through @p now. */
-    Joules energyJoules(SimTime now) const;
-
   private:
     struct Segment
     {
@@ -60,9 +58,6 @@ class PowerMeter
     SimTime retention_;
     Watts current_;
     SimTime last_change_ = 0;
-    /** Energy accumulated in segments older than the history. */
-    Joules folded_joules_;
-    SimTime folded_until_ = 0;
     std::deque<Segment> history_;
 };
 

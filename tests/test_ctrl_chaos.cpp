@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ctrl/control_plane.hpp"
@@ -24,7 +25,6 @@
 #include "fleet/fleet_evaluator.hpp"
 #include "fleet/scenario_fleet.hpp"
 #include "runtime/thread_pool.hpp"
-#include "util/check.hpp"
 #include "util/milliwatts.hpp"
 #include "wl/registry.hpp"
 
@@ -124,43 +124,7 @@ oracleRun(const EventLog& log,
     return plane.replay(log);
 }
 
-// ---- replay-from-LSN seams (satellite: EventLog::suffixFrom) ----
-
-TEST(CtrlChaos, SuffixFromBoundaries)
-{
-    std::vector<ControlEvent> events;
-    for (int i = 0; i < 3; ++i) {
-        ControlEvent e;
-        e.tick = 5 * kSecond; // a same-tick burst
-        e.kind = EventKind::LoadShift;
-        e.subject = i;
-        e.value = 0.2 + 0.1 * i;
-        events.push_back(e);
-    }
-    ControlEvent late;
-    late.tick = 9 * kSecond;
-    late.kind = EventKind::BudgetChange;
-    late.value = 0.7;
-    events.push_back(late);
-    const EventLog log = EventLog::fromEvents(events);
-
-    // Whole log back.
-    EXPECT_EQ(log.suffixFrom(0).fingerprint(), log.fingerprint());
-
-    // A mid-burst LSN splits the same-tick volley positionally:
-    // the suffix starts at exactly the event the primary had not
-    // yet applied, not at the next tick.
-    const EventLog mid = log.suffixFrom(2);
-    ASSERT_EQ(mid.size(), 2u);
-    EXPECT_EQ(mid.events()[0].tick, 5 * kSecond);
-    EXPECT_EQ(mid.events()[0].subject, 2);
-    EXPECT_EQ(mid.events()[1].kind, EventKind::BudgetChange);
-
-    // lsn == size: empty suffix, not an error.
-    EXPECT_TRUE(log.suffixFrom(log.size()).empty());
-    // Past the end is a caller bug.
-    EXPECT_THROW(log.suffixFrom(log.size() + 1), FatalError);
-}
+// ---- replay-from-LSN seams ------------------------------------
 
 TEST(CtrlChaos, CheckpointRoundTripPreservesFingerprint)
 {
@@ -186,40 +150,63 @@ TEST(CtrlChaos, CheckpointRoundTripPreservesFingerprint)
 
 TEST(CtrlChaos, ReplayFromLsnMatchesOracle)
 {
-    const EventLog log = EventLog::generate(stormConfig(111));
-    const ControlPlaneConfig config = planeConfig();
-    const auto oracle = oracleRun(log, config);
+    // Cut at every LSN of two logs: a plain storm, and a
+    // backpressured one dense enough to shed, so that cuts land with
+    // re-solves in flight and with shed debt outstanding.
+    EventLogConfig dense = stormConfig(171);
+    dense.loadShiftRate = 8.0;
+    ControlPlaneConfig throttled = planeConfig();
+    throttled.backpressure.enabled = true;
+    throttled.backpressure.window = 3;
+    throttled.backpressure.resolveCost = 400 * kMillisecond;
 
-    for (const std::size_t lsn :
-         {std::size_t{0}, log.size() / 3, log.size()}) {
+    const std::vector<std::pair<EventLog, ControlPlaneConfig>> cases = {
+        {EventLog::generate(stormConfig(111)), planeConfig()},
+        {EventLog::generate(dense), throttled}};
+    bool saved_pending = false;
+    bool saved_debt = false;
+    for (const auto& [log, config] : cases) {
+        const CtrlRollup oracle = oracleRun(log, config).value;
         ReplayEngine primary(syntheticCell, config, {});
-        for (std::size_t i = 0; i < lsn; ++i)
-            primary.apply(log.events()[i]);
+        for (std::size_t lsn = 0; lsn <= log.size(); ++lsn) {
+            if (lsn > 0)
+                primary.apply(log.events()[lsn - 1]);
+            const CtrlCheckpoint saved = primary.checkpoint();
+            saved_pending = saved_pending || !saved.pending.empty();
+            saved_debt = saved_debt || saved.dirtySheds > 0;
 
-        ReplayEngine restored(syntheticCell, config, {},
-                              primary.checkpoint());
-        const EventLog tail = log.suffixFrom(lsn);
-        for (const ControlEvent& e : tail.events())
-            restored.apply(e);
-        const auto outcome = restored.finish(log.horizon());
+            ReplayEngine restored(syntheticCell, config, {}, saved);
+            ASSERT_EQ(restored.checkpoint().fingerprint(),
+                      saved.fingerprint())
+                << "restored at LSN " << lsn;
+            for (std::size_t i = lsn; i < log.size(); ++i)
+                restored.apply(log.events()[i]);
+            const CtrlRollup roll =
+                restored.finish(log.horizon()).value;
 
-        ASSERT_EQ(outcome.value.records.size(), log.size())
-            << "restored at LSN " << lsn;
-        EXPECT_EQ(outcome.value.semanticFingerprint,
-                  oracle.value.semanticFingerprint)
-            << "restored at LSN " << lsn;
-        EXPECT_EQ(outcome.value.livenessFingerprint,
-                  oracle.value.livenessFingerprint);
-        EXPECT_EQ(toMilliwatts(outcome.value.budgetPool),
-                  toMilliwatts(oracle.value.budgetPool))
-            << "budget must survive the handoff to the milliwatt";
-        if (lsn == log.size()) {
-            // Nothing was re-solved cold, so even the tier-bearing
-            // full fingerprint must match.
-            EXPECT_EQ(outcome.value.fingerprint,
-                      oracle.value.fingerprint);
+            ASSERT_EQ(roll.records.size(), log.size())
+                << "restored at LSN " << lsn;
+            EXPECT_EQ(roll.semanticFingerprint,
+                      oracle.semanticFingerprint)
+                << "restored at LSN " << lsn;
+            EXPECT_EQ(roll.livenessFingerprint,
+                      oracle.livenessFingerprint);
+            EXPECT_EQ(toMilliwatts(roll.budgetPool),
+                      toMilliwatts(oracle.budgetPool))
+                << "budget must survive the handoff to the milliwatt";
+            EXPECT_EQ(roll.sheds, oracle.sheds);
+            EXPECT_EQ(roll.coalesced, oracle.coalesced);
+            EXPECT_EQ(roll.maxQueueDepth, oracle.maxQueueDepth);
+            if (lsn == log.size()) {
+                // Nothing was re-solved cold, so even the
+                // tier-bearing full fingerprint must match.
+                EXPECT_EQ(roll.fingerprint, oracle.fingerprint);
+            }
         }
     }
+    EXPECT_TRUE(saved_pending)
+        << "no cut saved a re-solve in flight";
+    EXPECT_TRUE(saved_debt) << "no cut saved shed debt";
 }
 
 // ---- master failover (tentpole) ---------------------------------

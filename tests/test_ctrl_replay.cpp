@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "ctrl/control_plane.hpp"
@@ -23,6 +25,7 @@
 #include "fleet/fleet_evaluator.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/telemetry_rollup.hpp"
+#include "util/check.hpp"
 #include "wl/registry.hpp"
 
 namespace poco::ctrl
@@ -304,6 +307,84 @@ TEST(CtrlReplay, CellCacheKeepsFingerprintsAcrossThreadsAndFailover)
     EXPECT_TRUE(failed_over.value.failovers[0].restored);
     EXPECT_EQ(failed_over.value.rollup.semanticFingerprint,
               oracle.value.semanticFingerprint);
+}
+
+TEST(CtrlReplay, RejectsInvalidConfigOnEveryEntryPoint)
+{
+    using Edit = void (*)(ControlPlaneConfig&);
+    const Edit invalid[] = {
+        [](ControlPlaneConfig& c) { c.servers = 0; },
+        [](ControlPlaneConfig& c) { c.bePool = 0; },
+        [](ControlPlaneConfig& c) { c.initialLoad = 0.0; },
+        [](ControlPlaneConfig& c) { c.initialLoad = 1.5; },
+        [](ControlPlaneConfig& c) {
+            c.initialLoad = std::numeric_limits<double>::quiet_NaN();
+        },
+        [](ControlPlaneConfig& c) {
+            c.backpressure.enabled = true;
+            c.backpressure.window = 0;
+        },
+        [](ControlPlaneConfig& c) {
+            c.backpressure.enabled = true;
+            c.backpressure.resolveCost = 0;
+        },
+    };
+    const CtrlCheckpoint valid =
+        ReplayEngine(syntheticCell, planeConfig(), {}).checkpoint();
+    for (std::size_t k = 0; k < std::size(invalid); ++k) {
+        ControlPlaneConfig config = planeConfig();
+        invalid[k](config);
+        EXPECT_THROW(ControlPlane plane(syntheticCell, config),
+                     FatalError)
+            << "case " << k;
+        EXPECT_THROW(MasterGroup group(syntheticCell, config,
+                                       MasterGroupConfig{}),
+                     FatalError)
+            << "case " << k;
+        EXPECT_THROW(ReplayEngine fresh(syntheticCell, config, {}),
+                     FatalError)
+            << "case " << k;
+        EXPECT_THROW(
+            ReplayEngine restored(syntheticCell, config, {}, valid),
+            FatalError)
+            << "case " << k;
+    }
+
+    // A checkpoint only restores under the shape it was taken in.
+    ControlPlaneConfig wider = planeConfig();
+    ++wider.servers;
+    ControlPlaneConfig deeper = planeConfig();
+    ++deeper.bePool;
+    EXPECT_THROW(ReplayEngine restored(syntheticCell, wider, {}, valid),
+                 FatalError);
+    EXPECT_THROW(ReplayEngine restored(syntheticCell, deeper, {}, valid),
+                 FatalError);
+
+    // initialBe past the pool is clipped, not rejected: the run is
+    // the one with every candidate active, on both entry points.
+    const EventLog log = EventLog::generate(stormConfig(131));
+    ControlPlaneConfig full = planeConfig();
+    full.initialBe = full.bePool;
+    ControlPlaneConfig over = full;
+    over.initialBe = full.bePool + 3;
+    fault::FaultWindow kill;
+    kill.kind = fault::FaultKind::MasterKill;
+    kill.server = 0;
+    kill.start = 10 * kSecond;
+    kill.end = 30 * kSecond;
+    const fault::FaultPlan faults = fault::FaultPlan::fromWindows({kill});
+    const auto planeRun = [&](const ControlPlaneConfig& config) {
+        return ControlPlane(syntheticCell, config).replay(log).value;
+    };
+    const auto groupRun = [&](const ControlPlaneConfig& config) {
+        return MasterGroup(syntheticCell, config, MasterGroupConfig{})
+            .run(log, faults)
+            .value;
+    };
+    EXPECT_EQ(planeRun(over).fingerprint, planeRun(full).fingerprint);
+    const MasterGroupRollup group_over = groupRun(over);
+    ASSERT_GE(group_over.failovers.size(), 1u);
+    EXPECT_EQ(group_over.fingerprint, groupRun(full).fingerprint);
 }
 
 TEST(CtrlReplay, FaultPlanLowersToCrashRecoverPairs)

@@ -156,16 +156,7 @@ TEST(PowerMeter, AverageOverLeadingZeroHistory)
     EXPECT_NEAR(meter.average(3 * kSecond, 2 * kSecond).value(), 50.0, 1e-9);
 }
 
-TEST(PowerMeter, EnergyIntegral)
-{
-    PowerMeter meter;
-    meter.setPower(0, Watts{100.0});
-    meter.setPower(10 * kSecond, Watts{50.0});
-    // 100 W * 10 s + 50 W * 5 s = 1250 J.
-    EXPECT_NEAR(meter.energyJoules(15 * kSecond).value(), 1250.0, 1e-6);
-}
-
-TEST(PowerMeter, EnergySurvivesPruning)
+TEST(PowerMeter, AverageSurvivesPruning)
 {
     PowerMeter meter(/*retention=*/kSecond);
     Watts level{10.0};
@@ -173,8 +164,6 @@ TEST(PowerMeter, EnergySurvivesPruning)
         meter.setPower(t, level);
         level = (level == Watts{10.0}) ? Watts{20.0} : Watts{10.0};
     }
-    // Alternating 10/20 W for 100 s -> 1500 J.
-    EXPECT_NEAR(meter.energyJoules(100 * kSecond).value(), 1500.0, 1e-6);
     // Window query still works on the retained tail (the last
     // segment, set at t=99 s, is 20 W).
     EXPECT_NEAR(meter.average(100 * kSecond, kSecond).value(), 20.0, 1e-9);

@@ -84,27 +84,17 @@ struct Options
 };
 
 /**
- * The pool standalone (non-evaluator) commands run on: null when
- * serial was requested, the shared pool for the hardware default,
- * or a dedicated pool for an explicit width.
+ * The pool standalone (non-evaluator) commands run on, chosen by
+ * runtime::selectPool from --threads.
  */
 struct CliPool
 {
     explicit CliPool(const Options& options)
-    {
-        if (options.threads == 1)
-            return;
-        if (options.threads <= 0) {
-            pool = &runtime::ThreadPool::global();
-            return;
-        }
-        owned = std::make_unique<runtime::ThreadPool>(
-            static_cast<unsigned>(options.threads));
-        pool = owned.get();
-    }
+        : pool(runtime::selectPool(nullptr, options.threads, owned))
+    {}
 
     std::unique_ptr<runtime::ThreadPool> owned;
-    runtime::ThreadPool* pool = nullptr;
+    runtime::ThreadPool* pool;
 };
 
 int
