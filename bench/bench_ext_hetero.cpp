@@ -258,7 +258,7 @@ main(int argc, char** argv)
     bool identical = true;
 
     TextTable fleet_table({"threads", "fingerprint", "wall s",
-                           "fold s", "total BE thr (rps)"});
+                           "total BE thr (rps)"});
     bench::Json fleet_rows = bench::Json::array();
     for (const int threads : {1, 2, 4}) {
         const FleetRun run = threads == 1
@@ -271,14 +271,12 @@ main(int argc, char** argv)
                       static_cast<unsigned long long>(fp));
         fleet_table.addRow(
             {std::to_string(threads), fp_hex, fmt(run.wallSeconds, 3),
-             fmt(run.rollup.aggregatorSeconds, 4),
              fmt(run.rollup.totalBeThroughput.value(), 1)});
         fleet_rows.push(
             bench::Json::object()
                 .integer("threads", threads)
                 .hex("fingerprint", fp)
                 .num("wall_seconds", run.wallSeconds)
-                .num("fold_seconds", run.rollup.aggregatorSeconds)
                 .num("total_be_throughput_rps",
                      run.rollup.totalBeThroughput.value()));
     }

@@ -42,7 +42,6 @@
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/telemetry.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -472,56 +471,6 @@ BM_PerformanceMatrix(benchmark::State& state)
     }
 }
 BENCHMARK(BM_PerformanceMatrix);
-
-/**
- * Windowed telemetry queries: since() and the averages binary-search
- * for the window start (lower_bound) instead of scanning, so a query
- * over the recent tail of a long history is O(log n + window).
- */
-void
-BM_TelemetrySince(benchmark::State& state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    sim::TelemetryRecorder recorder(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        sim::TelemetrySample sample;
-        sample.when = static_cast<SimTime>(i) * 100 * kMillisecond;
-        sample.power = Watts{100.0 + static_cast<double>(i % 50)};
-        recorder.record(sample);
-    }
-    // Query the trailing 64-sample window of the full history.
-    const SimTime since =
-        static_cast<SimTime>(n - 64) * 100 * kMillisecond;
-    for (auto _ : state) {
-        auto window = recorder.since(since);
-        benchmark::DoNotOptimize(window);
-    }
-    state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_TelemetrySince)
-    ->RangeMultiplier(8)
-    ->Range(1 << 10, 1 << 19)
-    ->Complexity(benchmark::oLogN);
-
-void
-BM_TelemetryAveragePower(benchmark::State& state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    sim::TelemetryRecorder recorder(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        sim::TelemetrySample sample;
-        sample.when = static_cast<SimTime>(i) * 100 * kMillisecond;
-        sample.power = Watts{100.0 + static_cast<double>(i % 50)};
-        recorder.record(sample);
-    }
-    const SimTime since =
-        static_cast<SimTime>(n - 64) * 100 * kMillisecond;
-    for (auto _ : state) {
-        auto mean = recorder.averagePower(since);
-        benchmark::DoNotOptimize(mean);
-    }
-}
-BENCHMARK(BM_TelemetryAveragePower)->Arg(1 << 10)->Arg(1 << 19);
 
 void
 BM_RngSplit(benchmark::State& state)

@@ -152,9 +152,8 @@ struct FleetConfig
     /** Move unused per-cluster budget to capped clusters each epoch. */
     bool redistributeBudget = true;
     /**
-     * Ignored: telemetry always folds inline at the end of each
-     * epoch. Still declared only because
-     * benchmark/src/streaming.cpp:731 reads it.
+     * Ignored: no telemetry fold runs asynchronously. Still declared
+     * only because benchmark/src/streaming.cpp:731 reads it.
      */
     bool asyncTelemetry = true;
 

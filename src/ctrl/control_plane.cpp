@@ -465,7 +465,7 @@ ControlPlane::replay(const EventLog& log)
 {
     // Fresh engine every replay: the identity contract is that two
     // replays of one log agree bit-for-bit, tier counters included.
-    ReplayEngine engine(cells_, config_, context_, telemetry_);
+    ReplayEngine engine(cells_, config_, context_);
     engine.reserveRecords(log.size());
     for (const ControlEvent& e : log.events())
         engine.apply(e);

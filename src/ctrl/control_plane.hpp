@@ -278,7 +278,14 @@ struct CtrlCheckpoint
 class ReplayEngine
 {
   public:
-    /** Fresh engine: restored from CtrlCheckpoint::initial(config). */
+    /**
+     * Fresh engine: restored from CtrlCheckpoint::initial(config).
+     *
+     * @param telemetry Optional sink: each re-placement appends one
+     *        delta sample per placed server (appendDelta), and
+     *        finish() seals one epoch. It must cover config.servers
+     *        slots and is the caller's to drain.
+     */
     ReplayEngine(const CellModel& cells,
                  const ControlPlaneConfig& config,
                  cluster::SolverContext context,
@@ -351,17 +358,6 @@ class ControlPlane
                  cluster::SolverContext context = {});
 
     /**
-     * Optional telemetry sink: each re-placement appends per-server
-     * delta samples (appendDelta) and the replay seals one epoch at
-     * the end. The sink must cover config.servers slots and is the
-     * caller's to drain.
-     */
-    void attachTelemetry(sim::TelemetryAggregator* sink)
-    {
-        telemetry_ = sink;
-    }
-
-    /**
      * Run the log from a clean slate. The outcome's tier is the
      * worst rung any event needed (worseTier fold), its attempts the
      * total across events, its degradation the union.
@@ -379,7 +375,6 @@ class ControlPlane
     CellModel cells_;
     ControlPlaneConfig config_;
     cluster::SolverContext context_;
-    sim::TelemetryAggregator* telemetry_ = nullptr;
 };
 
 } // namespace poco::ctrl

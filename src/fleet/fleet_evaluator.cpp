@@ -107,7 +107,6 @@ FleetRollup::fingerprint() const
     mixDouble(h, totalBeThroughput.value());
     mixDouble(h, totalEnergy.value());
     mixDouble(h, totalCapOvershoot.value());
-    // aggregatorSeconds deliberately excluded: wall-clock only.
     return h;
 }
 
@@ -128,13 +127,6 @@ FleetEvaluator::FleetEvaluator(std::vector<FleetServer> servers,
     pool_ = runtime::selectPool(config_.pool, config_.threads,
                                 owned_pool_);
 
-    slot_base_.resize(clusters_.size());
-    std::size_t slots = 0;
-    for (std::size_t c = 0; c < clusters_.size(); ++c) {
-        slot_base_[c] = slots;
-        slots += clusters_[c].members.size();
-    }
-
     // Build the per-cluster evaluators (profiling + fitting), one
     // task per canonical cluster. Each cluster's seed splits off its
     // canonical index, so the fitted models are a pure function of
@@ -147,7 +139,6 @@ FleetEvaluator::FleetEvaluator(std::vector<FleetServer> servers,
         derived.pool = pool_;
         derived.threads = 1;
         derived.seed = stream.nextU64();
-        derived.server.keepTelemetry = true;
         evaluators_[c] = std::make_unique<cluster::ClusterEvaluator>(
             *clusters_[c].apps, derived);
     });
@@ -164,9 +155,8 @@ FleetEvaluator::clusterEvaluator(std::size_t index) const
 }
 
 ClusterEpochOutcome
-FleetEvaluator::runClusterEpoch(
-    std::size_t index, double load, long long budget_mw,
-    sim::TelemetryAggregator& aggregator) const
+FleetEvaluator::runClusterEpoch(std::size_t index, double load,
+                                long long budget_mw) const
 {
     const FleetCluster& home = clusters_[index];
     const cluster::ClusterEvaluator& evaluator = *evaluators_[index];
@@ -201,9 +191,13 @@ FleetEvaluator::runClusterEpoch(
             be_of[static_cast<std::size_t>(placement.value[i])] =
                 static_cast<int>(i);
 
+    // Each run folded its own [warmup, warmup + dwell) window; the
+    // members combine in member order.
+    out.telemetry.start = config_.server.warmup;
+    out.telemetry.end = config_.server.warmup + config_.dwell;
     for (std::size_t k = 0; k < members; ++k) {
         const std::size_t j = home.lcIndices[k];
-        cluster::ServerOutcome run = evaluator.runPairAtLoad(
+        const cluster::ServerOutcome run = evaluator.runPairAtLoad(
             j, be_of[j], cluster::ManagerKind::Pom, load,
             out.memberCap);
         out.beThroughput += run.run.stats.averageBeThroughput();
@@ -211,8 +205,7 @@ FleetEvaluator::runClusterEpoch(
         out.meanDraw += run.run.stats.averagePower();
         if (run.run.stats.cappedTime > 0)
             out.capped = true;
-        aggregator.add(slot_base_[index] + k,
-                       std::move(run.run.telemetry), out.memberCap);
+        out.telemetry += run.run.steady;
     }
     return out;
 }
@@ -286,10 +279,6 @@ FleetEvaluator::streamingSetup() const
     cfg.forceCold = config_.streamingForceCold;
 
     setup.context.pool = pool_;
-
-    setup.clusterOf.resize(servers_.size());
-    for (std::size_t s = 0; s < servers_.size(); ++s)
-        setup.clusterOf[s] = server_table[s].cluster;
     return setup;
 }
 
@@ -299,23 +288,7 @@ FleetEvaluator::runStreaming(const ctrl::EventLog& log) const
     StreamingSetup setup = streamingSetup();
     ctrl::ControlPlane plane(std::move(setup.cells), setup.config,
                              setup.context);
-
-    // Telemetry slots are indexed by global server index here (the
-    // control plane's column space), unlike run()'s cluster-major
-    // slot_base_ layout.
-    sim::TelemetryAggregator aggregator(std::move(setup.clusterOf),
-                                        clusters_.size());
-    plane.attachTelemetry(&aggregator);
-
-    Outcome<ctrl::CtrlRollup> outcome = plane.replay(log);
-
-    // The replay sealed exactly one epoch; fold it so the delta
-    // pushes exercise the same rollup machinery as run(). The fold
-    // never feeds the fingerprint (it is telemetry-only).
-    const auto folded = aggregator.drain();
-    POCO_ASSERT(folded.size() == 1,
-                "streaming replay seals exactly one epoch");
-    return outcome;
+    return plane.replay(log);
 }
 
 Outcome<ctrl::MasterGroupRollup>
@@ -387,16 +360,6 @@ FleetEvaluator::run() const
     for (std::size_t c = 0; c < n_clusters; ++c)
         floor_mw[c] = budget_mw[c] / 2;
 
-    std::vector<std::size_t> cluster_of;
-    for (std::size_t c = 0; c < n_clusters; ++c)
-        cluster_of.insert(cluster_of.end(),
-                          clusters_[c].members.size(), c);
-    sim::TelemetryAggregator aggregator(std::move(cluster_of),
-                                        n_clusters);
-
-    const SimTime fold_start = config_.server.warmup;
-    const SimTime fold_end = config_.server.warmup + config_.dwell;
-
     Outcome<FleetRollup> outcome;
     FleetRollup& rollup = outcome.value;
 
@@ -417,15 +380,18 @@ FleetEvaluator::run() const
         epoch.clusters.resize(n_clusters);
 
         // Evaluate the epoch's clusters, one task per canonical
-        // index. Each task writes only cluster-indexed slots (result
-        // entries, telemetry server slots), so scheduling never
-        // touches a result bit.
+        // index. Each task writes only its own cluster's result
+        // entry, so scheduling never touches a result bit; the fleet
+        // telemetry then combines the clusters in canonical order.
         runtime::parallelFor(pool_, n_clusters, [&](std::size_t c) {
             epoch.clusters[c] = runClusterEpoch(
                 c, cluster_loads != nullptr ? cluster_loads[c] : load,
-                budget_mw[c], aggregator);
+                budget_mw[c]);
         });
-        aggregator.sealEpoch(fold_start, fold_end);
+        epoch.telemetry.start = config_.server.warmup;
+        epoch.telemetry.end = config_.server.warmup + config_.dwell;
+        for (const ClusterEpochOutcome& co : epoch.clusters)
+            epoch.telemetry += co.telemetry;
 
         // Budget redistribution (canonical order, integer mW):
         // donors release half their unused headroom — never below
@@ -490,18 +456,6 @@ FleetEvaluator::run() const
             outcome.degradation |= co.degradation;
         }
         rollup.epochs.push_back(std::move(epoch));
-    }
-
-    // Attach the folded rollups, in seal order (epoch order).
-    const auto folded = aggregator.drain();
-    POCO_ASSERT(folded.size() == rollup.epochs.size(),
-                "aggregator epoch count mismatch");
-    for (std::size_t e = 0; e < folded.size(); ++e) {
-        FleetEpoch& epoch = rollup.epochs[e];
-        for (std::size_t c = 0; c < n_clusters; ++c)
-            epoch.clusters[c].telemetry = folded[e].clusters[c];
-        epoch.telemetry = folded[e].fleet;
-        rollup.aggregatorSeconds += folded[e].foldSeconds;
     }
 
     for (const FleetEpoch& epoch : rollup.epochs) {

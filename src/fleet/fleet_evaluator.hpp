@@ -11,8 +11,8 @@
  * runtime::parallelFor task per canonical cluster; nested joins
  * help, so a cluster's internally-parallel work cannot deadlock the
  * pool), redistribute unused cluster power budget between epochs,
- * and fold per-server telemetry into cluster- and fleet-level
- * rollups.
+ * and combine each server run's telemetry rollup into cluster- and
+ * fleet-level rollups.
  *
  * Determinism contract: the fleet rollup is bit-identical for any
  * thread count. Clusters are canonical (partition order depends
@@ -97,13 +97,15 @@ struct ClusterEpochOutcome
     /**
      * Summed mean power draw of the members, from the simulator
      * statistics (energy / elapsed). Budget redistribution reads
-     * this, not the telemetry rollup, which run() attaches only
-     * after the last epoch.
+     * this, not the telemetry rollup.
      */
     Watts meanDraw{};
     /** True when the power cap bound at least one member. */
     bool capped = false;
-    /** Folded telemetry rollup of the members. */
+    /**
+     * The members' telemetry rollups (each run's own
+     * [warmup, warmup + dwell) fold) combined in member order.
+     */
     sim::EpochRollup telemetry;
 };
 
@@ -127,17 +129,12 @@ struct FleetRollup
     Rps totalBeThroughput{};
     Joules totalEnergy{};
     Joules totalCapOvershoot{};
-    /**
-     * Wall-clock seconds spent folding telemetry (sums the per-epoch
-     * folds). Timing only: excluded from fingerprint().
-     */
-    double aggregatorSeconds = 0.0;
 
     /**
      * FNV-1a over every result bit (loads, budgets, tiers,
-     * throughputs, energies, rollups) excluding wall-clock timing.
-     * Equal fingerprints mean bit-identical rollups — the
-     * fleet determinism suite and bench_ext_hetero gate on this.
+     * throughputs, energies, rollups). Equal fingerprints mean
+     * bit-identical rollups — the fleet determinism suite and
+     * bench_ext_hetero gate on this.
      */
     [[nodiscard]] std::uint64_t fingerprint() const;
 };
@@ -175,9 +172,9 @@ class FleetEvaluator
 
     /**
      * Evaluate every epoch in config().epochLoads: clusters run as
-     * one pool task each, unused budget moves to power-capped
-     * clusters between epochs, and telemetry folds into rollups at
-     * the end of each epoch.
+     * one pool task each, each cluster combines its members'
+     * telemetry rollups, the fleet combines the clusters', and
+     * unused budget moves to power-capped clusters between epochs.
      *
      * @return The fleet rollup wrapped in an Outcome: tier is the
      *         worst placement tier any cluster-epoch used, attempts
@@ -195,8 +192,7 @@ class FleetEvaluator
      * order; each cell is estimateCellAtLoad() of the candidate's
      * fitted model against the host server's platform. The heartbeat
      * ladder and incremental-solve knobs come from FleetConfig
-     * (withHeartbeat / withStreaming); telemetry deltas flow through
-     * the same TelemetryAggregator machinery run() uses.
+     * (withHeartbeat / withStreaming). No telemetry on this path.
      *
      * Deterministic: the rollup fingerprint is a pure function of
      * (fleet, config.seed, log) — identical across thread counts and
@@ -237,15 +233,11 @@ class FleetEvaluator
         ctrl::CellModel cells;
         ctrl::ControlPlaneConfig config;
         cluster::SolverContext context;
-        /** Owning cluster of each global server index. */
-        std::vector<std::size_t> clusterOf;
     };
     StreamingSetup streamingSetup() const;
 
-    ClusterEpochOutcome
-    runClusterEpoch(std::size_t index, double load,
-                    long long budget_mw,
-                    sim::TelemetryAggregator& aggregator) const;
+    ClusterEpochOutcome runClusterEpoch(std::size_t index, double load,
+                                        long long budget_mw) const;
 
     std::vector<FleetServer> servers_;
     FleetConfig config_;
@@ -254,8 +246,6 @@ class FleetEvaluator
     runtime::ThreadPool* pool_ = nullptr;
     std::vector<std::unique_ptr<cluster::ClusterEvaluator>>
         evaluators_;
-    /** Global telemetry slot of each cluster's first member. */
-    std::vector<std::size_t> slot_base_;
 };
 
 } // namespace poco::fleet

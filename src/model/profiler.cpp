@@ -107,12 +107,13 @@ Profiler::profileLc(const wl::LcApp& app,
             // Highest load keeping slack >= minSlack. With the M/M/1
             // latency model this is analytic, but we search by
             // bisection against the observable latency surface so the
-            // profiler works for any ground truth.
+            // profiler works for any ground truth. The allocation is
+            // fixed, so its capacity is computed once, not per step.
             const Rps cap = app.capacity(alloc);
             Rps lo, hi = cap;
             for (int iter = 0; iter < 40; ++iter) {
                 const Rps mid = 0.5 * (lo + hi);
-                if (app.slack99(mid, alloc) >= config_.minSlack)
+                if (app.slack99(mid, cap) >= config_.minSlack)
                     lo = mid;
                 else
                     hi = mid;

@@ -50,7 +50,7 @@ ServerManager::ServerManager(
     wl::LoadTrace trace, ServerManagerConfig config)
     : server_(&server), controller_(std::move(controller)),
       trace_(std::move(trace)), config_(config),
-      throttler_(config.throttler)
+      throttler_(config.throttler), steady_(server.powerCap(), 0)
 {
     POCO_REQUIRE(controller_ != nullptr, "controller must be set");
     POCO_REQUIRE(config_.controlPeriod > 0,
@@ -71,6 +71,7 @@ ServerManager::attach(sim::EventQueue& queue)
     POCO_REQUIRE(queue_ == nullptr, "manager already attached");
     queue_ = &queue;
     const SimTime now = queue.now();
+    steady_.restart(now);
     // Apply the initial load immediately, then start the loops. The
     // offsets stagger same-period loops deterministically: load
     // first, control next, throttle and telemetry after.
@@ -376,7 +377,9 @@ ServerManager::telemetryTick(SimTime now)
     sample.beThroughput = server_->beThroughput();
     sample.beAlloc = server_->beAlloc();
     sample.power = server_->power();
-    telemetry_.record(sample);
+    steady_.add(sample);
+    if (config_.keepTelemetry)
+        telemetry_.record(std::move(sample));
     queue_->schedule(now + kTelemetryPeriod,
                      [this](SimTime t) { telemetryTick(t); });
 }
@@ -400,6 +403,10 @@ ServerManager::result() const
     out.faults.capOvershootJoules = out.stats.capOvershootJoules;
     out.faults.maxOvershoot =
         std::max(Watts{}, out.stats.maxPower - server_->powerCap());
+    if (queue_ != nullptr && queue_->now() > steady_.start())
+        out.steady = steady_.finish(queue_->now());
+    out.telemetry.assign(telemetry_.all().begin(),
+                         telemetry_.all().end());
     return out;
 }
 
@@ -411,6 +418,7 @@ ServerManager::resetStats(SimTime now)
     slack_samples_ = 0;
     slack_shortfalls_ = 0;
     fault_stats_ = FaultRunStats{};
+    steady_.restart(now);
 }
 
 ServerRunResult
@@ -441,12 +449,7 @@ runServerScenario(const wl::LcApp& lc, const wl::BeApp* be,
     manager.resetStats(queue.now());
     queue.runUntil(duration);
     server.advanceTo(queue.now());
-    ServerRunResult result = manager.result();
-    if (config.keepTelemetry) {
-        const auto& samples = manager.telemetry().all();
-        result.telemetry.assign(samples.begin(), samples.end());
-    }
-    return result;
+    return manager.result();
 }
 
 std::vector<ServerRunResult>

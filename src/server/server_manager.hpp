@@ -16,6 +16,7 @@
 #include "server/primary_controller.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/telemetry.hpp"
+#include "sim/telemetry_rollup.hpp"
 #include "wl/load_trace.hpp"
 
 namespace poco::runtime
@@ -48,11 +49,12 @@ struct ServerManagerConfig
     /** Settling time excluded from the reported statistics. */
     SimTime warmup = 60 * kSecond;
     /**
-     * Copy the run's telemetry samples into ServerRunResult so
-     * aggregation layers can fold them after the simulation finished
-     * (the fleet's epoch rollups: sim::TelemetryAggregator::sealEpoch
-     * folds them inline). Off by default: a long run retains up to
-     * ~2^20 samples.
+     * Keep the run's telemetry samples: the manager's recorder and
+     * ServerRunResult::telemetry hold the whole 100 ms series (up to
+     * ~2^20 samples). Off by default: every run folds its samples
+     * into ServerRunResult::steady as they are produced, and only a
+     * caller that reads the series itself (a time-series plot, a
+     * cross-check of the fold) needs them kept.
      */
     bool keepTelemetry = false;
 
@@ -88,6 +90,13 @@ struct ServerRunResult
     double slackShortfallFraction = 0.0;
     /** Degradation-ladder counters (all zero on fault-free runs). */
     FaultRunStats faults;
+    /**
+     * The telemetry fold against the server's power cap over the
+     * statistics window: from the last resetStats() (or attach()) to
+     * the queue's clock at result(). runServerScenario's window is
+     * [warmup, duration).
+     */
+    sim::EpochRollup steady;
     /**
      * The run's telemetry samples, oldest first. Empty unless
      * ServerManagerConfig::keepTelemetry was set.
@@ -128,6 +137,7 @@ class ServerManager
 
     const ColocatedServer& server() const { return *server_; }
     ColocatedServer& server() { return *server_; }
+    /** The kept samples; empty unless config().keepTelemetry. */
     const sim::TelemetryRecorder& telemetry() const
     {
         return telemetry_;
@@ -137,7 +147,10 @@ class ServerManager
     /** Summarize statistics accumulated since the last reset. */
     ServerRunResult result() const;
 
-    /** Forget warm-up history (stats and slack samples). */
+    /**
+     * Forget warm-up history (stats and slack samples) and reopen
+     * the telemetry fold's window at @p now.
+     */
     void resetStats(SimTime now);
 
   private:
@@ -166,6 +179,8 @@ class ServerManager
     BeThrottler throttler_;
     sim::EventQueue* queue_ = nullptr;
     sim::TelemetryRecorder telemetry_;
+    /** Folds every sample as telemetryTick() produces it. */
+    sim::TelemetryFold steady_;
     fault::FaultInjector* injector_ = nullptr;
 
     /** Slack tracking for result(). */

@@ -1,31 +1,11 @@
 #include "sim/telemetry.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
 namespace poco::sim
 {
-
-namespace
-{
-
-/**
- * First sample with when >= since. Timestamps are non-decreasing
- * (enforced by record()), so the windowed queries binary-search the
- * deque instead of scanning it.
- */
-std::deque<TelemetrySample>::const_iterator
-firstAtOrAfter(const std::deque<TelemetrySample>& samples,
-               SimTime since)
-{
-    return std::lower_bound(samples.begin(), samples.end(), since,
-                            [](const TelemetrySample& s, SimTime t) {
-                                return s.when < t;
-                            });
-}
-
-} // namespace
 
 TelemetryRecorder::TelemetryRecorder(std::size_t capacity)
     : capacity_(capacity)
@@ -48,38 +28,6 @@ TelemetryRecorder::latest() const
 {
     POCO_REQUIRE(!samples_.empty(), "no telemetry recorded yet");
     return samples_.back();
-}
-
-std::vector<TelemetrySample>
-TelemetryRecorder::since(SimTime since) const
-{
-    return {firstAtOrAfter(samples_, since), samples_.end()};
-}
-
-Watts
-TelemetryRecorder::averagePower(SimTime since) const
-{
-    Watts sum;
-    std::size_t n = 0;
-    for (auto it = firstAtOrAfter(samples_, since);
-         it != samples_.end(); ++it) {
-        sum += it->power;
-        ++n;
-    }
-    return n ? sum / static_cast<double>(n) : Watts{};
-}
-
-Rps
-TelemetryRecorder::averageBeThroughput(SimTime since) const
-{
-    Rps sum;
-    std::size_t n = 0;
-    for (auto it = firstAtOrAfter(samples_, since);
-         it != samples_.end(); ++it) {
-        sum += it->beThroughput;
-        ++n;
-    }
-    return n ? sum / static_cast<double>(n) : Rps{};
 }
 
 } // namespace poco::sim

@@ -4,14 +4,15 @@
  *
  * Today's private datacenters periodically collect per-application
  * performance and power metrics (the paper cites Dynamo and WSMeter).
- * The recorder stores timestamped samples and answers windowed
- * queries; Pocolo's profiler and the evaluation pipelines consume it.
+ * A server manager samples every 100 ms and folds each sample into
+ * its run's rollup (sim/telemetry_rollup.hpp); the recorder keeps the
+ * timestamped series only for a caller that reads it, such as a
+ * time-series plot (ServerManagerConfig::keepTelemetry).
  */
 
 #pragma once
 
 #include <deque>
-#include <vector>
 
 #include "sim/allocation.hpp"
 #include "util/units.hpp"
@@ -52,19 +53,6 @@ class TelemetryRecorder
     bool empty() const { return samples_.empty(); }
 
     const TelemetrySample& latest() const;
-
-    /**
-     * All samples with when >= @p since, oldest first. Timestamps
-     * are non-decreasing, so the window starts at a binary-searched
-     * position (O(log n) + copy) rather than a full scan.
-     */
-    std::vector<TelemetrySample> since(SimTime since) const;
-
-    /** Mean server power over samples with when >= @p since. */
-    Watts averagePower(SimTime since) const;
-
-    /** Mean best-effort throughput over samples with when >= since. */
-    Rps averageBeThroughput(SimTime since) const;
 
     const std::deque<TelemetrySample>& all() const { return samples_; }
 

@@ -1,7 +1,6 @@
 #include "sim/telemetry_rollup.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "util/check.hpp"
@@ -28,53 +27,77 @@ EpochRollup::operator+=(const EpochRollup& other)
     return *this;
 }
 
+TelemetryFold::TelemetryFold(Watts cap, SimTime start)
+    : cap_(cap), start_(start)
+{}
+
+void
+TelemetryFold::restart(SimTime start)
+{
+    start_ = start;
+    energy_j_ = 0.0;
+    overshoot_j_ = 0.0;
+    be_units_ = 0.0;
+    max_p99_ = 0.0;
+    samples_ = 0;
+}
+
+void
+TelemetryFold::add(const TelemetrySample& sample)
+{
+    if (holding_)
+        foldHeld(sample.when);
+    held_ = sample;
+    holding_ = true;
+}
+
+void
+TelemetryFold::foldHeld(SimTime until)
+{
+    const SimTime hold_from = std::max(held_.when, start_);
+    if (until <= hold_from)
+        return;
+    const double dt = toSeconds(until - hold_from);
+    energy_j_ += held_.power.value() * dt;
+    overshoot_j_ += std::max(0.0, (held_.power - cap_).value()) * dt;
+    be_units_ += held_.beThroughput.value() * dt;
+    max_p99_ = std::max(max_p99_, held_.lcLatencyP99);
+    ++samples_;
+}
+
+EpochRollup
+TelemetryFold::finish(SimTime end) const
+{
+    POCO_REQUIRE(end > start_, "epoch window must be non-empty");
+    POCO_REQUIRE(!holding_ || held_.when <= end,
+                 "telemetry sample past the window end");
+    TelemetryFold closed = *this;
+    if (closed.holding_)
+        closed.foldHeld(end);
+    const double window = toSeconds(end - start_);
+    EpochRollup rollup;
+    rollup.start = start_;
+    rollup.end = end;
+    rollup.samples = closed.samples_;
+    rollup.energy = Joules{closed.energy_j_};
+    rollup.capOvershoot = Joules{closed.overshoot_j_};
+    rollup.meanPower = Watts{closed.energy_j_ / window};
+    rollup.meanBeThroughput = Rps{closed.be_units_ / window};
+    rollup.maxLatencyP99 = closed.max_p99_;
+    return rollup;
+}
+
 EpochRollup
 foldTelemetry(const std::vector<TelemetrySample>& samples, Watts cap,
               SimTime start, SimTime end)
 {
-    POCO_REQUIRE(end > start, "epoch window must be non-empty");
-    EpochRollup rollup;
-    rollup.start = start;
-    rollup.end = end;
-
-    // Samples are time-sorted; find the window by binary search —
-    // the sample at or before `start` still holds at the window
-    // open (zero-order hold).
-    auto lo = std::lower_bound(
-        samples.begin(), samples.end(), start,
-        [](const TelemetrySample& s, SimTime t) {
-            return s.when < t;
-        });
-    if (lo != samples.begin() && (lo == samples.end() ||
-                                  lo->when > start))
-        --lo;
-
-    double energy_j = 0.0;
-    double overshoot_j = 0.0;
-    double be_units = 0.0;
-    for (auto it = lo; it != samples.end() && it->when < end; ++it) {
-        const SimTime hold_from = std::max(it->when, start);
-        const SimTime hold_to =
-            std::next(it) != samples.end()
-                ? std::min(std::next(it)->when, end)
-                : end;
-        if (hold_to <= hold_from)
-            continue;
-        const double dt = toSeconds(hold_to - hold_from);
-        energy_j += it->power.value() * dt;
-        overshoot_j +=
-            std::max(0.0, (it->power - cap).value()) * dt;
-        be_units += it->beThroughput.value() * dt;
-        rollup.maxLatencyP99 =
-            std::max(rollup.maxLatencyP99, it->lcLatencyP99);
-        ++rollup.samples;
+    TelemetryFold fold(cap, start);
+    for (const TelemetrySample& sample : samples) {
+        if (sample.when >= end)
+            break;
+        fold.add(sample);
     }
-    const double window = toSeconds(end - start);
-    rollup.energy = Joules{energy_j};
-    rollup.capOvershoot = Joules{overshoot_j};
-    rollup.meanPower = Watts{energy_j / window};
-    rollup.meanBeThroughput = Rps{be_units / window};
-    return rollup;
+    return fold.finish(end);
 }
 
 TelemetryAggregator::TelemetryAggregator(
@@ -90,41 +113,25 @@ TelemetryAggregator::TelemetryAggregator(
 }
 
 void
-TelemetryAggregator::add(std::size_t server,
-                         std::vector<TelemetrySample> samples,
-                         Watts cap)
-{
-    POCO_REQUIRE(server < front_.size(),
-                 "telemetry server slot out of range");
-    ServerBuffer& slot = front_[server];
-    slot.cap = cap;
-    if (slot.samples.empty()) {
-        slot.samples = std::move(samples);
-    } else {
-        slot.samples.insert(slot.samples.end(), samples.begin(),
-                            samples.end());
-    }
-}
-
-void
 TelemetryAggregator::appendDelta(std::size_t server,
-                                 std::vector<TelemetrySample> samples,
+                                 const std::vector<TelemetrySample>& samples,
                                  Watts cap)
 {
     POCO_REQUIRE(server < front_.size(),
                  "telemetry server slot out of range");
-    if (!front_[server].samples.empty() && !samples.empty())
-        POCO_REQUIRE(front_[server].samples.back().when <=
-                         samples.front().when,
+    ServerBuffer& slot = front_[server];
+    if (!slot.samples.empty() && !samples.empty())
+        POCO_REQUIRE(slot.samples.back().when <= samples.front().when,
                      "telemetry deltas must arrive in time order");
     ++delta_pushes_;
-    add(server, std::move(samples), cap);
+    slot.cap = cap;
+    slot.samples.insert(slot.samples.end(), samples.begin(),
+                        samples.end());
 }
 
 void
 TelemetryAggregator::sealEpoch(SimTime start, SimTime end)
 {
-    const auto t0 = std::chrono::steady_clock::now();
     EpochResult result;
     result.clusters.resize(clusters_);
     for (auto& rollup : result.clusters) {
@@ -144,9 +151,6 @@ TelemetryAggregator::sealEpoch(SimTime start, SimTime end)
     result.fleet.end = end;
     for (const EpochRollup& rollup : result.clusters)
         result.fleet += rollup;
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - t0;
-    result.foldSeconds = elapsed.count();
     sealed_.push_back(std::move(result));
     front_.assign(front_.size(), ServerBuffer{});
 }

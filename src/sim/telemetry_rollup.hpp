@@ -1,23 +1,21 @@
 /**
  * @file
- * Telemetry epoch rollups and the epoch aggregator.
+ * Telemetry epoch rollups: the zero-order-hold fold and the streaming
+ * epoch aggregator.
  *
- * Per-server TelemetryRecorders answer windowed queries, but the
- * evaluation pipelines used to issue those queries inline — every
- * sweep point paid a binary search plus a full window copy on the
- * simulation thread. The fleet layer aggregates instead: each run's
- * samples fold once into a compact EpochRollup (time-weighted power
- * and throughput integrals, cap-overshoot joules), rollups combine
- * in fixed server order into cluster totals, and clusters combine in
- * canonical cluster order into the fleet total.
+ * A server's samples fold into a compact EpochRollup (time-weighted
+ * power and throughput integrals, cap-overshoot joules) as they are
+ * produced: TelemetryFold keeps one sample of lag, so a run never has
+ * to retain its series to report the rollup of its window.
+ * server::ServerManager folds every run's statistics window this way,
+ * and the fleet combines those rollups in fixed server order into
+ * cluster totals and in canonical cluster order into the fleet total.
  *
- * TelemetryAggregator collects those folds. Within an epoch, each
- * evaluation task deposits samples into its own server-indexed slot
- * (slot exclusivity, no locks); sealEpoch() then folds the filled
- * buffers on the coordinating thread, in fixed server and cluster
- * order. The fold is a fraction of a percent of an epoch's
- * simulation time, so it runs inline rather than overlapped on the
- * pool.
+ * TelemetryAggregator serves the streaming control plane, whose
+ * window is known only when the replay seals: each re-placement
+ * appends a delta of samples to a server-indexed slot (slot
+ * exclusivity, no locks), and sealEpoch() folds the filled buffers on
+ * the coordinating thread in fixed server and cluster order.
  */
 
 #pragma once
@@ -63,21 +61,61 @@ struct EpochRollup
 };
 
 /**
- * Fold one server's samples over [start, end) against its power cap
- * @p cap. Samples are zero-order-hold: each holds until the next
- * sample (or the window end), matching PowerMeter's integration.
+ * Incremental fold of one server's samples over [start, end) against
+ * its power cap. Samples are zero-order-hold: each holds until the
+ * next sample (or the window end), matching PowerMeter's
+ * integration, and the sample at or before start holds at the window
+ * open. add() folds the held sample's span up to the new sample's
+ * time; finish() folds the last one's up to the window end.
+ */
+class TelemetryFold
+{
+  public:
+    TelemetryFold(Watts cap, SimTime start);
+
+    /** Reopen the window at @p start; the held sample carries over. */
+    void restart(SimTime start);
+
+    /**
+     * Fold in the next sample. Times must be non-decreasing and must
+     * not pass the end later given to finish().
+     */
+    void add(const TelemetrySample& sample);
+
+    SimTime start() const { return start_; }
+
+    /** The rollup over [start(), end); end > start(). */
+    EpochRollup finish(SimTime end) const;
+
+  private:
+    /** Fold the held sample's span [max(when, start), until). */
+    void foldHeld(SimTime until);
+
+    Watts cap_;
+    SimTime start_;
+    bool holding_ = false;
+    TelemetrySample held_;
+    double energy_j_ = 0.0;
+    double overshoot_j_ = 0.0;
+    double be_units_ = 0.0;
+    double max_p99_ = 0.0;
+    std::uint64_t samples_ = 0;
+};
+
+/**
+ * TelemetryFold run over time-ordered @p samples for [start, end).
  */
 EpochRollup foldTelemetry(const std::vector<TelemetrySample>& samples,
                           Watts cap, SimTime start, SimTime end);
 
 /**
- * Epoch aggregator.
+ * Streaming epoch aggregator.
  *
- * Threading contract: within an epoch, any task may call add() for
- * a server slot as long as no two tasks share a slot; sealEpoch()
- * and drain() belong to the coordinating thread, which must join
- * the epoch's tasks first (their writes become visible through that
- * join).
+ * Threading contract: within an epoch, any task may call
+ * appendDelta() for a server slot as long as no two tasks share a
+ * slot; sealEpoch() and drain() belong to the coordinating thread,
+ * which must join the epoch's tasks first (their writes become
+ * visible through that join).
  */
 class TelemetryAggregator
 {
@@ -104,23 +142,16 @@ class TelemetryAggregator
     std::size_t clusters() const { return clusters_; }
 
     /**
-     * Deposit @p samples for @p server into the current epoch's
-     * front buffer. Slot-exclusive: one writer per server per epoch.
-     */
-    void add(std::size_t server,
-             std::vector<TelemetrySample> samples, Watts cap);
-
-    /**
-     * Streaming hook: append a heartbeat-cadence *delta* — a few
-     * samples pushed mid-epoch — to the server's front buffer. Same
-     * slot-exclusivity contract as add(), but semantically the
-     * writer calls it many times per epoch (the control plane pushes
-     * one delta per re-placement), and pushes are counted so the
-     * streaming tests can assert the cadence. Samples must arrive in
-     * non-decreasing time order across pushes (the fold assumes it).
+     * Append a heartbeat-cadence *delta* — a few samples pushed
+     * mid-epoch — to the server's front buffer, folded against
+     * @p cap (the last push's cap wins). Slot-exclusive: one writer
+     * per server per epoch, which may push many times (the control
+     * plane pushes one delta per re-placement); pushes are counted
+     * so the streaming tests can assert the cadence. Samples must
+     * arrive in non-decreasing time order across pushes.
      */
     void appendDelta(std::size_t server,
-                     std::vector<TelemetrySample> samples,
+                     const std::vector<TelemetrySample>& samples,
                      Watts cap);
 
     /** Total appendDelta() calls since construction (all slots). */
@@ -140,8 +171,6 @@ class TelemetryAggregator
         std::vector<EpochRollup> clusters;
         /** Fleet-wide rollup (clusters combined in order). */
         EpochRollup fleet;
-        /** Wall-clock seconds the fold itself took (timing only). */
-        double foldSeconds = 0.0;
     };
 
     /**

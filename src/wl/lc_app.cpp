@@ -42,9 +42,14 @@ LcApp::capacity(const sim::Allocation& alloc) const
 double
 LcApp::latencyP99(Rps load, const sim::Allocation& alloc) const
 {
+    return latencyP99(load, capacity(alloc));
+}
+
+double
+LcApp::latencyP99(Rps load, Rps cap) const
+{
     POCO_REQUIRE(load >= Rps{}, "load must be non-negative");
     const double base = params_.baseLatencyShare * params_.slo99;
-    const Rps cap = capacity(alloc);
     if (cap <= Rps{})
         return 100.0 * params_.slo99; // parked: effectively infinite
     // Max SLO-compliant occupancy: p99 = base / (1 - rho) hits slo99
@@ -65,7 +70,13 @@ LcApp::latencyP95(Rps load, const sim::Allocation& alloc) const
 double
 LcApp::slack99(Rps load, const sim::Allocation& alloc) const
 {
-    return 1.0 - latencyP99(load, alloc) / params_.slo99;
+    return slack99(load, capacity(alloc));
+}
+
+double
+LcApp::slack99(Rps load, Rps cap) const
+{
+    return 1.0 - latencyP99(load, cap) / params_.slo99;
 }
 
 double

@@ -51,6 +51,13 @@ class LcApp
     /** p99 latency (seconds) at the given offered load. */
     double latencyP99(Rps load, const sim::Allocation& alloc) const;
 
+    /**
+     * p99 latency at @p load on an allocation whose capacity() is
+     * @p cap: the same expression, for callers that hold the
+     * capacity across many loads (the profiler's bisection).
+     */
+    double latencyP99(Rps load, Rps cap) const;
+
     /** p95 latency (seconds); scaled from p99 by the SLO ratio. */
     double latencyP95(Rps load, const sim::Allocation& alloc) const;
 
@@ -59,6 +66,9 @@ class LcApp
      * the paper's controllers target slack >= 0.10.
      */
     double slack99(Rps load, const sim::Allocation& alloc) const;
+
+    /** slack99 on an allocation whose capacity() is @p cap. */
+    double slack99(Rps load, Rps cap) const;
 
     /**
      * Core-busy fraction in [0, 1] used by the power model: offered

@@ -182,13 +182,14 @@ TEST(CtrlReplay, TelemetryDeltasFlowThroughAggregator)
 {
     const EventLog log = EventLog::generate(stormConfig(61));
     const ControlPlaneConfig config = planeConfig();
-    ControlPlane plane(syntheticCell, config);
 
     sim::TelemetryAggregator sink(
         std::vector<std::size_t>(config.servers, 0), 1, nullptr,
         false);
-    plane.attachTelemetry(&sink);
-    const auto outcome = plane.replay(log);
+    ReplayEngine engine(syntheticCell, config, {}, &sink);
+    for (const ControlEvent& e : log.events())
+        engine.apply(e);
+    const auto outcome = engine.finish(log.horizon());
     EXPECT_GT(sink.deltaPushes(), 0u)
         << "re-placements must push heartbeat-cadence deltas";
 

@@ -4,12 +4,12 @@
  * bit-identical for any thread count, owned or borrowed pool.
  * partitionFleet must be canonical (a pure function of the
  * input server list), and the fingerprint must cover every result
- * bit while ignoring wall-clock timing. Runs under tier-fleet and
- * tier-tsan.
+ * bit. Runs under tier-fleet and tier-tsan.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -120,19 +120,54 @@ TEST_F(FleetFixture, RollupIsBitIdenticalForAnyShardAndThreadCount)
         << "borrowed 3-worker pool";
 }
 
-TEST_F(FleetFixture, FingerprintSeesResultBitsNotTiming)
+TEST_F(FleetFixture, FingerprintSeesResultBits)
 {
     const FleetEvaluator evaluator(servers(), smallConfig());
     auto outcome = evaluator.run();
     const std::uint64_t original = outcome.value.fingerprint();
 
-    // Wall-clock timing is excluded...
-    outcome.value.aggregatorSeconds += 1.0;
-    EXPECT_EQ(outcome.value.fingerprint(), original);
-
-    // ...but any result bit flips it.
     outcome.value.totalEnergy += Joules{1.0};
     EXPECT_NE(outcome.value.fingerprint(), original);
+}
+
+TEST_F(FleetFixture, PairMemoKeepsRollupsNotSamples)
+{
+    const FleetConfig config = smallConfig();
+    const FleetEvaluator evaluator(servers(), config);
+    const auto outcome = evaluator.run();
+    const ClusterEpochOutcome& want = outcome.value.epochs[0].clusters[0];
+
+    // Replay cluster 0's first epoch against its memo: the same
+    // placement, load and member cap as runClusterEpoch.
+    const FleetCluster& home = evaluator.clusters()[0];
+    const cluster::ClusterEvaluator& memo = evaluator.clusterEvaluator(0);
+    std::vector<int> up(home.lcIndices.begin(), home.lcIndices.end());
+    std::sort(up.begin(), up.end());
+    up.erase(std::unique(up.begin(), up.end()), up.end());
+    const auto placement = memo.placeBeRobust(up);
+    std::vector<int> be_of(home.apps->lc.size(), -1);
+    for (std::size_t i = 0; i < placement.value.size(); ++i)
+        if (placement.value[i] >= 0)
+            be_of[static_cast<std::size_t>(placement.value[i])] =
+                static_cast<int>(i);
+
+    sim::EpochRollup combined;
+    combined.start = config.server.warmup;
+    combined.end = config.server.warmup + config.dwell;
+    for (const std::size_t j : home.lcIndices) {
+        const cluster::ServerOutcome run = memo.runPairAtLoad(
+            j, be_of[j], cluster::ManagerKind::Pom,
+            config.epochLoads[0], want.memberCap);
+        EXPECT_TRUE(run.run.telemetry.empty())
+            << "the pair memo must not retain sample series";
+        EXPECT_GT(run.run.steady.samples, 0u);
+        combined += run.run.steady;
+    }
+    // The runs are the ones the epoch combined, bit for bit.
+    EXPECT_EQ(combined.samples, want.telemetry.samples);
+    EXPECT_EQ(combined.energy.value(), want.telemetry.energy.value());
+    EXPECT_EQ(combined.capOvershoot.value(),
+              want.telemetry.capOvershoot.value());
 }
 
 TEST_F(FleetFixture, SeedChangesTheRollup)

@@ -207,11 +207,24 @@ TEST_F(ControllerTest, ManagerRejectsDoubleAttach)
 TEST_F(ControllerTest, TelemetryIsRecorded)
 {
     const auto& lc = set_->lcByName("tpcc");
+    {
+        // Without keepTelemetry the samples are folded, not kept.
+        sim::EventQueue queue;
+        ColocatedServer server(lc, nullptr, lc.provisionedPower());
+        ServerManager manager(server,
+                              std::make_unique<HeraclesController>(),
+                              wl::LoadTrace::constant(0.4));
+        manager.attach(queue);
+        queue.runUntil(10 * kSecond);
+        EXPECT_TRUE(manager.telemetry().empty());
+    }
     sim::EventQueue queue;
     ColocatedServer server(lc, nullptr, lc.provisionedPower());
+    ServerManagerConfig config;
+    config.keepTelemetry = true;
     ServerManager manager(server,
                           std::make_unique<HeraclesController>(),
-                          wl::LoadTrace::constant(0.4));
+                          wl::LoadTrace::constant(0.4), config);
     manager.attach(queue);
     queue.runUntil(10 * kSecond);
     EXPECT_GT(manager.telemetry().size(), 50u);

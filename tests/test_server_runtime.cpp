@@ -5,11 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
+#include "model/fitter.hpp"
+#include "model/profiler.hpp"
 #include "server/be_throttler.hpp"
 #include "server/colocated_server.hpp"
+#include "server/server_manager.hpp"
+#include "sim/telemetry_rollup.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "wl/registry.hpp"
@@ -311,6 +320,107 @@ TEST_F(RuntimeTest, ResetStatsClearsAccumulators)
     server.resetStats(10 * kSecond);
     EXPECT_EQ(server.stats().elapsed, 0);
     EXPECT_DOUBLE_EQ(server.stats().energyJoules.value(), 0.0);
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+void
+expectSameRollup(const sim::EpochRollup& a, const sim::EpochRollup& b)
+{
+    EXPECT_EQ(a.start, b.start);
+    EXPECT_EQ(a.end, b.end);
+    EXPECT_EQ(a.samples, b.samples);
+    EXPECT_EQ(bits(a.meanPower.value()), bits(b.meanPower.value()));
+    EXPECT_EQ(bits(a.meanBeThroughput.value()),
+              bits(b.meanBeThroughput.value()));
+    EXPECT_EQ(bits(a.energy.value()), bits(b.energy.value()));
+    EXPECT_EQ(bits(a.capOvershoot.value()), bits(b.capOvershoot.value()));
+    EXPECT_EQ(bits(a.maxLatencyP99), bits(b.maxLatencyP99));
+}
+
+void
+expectSameStats(const ServerStats& a, const ServerStats& b)
+{
+    EXPECT_EQ(a.elapsed, b.elapsed);
+    EXPECT_EQ(bits(a.energyJoules.value()), bits(b.energyJoules.value()));
+    EXPECT_EQ(bits(a.beWorkDone), bits(b.beWorkDone));
+    EXPECT_EQ(a.sloViolationTime, b.sloViolationTime);
+    EXPECT_EQ(a.cappedTime, b.cappedTime);
+    EXPECT_EQ(bits(a.maxPower.value()), bits(b.maxPower.value()));
+    EXPECT_EQ(bits(a.capOvershootJoules.value()),
+              bits(b.capOvershootJoules.value()));
+}
+
+TEST_F(RuntimeTest, SteadyRollupIsTheFoldOfItsOwnWindow)
+{
+    const wl::LcApp& lc = set_.lcByName("xapian");
+    const wl::BeApp& be = set_.beByName("graph");
+    const model::CobbDouglasUtility utility =
+        model::UtilityFitter{}.fit(model::Profiler{}.profileLc(lc));
+    const std::vector<std::function<std::unique_ptr<PrimaryController>()>>
+        controllers = {
+            [&] { return std::make_unique<PomController>(utility); },
+            [] {
+                return std::make_unique<HeraclesController>(
+                    ControllerConfig{}, /*seed=*/3);
+            }};
+    const std::vector<wl::LoadTrace> traces = {
+        wl::LoadTrace::constant(0.6),
+        wl::LoadTrace::stepped({0.3, 0.9, 0.5}, 13 * kSecond)};
+    // A dropout degrades the watchdog; a frozen meter draws probes.
+    const fault::FaultPlan faults = fault::FaultPlan::fromWindows(
+        {{12 * kSecond, 17 * kSecond, fault::FaultKind::SensorDropout,
+          0.0, 0},
+         {20 * kSecond, 35 * kSecond, fault::FaultKind::SensorStuck,
+          0.0, 0}});
+    // Neither edge of the window falls on a 100 ms telemetry tick.
+    ServerManagerConfig config;
+    config.warmup = 7 * kSecond + 130 * kMillisecond + 17;
+    const SimTime duration = 40 * kSecond + 45 * kMillisecond + 3;
+    const Watts cap = lc.provisionedPower();
+
+    // Every combination of controller, BE or none, trace, and faults
+    // or none: one bit each.
+    for (unsigned combo = 0; combo < 16; ++combo) {
+        const std::size_t c = combo & 1u;
+        const wl::BeApp* secondary = (combo & 2u) != 0 ? &be : nullptr;
+        const std::size_t t = (combo >> 2) & 1u;
+        const fault::FaultPlan* plan =
+            (combo & 8u) != 0 ? &faults : nullptr;
+        SCOPED_TRACE(::testing::Message()
+                     << "controller " << c << " be "
+                     << (secondary != nullptr) << " trace " << t
+                     << " faults " << (plan != nullptr));
+        const auto run = [&](bool keep) {
+            ServerManagerConfig cfg = config;
+            cfg.keepTelemetry = keep;
+            return runServerScenario(lc, secondary, cap, controllers[c](),
+                                     traces[t], duration, cfg, plan);
+        };
+        const ServerRunResult folded = run(false);
+        const ServerRunResult kept = run(true);
+
+        EXPECT_TRUE(folded.telemetry.empty());
+        ASSERT_FALSE(kept.telemetry.empty());
+        expectSameStats(folded.stats, kept.stats);
+        expectSameRollup(folded.steady, kept.steady);
+        expectSameRollup(kept.steady,
+                         sim::foldTelemetry(kept.telemetry, cap,
+                                            config.warmup, duration));
+        EXPECT_EQ(folded.steady.start, config.warmup);
+        EXPECT_EQ(folded.steady.end, duration);
+        EXPECT_GT(folded.steady.samples, 300u);
+        if (plan != nullptr && secondary != nullptr) {
+            EXPECT_GE(folded.faults.degradedEntries, 1);
+            EXPECT_EQ(folded.faults.degradedEntries,
+                      kept.faults.degradedEntries);
+            EXPECT_EQ(folded.faults.probes, kept.faults.probes);
+        }
+    }
 }
 
 class ThrottlerTest : public ::testing::Test

@@ -77,11 +77,6 @@ TEST(Telemetry, RecordsAndQueries)
     }
     EXPECT_EQ(rec.size(), 10u);
     EXPECT_EQ(rec.latest().when, 9 * kSecond);
-    EXPECT_EQ(rec.since(7 * kSecond).size(), 3u);
-    // Average power of samples 5..9: 107.
-    EXPECT_NEAR(rec.averagePower(5 * kSecond).value(), 107.0, 1e-12);
-    EXPECT_NEAR(rec.averageBeThroughput(8 * kSecond).value(), 0.85,
-                1e-12);
 }
 
 TEST(Telemetry, CapacityEvictsOldest)
@@ -111,7 +106,6 @@ TEST(Telemetry, EmptyQueries)
     TelemetryRecorder rec;
     EXPECT_TRUE(rec.empty());
     EXPECT_THROW(rec.latest(), poco::FatalError);
-    EXPECT_DOUBLE_EQ(rec.averagePower(0).value(), 0.0);
 }
 
 } // namespace

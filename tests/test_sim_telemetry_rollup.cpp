@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 #include "sim/telemetry_rollup.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace poco::sim
@@ -76,6 +81,161 @@ TEST(FoldTelemetry, RejectsAnEmptyWindow)
                  FatalError);
 }
 
+/**
+ * The batch fold as it stood before the incremental one, kept as the
+ * oracle: binary-search the sample holding at the window open, then
+ * integrate each sample's hold clipped to [start, end).
+ */
+EpochRollup
+oracleFold(const std::vector<TelemetrySample>& samples, Watts cap,
+           SimTime start, SimTime end)
+{
+    EpochRollup rollup;
+    rollup.start = start;
+    rollup.end = end;
+    auto lo = std::lower_bound(
+        samples.begin(), samples.end(), start,
+        [](const TelemetrySample& s, SimTime t) {
+            return s.when < t;
+        });
+    if (lo != samples.begin() && (lo == samples.end() ||
+                                  lo->when > start))
+        --lo;
+
+    double energy_j = 0.0;
+    double overshoot_j = 0.0;
+    double be_units = 0.0;
+    for (auto it = lo; it != samples.end() && it->when < end; ++it) {
+        const SimTime hold_from = std::max(it->when, start);
+        const SimTime hold_to =
+            std::next(it) != samples.end()
+                ? std::min(std::next(it)->when, end)
+                : end;
+        if (hold_to <= hold_from)
+            continue;
+        const double dt = toSeconds(hold_to - hold_from);
+        energy_j += it->power.value() * dt;
+        overshoot_j +=
+            std::max(0.0, (it->power - cap).value()) * dt;
+        be_units += it->beThroughput.value() * dt;
+        rollup.maxLatencyP99 =
+            std::max(rollup.maxLatencyP99, it->lcLatencyP99);
+        ++rollup.samples;
+    }
+    const double window = toSeconds(end - start);
+    rollup.energy = Joules{energy_j};
+    rollup.capOvershoot = Joules{overshoot_j};
+    rollup.meanPower = Watts{energy_j / window};
+    rollup.meanBeThroughput = Rps{be_units / window};
+    return rollup;
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+void
+expectBitwiseEqual(const EpochRollup& got, const EpochRollup& want)
+{
+    EXPECT_EQ(got.start, want.start);
+    EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.samples, want.samples);
+    EXPECT_EQ(bits(got.meanPower.value()), bits(want.meanPower.value()));
+    EXPECT_EQ(bits(got.meanBeThroughput.value()),
+              bits(want.meanBeThroughput.value()));
+    EXPECT_EQ(bits(got.energy.value()), bits(want.energy.value()));
+    EXPECT_EQ(bits(got.capOvershoot.value()),
+              bits(want.capOvershoot.value()));
+    EXPECT_EQ(bits(got.maxLatencyP99), bits(want.maxLatencyP99));
+}
+
+/**
+ * A seeded time-ordered stream: gaps of 0 (repeated timestamps) to a
+ * few seconds, power straddling the 150 W cap.
+ */
+std::vector<TelemetrySample>
+randomStream(Rng& rng)
+{
+    std::vector<TelemetrySample> samples(
+        static_cast<std::size_t>(rng.uniformInt(1, 40)));
+    SimTime t = rng.uniformInt(0, 3) * 250 * kMillisecond;
+    for (TelemetrySample& s : samples) {
+        if (!rng.bernoulli(0.2))
+            t += rng.uniformInt(1, 30) * 100 * kMillisecond +
+                 rng.uniformInt(0, 999);
+        s.when = t;
+        s.power = Watts{rng.uniform(60.0, 220.0)};
+        s.beThroughput = Rps{rng.uniform(0.0, 3.0)};
+        s.lcLatencyP99 = rng.uniform(0.0005, 0.02);
+    }
+    return samples;
+}
+
+TEST(TelemetryFold, MatchesTheBinarySearchFoldBitwise)
+{
+    const Watts cap{150.0};
+    std::size_t windows = 0;
+    for (std::uint64_t seed = 1; seed <= 256; ++seed) {
+        Rng rng(seed);
+        const std::vector<TelemetrySample> samples = randomStream(rng);
+        const SimTime first = samples.front().when;
+        const SimTime last = samples.back().when;
+        const auto at = [&](int i) {
+            return samples[static_cast<std::size_t>(i)].when;
+        };
+        const int n = static_cast<int>(samples.size());
+        const int i = rng.uniformInt(0, n - 1);
+        const int j = rng.uniformInt(0, n - 1);
+
+        // (start, end) pairs; empty ones are skipped below.
+        const std::vector<std::pair<SimTime, SimTime>> cases = {
+            // Samples exactly at start and at end.
+            {std::min(at(i), at(j)), std::max(at(i), at(j))},
+            // The first sample after start.
+            {first - rng.uniformInt(1, 5000), at(j) + 1},
+            // Every sample before start.
+            {last + 1, last + 1 + rng.uniformInt(1, 5000)},
+            {last, last + 100 * kMillisecond},
+            // A window inside one hold.
+            {at(i) + 1, at(i) + 2},
+            // Anything.
+            {first + rng.uniformInt(-3000, 20000) * kMillisecond,
+             first + rng.uniformInt(-3000, 40000) * kMillisecond},
+        };
+        for (const auto& [start, end] : cases) {
+            if (end <= start)
+                continue;
+            ++windows;
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " window [" << start
+                         << ", " << end << ")");
+            const EpochRollup want = oracleFold(samples, cap, start, end);
+            expectBitwiseEqual(foldTelemetry(samples, cap, start, end),
+                               want);
+
+            // The server manager's protocol: the fold runs from an
+            // earlier window, restarts at start once every sample up
+            // to start is in, and finishes at end with nothing past
+            // it folded.
+            TelemetryFold fold(cap, std::min(first, start) - kSecond);
+            std::size_t k = 0;
+            const bool include_start = rng.bernoulli(0.5);
+            for (; k < samples.size() &&
+                   (samples[k].when < start ||
+                    (include_start && samples[k].when == start));
+                 ++k)
+                fold.add(samples[k]);
+            fold.restart(start);
+            for (; k < samples.size() && samples[k].when <= end; ++k)
+                fold.add(samples[k]);
+            expectBitwiseEqual(fold.finish(end), want);
+        }
+    }
+    EXPECT_GT(windows, 1000u);
+}
+
 TEST(EpochRollup, CombineSumsMembersAndMaxesLatency)
 {
     EpochRollup a;
@@ -115,9 +275,9 @@ TEST(TelemetryAggregator, FoldsServersIntoClustersAndFleet)
 {
     // Servers 0,1 -> cluster 0; server 2 -> cluster 1.
     TelemetryAggregator agg({0, 0, 1}, 2);
-    agg.add(0, twoStepTrace(), Watts{150.0});
-    agg.add(1, twoStepTrace(), Watts{150.0});
-    agg.add(2, twoStepTrace(), Watts{250.0});
+    agg.appendDelta(0, twoStepTrace(), Watts{150.0});
+    agg.appendDelta(1, twoStepTrace(), Watts{150.0});
+    agg.appendDelta(2, twoStepTrace(), Watts{250.0});
     agg.sealEpoch(5 * kSecond, 15 * kSecond);
 
     const auto epochs = agg.drain();
@@ -136,7 +296,7 @@ TEST(TelemetryAggregator, FoldsServersIntoClustersAndFleet)
 TEST(TelemetryAggregator, DoubleBufferSealsIndependentEpochs)
 {
     TelemetryAggregator agg({0}, 1);
-    agg.add(0, twoStepTrace(), Watts{150.0});
+    agg.appendDelta(0, twoStepTrace(), Watts{150.0});
     agg.sealEpoch(0, 10 * kSecond);
     // Second epoch: the front buffer restarted empty.
     agg.sealEpoch(0, 10 * kSecond);

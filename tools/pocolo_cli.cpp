@@ -410,9 +410,11 @@ cmdSimulate(const wl::AppSet& apps, const Options& options,
 
     sim::EventQueue queue;
     server::ColocatedServer server(lc, &be, lc.provisionedPower());
+    server::ServerManagerConfig config;
+    config.keepTelemetry = true; // the table below prints the series
     server::ServerManager manager(
         server, std::make_unique<server::PomController>(fitted),
-        trace);
+        trace, config);
     manager.attach(queue);
     queue.runUntil(fromSeconds(minutes * 60.0));
     server.advanceTo(queue.now());
