@@ -41,7 +41,6 @@
 #include "model/demand.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -499,20 +498,6 @@ BM_ParallelFor(benchmark::State& state)
     }
 }
 BENCHMARK(BM_ParallelFor)->Arg(64)->Arg(4096);
-
-void
-BM_EventQueueChurn(benchmark::State& state)
-{
-    for (auto _ : state) {
-        sim::EventQueue queue;
-        int fired = 0;
-        for (int i = 0; i < 1000; ++i)
-            queue.schedule(i, [&fired](SimTime) { ++fired; });
-        queue.runAll();
-        benchmark::DoNotOptimize(fired);
-    }
-}
-BENCHMARK(BM_EventQueueChurn);
 
 // ---------------------------------------------------------------
 // The SoA/vectorization gate: before/after columns per kernel, each

@@ -40,13 +40,11 @@ main()
     const auto trace = wl::LoadTrace::stepped({0.2, 0.7, 0.2},
                                               4 * kMinute);
 
-    sim::EventQueue queue;
     server::ColocatedServer server(sphinx, &pagerank, cap);
     server::ServerManager manager(
         server,
         std::make_unique<server::PomController>(sphinx_model),
         trace);
-    manager.attach(queue);
 
     std::printf("sphinx + pagerank on a %.0f W server; load steps "
                 "20%% -> 70%% -> 20%%\n\n",
@@ -54,8 +52,8 @@ main()
     TextTable table({"t", "load%", "primary", "secondary",
                      "power (W)", "slack", "BE thr"});
     for (int minute = 0; minute <= 12; ++minute) {
-        queue.runUntil(minute * kMinute);
-        server.advanceTo(queue.now());
+        manager.runUntil(minute * kMinute);
+        server.advanceTo(manager.now());
         table.addRow(
             {std::to_string(minute) + "m",
              fmt(100.0 * server.load() / sphinx.peakLoad(), 0),

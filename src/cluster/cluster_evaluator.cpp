@@ -461,8 +461,8 @@ ClusterEvaluator::runAssignment(const std::vector<int>& assignment,
                      "two BE apps assigned to one server");
         be_of[static_cast<std::size_t>(j)] = static_cast<int>(i);
     }
-    // One simulation per server; each owns its own EventQueue, so
-    // the runs parallelize with no shared state.
+    // One simulation per server; each owns its server and manager,
+    // so the runs parallelize with no shared state.
     outcome.servers = runtime::parallelMap(
         pool_, apps_->lc.size(),
         [&](std::size_t j) { return runPair(j, be_of[j], kind); });

@@ -8,9 +8,13 @@
 namespace poco::fault
 {
 
-FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan))
+FaultInjector::FaultInjector(FaultPlan plan,
+                             const sim::PowerMeter* meter)
+    : plan_(std::move(plan)), meter_(meter)
 {
-    for (const FaultWindow& w : plan_.windows()) {
+    const std::vector<FaultWindow>& windows = plan_.windows();
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+        const FaultWindow& w = windows[i];
         POCO_REQUIRE(w.kind != FaultKind::ServerCrash,
                      "crash windows are consumed by the cluster "
                      "layer, not a server-level injector");
@@ -20,27 +24,33 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan))
                      "control-plane windows are consumed by the "
                      "ctrl layer (MasterGroup / eventsFromFaultPlan)"
                      ", not a server-level injector");
+        POCO_REQUIRE(w.start >= 0, "fault window starts in the past");
+        edges_.push_back(Edge{w.start, i, true});
+        edges_.push_back(Edge{w.end, i, false});
     }
+    // Stable: same-time edges keep plan order, start before end.
+    std::stable_sort(edges_.begin(), edges_.end(),
+                     [](const Edge& a, const Edge& b) {
+                         return a.when < b.when;
+                     });
 }
 
 void
-FaultInjector::attach(sim::EventQueue& queue,
-                      const sim::PowerMeter* meter)
+FaultInjector::advanceTo(SimTime now)
 {
-    POCO_REQUIRE(!attached_, "injector already attached");
-    attached_ = true;
-    meter_ = meter;
-    for (const FaultWindow& w : plan_.windows()) {
-        POCO_REQUIRE(w.start >= queue.now(),
-                     "fault window starts in the past");
-        queue.schedule(w.start,
-                       [this, &w](SimTime t) { activate(w, t); });
-        queue.schedule(w.end, [this, &w](SimTime) { deactivate(w); });
+    for (; next_edge_ < edges_.size() && edges_[next_edge_].when <= now;
+         ++next_edge_) {
+        const Edge& edge = edges_[next_edge_];
+        const FaultWindow& window = plan_.windows()[edge.window];
+        if (edge.opens)
+            activate(window);
+        else
+            deactivate(window);
     }
 }
 
 void
-FaultInjector::activate(const FaultWindow& window, SimTime now)
+FaultInjector::activate(const FaultWindow& window)
 {
     active_.push_back(&window);
     if (window.kind == FaultKind::SensorStuck &&
@@ -55,7 +65,6 @@ FaultInjector::activate(const FaultWindow& window, SimTime now)
             stuck_captured_ = false;
         }
     }
-    (void)now;
 }
 
 void
@@ -82,7 +91,6 @@ Watts
 FaultInjector::readPower(const sim::PowerMeter& meter, SimTime now,
                          SimTime window)
 {
-    POCO_REQUIRE(attached_, "attach the injector before reading");
     const Watts truth = meter.average(now, window);
 
     if (active(FaultKind::SensorDropout, now) != nullptr) {
@@ -123,7 +131,6 @@ sim::Allocation
 FaultInjector::apply(const sim::Allocation& current,
                      const sim::Allocation& next, SimTime now)
 {
-    POCO_REQUIRE(attached_, "attach the injector before commanding");
     if (active(FaultKind::ActuatorStuck, now) == nullptr)
         return next;
     sim::Allocation landed = next;

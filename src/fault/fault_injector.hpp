@@ -8,18 +8,18 @@
  * readPower(), which falsifies them while a sensor window is active,
  * and allocation writes pass through apply(), which models a stuck
  * DVFS/duty driver that silently drops the frequency/duty half of a
- * write while an actuator window is active. attach() schedules every window transition on the
- * simulation's event queue (attach the injector *before* the server
- * manager, so boundary events fire ahead of same-timestamp control
- * ticks). With no injector wired in, the manager's fault-free path is
- * byte-identical to a build without this subsystem.
+ * write while an actuator window is active. The owner delivers the
+ * window edges with advanceTo(): the server manager calls it at the
+ * head of each 100 ms tick, so an edge takes effect ahead of the
+ * loops of the tick at or after it. A manager built without a fault
+ * plan has no injector, and its fault-free path is byte-identical to
+ * a build without this subsystem.
  */
 
 #pragma once
 
 #include "fault/fault_plan.hpp"
 #include "sim/allocation.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/power_meter.hpp"
 #include "util/units.hpp"
 
@@ -41,24 +41,26 @@ struct InjectorStats
  * Delivers one server's FaultPlan into its simulation.
  *
  * The injector is single-server: build it from plan.forServer(j).
- * It is not thread-safe; each simulated server owns its own (the
- * same ownership rule as the EventQueue it attaches to).
+ * It is not thread-safe; each server manager owns its own.
  */
 class FaultInjector
 {
   public:
-    explicit FaultInjector(FaultPlan plan);
+    /**
+     * Every window must start at or after t = 0. The optional
+     * @p meter (borrowed) lets SensorStuck windows freeze the reading
+     * at the value the sensor held when the fault hit; without it
+     * the first read inside the window is frozen instead.
+     */
+    explicit FaultInjector(FaultPlan plan,
+                           const sim::PowerMeter* meter = nullptr);
 
     /**
-     * Schedule every window start/end on @p queue. The optional
-     * @p meter lets SensorStuck windows freeze the reading at the
-     * value the sensor held when the fault hit; without it the first
-     * read inside the window is frozen instead.
+     * Open and close every window whose edge is at or before @p now,
+     * in (time, plan order, start before end) order.
      */
-    void attach(sim::EventQueue& queue,
-                const sim::PowerMeter* meter = nullptr);
+    void advanceTo(SimTime now);
 
-    bool attached() const { return attached_; }
     const FaultPlan& plan() const { return plan_; }
 
     /**
@@ -85,14 +87,25 @@ class FaultInjector
     const InjectorStats& stats() const { return stats_; }
 
   private:
+    /** One window start or end. */
+    struct Edge
+    {
+        SimTime when;
+        std::size_t window; ///< index into plan_.windows()
+        bool opens;
+    };
+
     const FaultWindow* active(FaultKind kind, SimTime now) const;
-    void activate(const FaultWindow& window, SimTime now);
+    void activate(const FaultWindow& window);
     void deactivate(const FaultWindow& window);
 
     FaultPlan plan_;
-    bool attached_ = false;
-    const sim::PowerMeter* meter_ = nullptr;
-    /** Windows currently open (updated by the boundary events). */
+    const sim::PowerMeter* meter_;
+    /** Every window edge, in delivery order. */
+    std::vector<Edge> edges_;
+    /** The first edge advanceTo() has not delivered yet. */
+    std::size_t next_edge_ = 0;
+    /** Windows currently open (updated by advanceTo()). */
     std::vector<const FaultWindow*> active_;
     /** Frozen sensor value for the open SensorStuck window. */
     const FaultWindow* stuck_window_ = nullptr;

@@ -9,8 +9,9 @@
  * windows: power-sensor faults (stuck-at, dropout, bias), actuator
  * faults (DVFS/duty commands silently dropped), telemetry staleness,
  * server crashes, and LC load spikes. Plans are pure data; the
- * FaultInjector delivers them onto a simulation's event queue, and
- * the cluster evaluator consumes crash windows directly.
+ * server manager delivers them through a FaultInjector at its
+ * 100 ms ticks, and the cluster evaluator consumes crash windows
+ * directly.
  *
  * Generation draws every stream through Rng::split keyed by
  * (kind, server), so a server's schedule is independent of how many

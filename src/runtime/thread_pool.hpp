@@ -3,7 +3,7 @@
  * Concurrent execution subsystem: a fixed-size work-stealing thread
  * pool with structured task groups.
  *
- * Every simulation in Pocolo owns its own EventQueue, and every
+ * Every simulated server in Pocolo owns its own clock, and every
  * stochastic stage either pre-sequences its random draws or forks an
  * order-independent stream per task (Rng::split), so whole-cluster
  * evaluations decompose into independent tasks. This pool is the

@@ -44,7 +44,11 @@ ScheduleResult::finishedCount() const
 namespace
 {
 
-/** Bookkeeping driver living alongside the server manager. */
+/**
+ * Bookkeeping driver living alongside the server manager. Build it
+ * after the manager: it installs the first job at t = 0, after the
+ * manager's initial load.
+ */
 class Scheduler
 {
   public:
@@ -75,15 +79,36 @@ class Scheduler
             for (std::size_t i = 0; i < jobs_.size(); ++i)
                 order_.push_back(i);
         }
+        switchTo(0, nextUnfinished(0));
     }
 
+    /** Account the running job's progress at @p now; switch jobs. */
     void
-    attach(sim::EventQueue& queue)
+    tick(SimTime now)
     {
-        queue_ = &queue;
-        switchTo(queue.now(), nextUnfinished(0));
-        queue.schedule(queue.now() + config_.tick,
-                       [this](SimTime t) { tick(t); });
+        if (current_ >= jobs_.size())
+            return;
+        const double total = server_->beWorkAt(0);
+        const double delta = total - work_mark_;
+        work_mark_ = total;
+        remaining_[current_] -= delta;
+        outcomes_[current_].workDone += delta;
+        if (remaining_[current_] <= 0.0) {
+            outcomes_[current_].completion = now;
+            last_completion_ = now;
+            ++done_;
+            // Position in order_ of the finished job, so RR
+            // continues from the successor.
+            switchTo(now, nextUnfinished(positionOf(current_)));
+        } else if (config_.policy == SchedulePolicy::RoundRobin &&
+                   now - quantum_start_ >= config_.quantum) {
+            const std::size_t next =
+                nextUnfinished(positionOf(current_) + 1);
+            if (next != current_)
+                switchTo(now, next);
+            else
+                quantum_start_ = now;
+        }
     }
 
     bool allDone() const { return done_ == jobs_.size(); }
@@ -119,39 +144,6 @@ class Scheduler
         quantum_start_ = now;
     }
 
-    void
-    tick(SimTime now)
-    {
-        // Account progress of the running job.
-        if (current_ < jobs_.size()) {
-            const double total = server_->beWorkAt(0);
-            const double delta = total - work_mark_;
-            work_mark_ = total;
-            remaining_[current_] -= delta;
-            outcomes_[current_].workDone += delta;
-            if (remaining_[current_] <= 0.0) {
-                outcomes_[current_].completion = now;
-                last_completion_ = now;
-                ++done_;
-                // Position in order_ of the finished job, so RR
-                // continues from the successor.
-                switchTo(now, nextUnfinished(positionOf(current_)));
-            } else if (config_.policy ==
-                           SchedulePolicy::RoundRobin &&
-                       now - quantum_start_ >= config_.quantum) {
-                const std::size_t next =
-                    nextUnfinished(positionOf(current_) + 1);
-                if (next != current_)
-                    switchTo(now, next);
-                else
-                    quantum_start_ = now;
-            }
-        }
-        if (!allDone())
-            queue_->schedule(now + config_.tick,
-                             [this](SimTime t) { tick(t); });
-    }
-
     std::size_t
     positionOf(std::size_t job) const
     {
@@ -163,7 +155,6 @@ class Scheduler
 
     ColocatedServer* server_;
     SchedulerConfig config_;
-    sim::EventQueue* queue_ = nullptr;
 
     std::vector<BeJob> jobs_;
     std::vector<double> remaining_;
@@ -187,26 +178,28 @@ runBeSchedule(const wl::LcApp& lc, std::vector<BeJob> jobs,
 {
     POCO_REQUIRE(!jobs.empty(), "schedule needs at least one job");
     POCO_REQUIRE(deadline > 0, "deadline must be positive");
-    POCO_REQUIRE(config.tick > 0, "scheduler tick must be positive");
-    POCO_REQUIRE(config.quantum >= config.tick,
+    POCO_REQUIRE(config.quantum >= ServerManager::kTick,
                  "quantum must be at least one tick");
 
-    sim::EventQueue queue;
     // One secondary slot; the scheduler swaps applications in it.
     ColocatedServer server(lc, jobs.front().app, power_cap);
     ServerManager manager(server, std::move(controller),
                           std::move(trace), config.server);
     Scheduler scheduler(server, std::move(jobs), config);
 
-    manager.attach(queue);
-    scheduler.attach(queue);
-
-    // Run until all jobs finish or the deadline passes. Stepping in
-    // chunks lets us stop early without draining the calendar.
+    // Run until all jobs finish or the deadline passes, checking
+    // between 10 s chunks; the scheduler ticks after the manager.
     const SimTime chunk = 10 * kSecond;
-    while (queue.now() < deadline && !scheduler.allDone())
-        queue.runUntil(std::min(deadline, queue.now() + chunk));
-    server.advanceTo(queue.now());
+    while (manager.now() < deadline && !scheduler.allDone()) {
+        const SimTime stop = std::min(deadline, manager.now() + chunk);
+        for (SimTime t = manager.now() + ServerManager::kTick; t <= stop;
+             t += ServerManager::kTick) {
+            manager.runUntil(t);
+            scheduler.tick(t);
+        }
+        manager.runUntil(stop);
+    }
+    server.advanceTo(manager.now());
 
     ScheduleResult result;
     result.jobs = scheduler.outcomes();

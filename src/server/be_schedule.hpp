@@ -60,6 +60,12 @@ struct ScheduleResult
     std::vector<JobOutcome> jobs;
     /** Completion of the last job (deadline when unfinished). */
     SimTime makespan = 0;
+    /**
+     * The server's statistics from t = 0 to where the run stopped,
+     * not to the makespan: the run advances in 10 s chunks and
+     * stops at the first chunk boundary at or after the last
+     * completion, or at the deadline, whichever comes first.
+     */
     ServerStats stats;
     bool allFinished = false;
 
@@ -72,10 +78,12 @@ struct ScheduleResult
 struct SchedulerConfig
 {
     SchedulePolicy policy = SchedulePolicy::Fcfs;
-    /** Round-robin quantum (ignored by FCFS/SJF). */
+    /**
+     * Round-robin quantum (ignored by FCFS/SJF); at least one 100 ms
+     * tick. The scheduler checks progress, and so switches jobs, at
+     * every tick after the server manager's.
+     */
     SimTime quantum = 10 * kSecond;
-    /** Progress-check period (also bounds job-switch latency). */
-    SimTime tick = 100 * kMillisecond;
     ServerManagerConfig server;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "runtime/parallel.hpp"
@@ -14,10 +13,9 @@ namespace poco::server
 namespace
 {
 
-/** BE power-throttle period (paper: every 100 ms). */
-constexpr SimTime kThrottlePeriod = 100 * kMillisecond;
-/** Telemetry sampling period. */
-constexpr SimTime kTelemetryPeriod = 100 * kMillisecond;
+// The BE power throttle (paper: every 100 ms) and telemetry run at
+// every tick.
+
 /** Offered-load update period (trace resolution). */
 constexpr SimTime kLoadPeriod = 1 * kSecond;
 
@@ -47,55 +45,64 @@ constexpr Watts kOvershootMargin{1.0};
 ServerManager::ServerManager(
     ColocatedServer& server,
     std::unique_ptr<PrimaryController> controller,
-    wl::LoadTrace trace, ServerManagerConfig config)
+    wl::LoadTrace trace, ServerManagerConfig config,
+    const fault::FaultPlan* faults)
     : server_(&server), controller_(std::move(controller)),
       trace_(std::move(trace)), config_(config),
       throttler_(config.throttler), steady_(server.powerCap(), 0)
 {
     POCO_REQUIRE(controller_ != nullptr, "controller must be set");
-    POCO_REQUIRE(config_.controlPeriod > 0,
-                 "control period must be positive");
+    POCO_REQUIRE(config_.controlPeriod > 0 &&
+                     config_.controlPeriod % kTick == 0,
+                 "control period must be a positive multiple of "
+                 "100 ms");
+    if (faults != nullptr && faults->enabled())
+        injector_.emplace(*faults, &server.meter());
+    // The initial load lands before any t = 0 window edge: a spike
+    // opening at t = 0 first shows at the 1 s load tick.
+    loadTick(0);
 }
 
 void
-ServerManager::setFaultInjector(fault::FaultInjector* injector)
+ServerManager::runUntil(SimTime deadline)
 {
-    POCO_REQUIRE(queue_ == nullptr,
-                 "wire the injector before attaching the manager");
-    injector_ = injector;
+    for (SimTime t = (now_ / kTick + 1) * kTick; t <= deadline;
+         t += kTick) {
+        now_ = t;
+        tick(t);
+    }
+    if (injector_)
+        injector_->advanceTo(deadline);
+    now_ = std::max(now_, deadline);
 }
 
 void
-ServerManager::attach(sim::EventQueue& queue)
+ServerManager::tick(SimTime now)
 {
-    POCO_REQUIRE(queue_ == nullptr, "manager already attached");
-    queue_ = &queue;
-    const SimTime now = queue.now();
-    steady_.restart(now);
-    // Apply the initial load immediately, then start the loops. The
-    // offsets stagger same-period loops deterministically: load
-    // first, control next, throttle and telemetry after.
-    loadTick(now);
-    queue.schedule(now + config_.controlPeriod,
-                   [this](SimTime t) { controlTick(t); });
-    queue.schedule(now + kThrottlePeriod,
-                   [this](SimTime t) { throttleTick(t); });
-    queue.schedule(now + kTelemetryPeriod,
-                   [this](SimTime t) { telemetryTick(t); });
+    if (injector_)
+        injector_->advanceTo(now);
+    const bool control = now % config_.controlPeriod == 0;
+    const bool control_first = config_.controlPeriod > kLoadPeriod;
+    if (control && control_first)
+        controlTick(now);
+    if (now % kLoadPeriod == 0)
+        loadTick(now);
+    if (control && !control_first)
+        controlTick(now);
+    throttleTick(now);
+    telemetryTick(now);
 }
 
 void
 ServerManager::loadTick(SimTime now)
 {
     double fraction = trace_.at(now);
-    if (injector_ != nullptr)
+    if (injector_)
         // Spikes stack multiplicatively but saturate at the app's
         // peak: the front-end load balancer cannot offer more.
         fraction = std::min(1.0,
                             fraction * injector_->loadFactor(now));
     server_->setLoad(now, fraction * server_->lc().peakLoad());
-    queue_->schedule(now + kLoadPeriod,
-                     [this](SimTime t) { loadTick(t); });
 }
 
 void
@@ -159,9 +166,6 @@ ServerManager::controlTick(SimTime now)
     ++slack_samples_;
     if (slack < config_.controller.minSlack)
         ++slack_shortfalls_;
-
-    queue_->schedule(now + config_.controlPeriod,
-                     [this](SimTime t) { controlTick(t); });
 }
 
 void
@@ -183,14 +187,12 @@ ServerManager::throttleTick(SimTime now)
                 applyBeAlloc(now, slot, next);
         }
     }
-    queue_->schedule(now + kThrottlePeriod,
-                     [this](SimTime t) { throttleTick(t); });
 }
 
 Watts
 ServerManager::measuredPower(SimTime now)
 {
-    return injector_ != nullptr
+    return injector_
                ? injector_->readPower(server_->meter(), now,
                                       config_.throttler.window)
                : server_->meter().average(now,
@@ -202,7 +204,7 @@ ServerManager::applyBeAlloc(SimTime now, std::size_t slot,
                             const sim::Allocation& next)
 {
     sim::Allocation landed = next;
-    if (injector_ != nullptr)
+    if (injector_)
         landed = injector_->apply(server_->beAllocAt(slot), next, now);
     if (!(landed == server_->beAllocAt(slot)))
         server_->setBeAllocAt(now, slot, landed);
@@ -217,7 +219,7 @@ ServerManager::applyBeAlloc(SimTime now, std::size_t slot,
 bool
 ServerManager::watchdogArmed() const
 {
-    return injector_ != nullptr && config_.watchdog.enabled &&
+    return injector_ && config_.watchdog.enabled &&
            server_->secondaryCount() == 1 &&
            server_->be() != nullptr;
 }
@@ -380,8 +382,6 @@ ServerManager::telemetryTick(SimTime now)
     steady_.add(sample);
     if (config_.keepTelemetry)
         telemetry_.record(std::move(sample));
-    queue_->schedule(now + kTelemetryPeriod,
-                     [this](SimTime t) { telemetryTick(t); });
 }
 
 ServerRunResult
@@ -403,22 +403,22 @@ ServerManager::result() const
     out.faults.capOvershootJoules = out.stats.capOvershootJoules;
     out.faults.maxOvershoot =
         std::max(Watts{}, out.stats.maxPower - server_->powerCap());
-    if (queue_ != nullptr && queue_->now() > steady_.start())
-        out.steady = steady_.finish(queue_->now());
+    if (now_ > steady_.start())
+        out.steady = steady_.finish(now_);
     out.telemetry.assign(telemetry_.all().begin(),
                          telemetry_.all().end());
     return out;
 }
 
 void
-ServerManager::resetStats(SimTime now)
+ServerManager::resetStats()
 {
-    server_->resetStats(now);
+    server_->resetStats(now_);
     slack_sum_ = 0.0;
     slack_samples_ = 0;
     slack_shortfalls_ = 0;
     fault_stats_ = FaultRunStats{};
-    steady_.restart(now);
+    steady_.restart(now_);
 }
 
 ServerRunResult
@@ -431,24 +431,13 @@ runServerScenario(const wl::LcApp& lc, const wl::BeApp* be,
 {
     POCO_REQUIRE(duration > config.warmup,
                  "duration must exceed the warm-up period");
-    sim::EventQueue queue;
     ColocatedServer server(lc, be, power_cap);
     ServerManager manager(server, std::move(controller),
-                          std::move(trace), config);
-    // The injector attaches first so its window-boundary events run
-    // ahead of same-timestamp manager ticks (EventQueue breaks time
-    // ties by schedule order).
-    std::optional<fault::FaultInjector> injector;
-    if (faults != nullptr && faults->enabled()) {
-        injector.emplace(*faults);
-        injector->attach(queue, &server.meter());
-        manager.setFaultInjector(&*injector);
-    }
-    manager.attach(queue);
-    queue.runUntil(config.warmup);
-    manager.resetStats(queue.now());
-    queue.runUntil(duration);
-    server.advanceTo(queue.now());
+                          std::move(trace), config, faults);
+    manager.runUntil(config.warmup);
+    manager.resetStats();
+    manager.runUntil(duration);
+    server.advanceTo(manager.now());
     return manager.result();
 }
 

@@ -1,20 +1,31 @@
 /**
  * @file
- * Server manager: wires the primary controller, the best-effort
- * throttler, the load trace, and telemetry onto the event queue, and
- * provides a one-call scenario runner used by the cluster manager,
- * the benches, and the tests.
+ * Server manager: runs one server's management loops — the offered
+ * load, the primary controller, the best-effort throttler and
+ * telemetry — on its own 100 ms clock, and provides a one-call
+ * scenario runner used by the cluster manager, the benches, and the
+ * tests.
+ *
+ * The manager applies the initial load at t = 0. Every loop period
+ * is a multiple of the 100 ms tick, and each tick T runs in one
+ * fixed order:
+ *  1. the fault injector's window edges at or before T;
+ *  2. the loops due at T, longest period first: the primary
+ *     controller before the 1 s load update when controlPeriod is
+ *     longer than 1 s, otherwise the load update and then control;
+ *  3. the BE throttle;
+ *  4. telemetry.
  */
 
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "fault/fault_injector.hpp"
 #include "server/be_throttler.hpp"
 #include "server/colocated_server.hpp"
 #include "server/primary_controller.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/telemetry_rollup.hpp"
 #include "wl/load_trace.hpp"
@@ -29,7 +40,7 @@ namespace poco::server
 
 /**
  * Degradation-ladder switch (DESIGN.md §10). The watchdog only runs
- * when a fault injector is wired in; the fault-free path never
+ * when the manager is given a fault plan; the fault-free path never
  * evaluates it. Its thresholds are constants in server_manager.cpp.
  */
 struct WatchdogConfig
@@ -44,7 +55,10 @@ struct WatchdogConfig
  */
 struct ServerManagerConfig
 {
-    /** Primary controller decision period (paper: every second). */
+    /**
+     * Primary controller decision period (paper: every second). A
+     * positive multiple of the 100 ms tick.
+     */
     SimTime controlPeriod = 1 * kSecond;
     /** Settling time excluded from the reported statistics. */
     SimTime warmup = 60 * kSecond;
@@ -92,8 +106,8 @@ struct ServerRunResult
     FaultRunStats faults;
     /**
      * The telemetry fold against the server's power cap over the
-     * statistics window: from the last resetStats() (or attach()) to
-     * the queue's clock at result(). runServerScenario's window is
+     * statistics window: from the last resetStats() (or t = 0) to
+     * the manager's clock at result(). runServerScenario's window is
      * [warmup, duration).
      */
     sim::EpochRollup steady;
@@ -105,32 +119,43 @@ struct ServerRunResult
 };
 
 /**
- * Drives one ColocatedServer on an event queue.
+ * Drives one ColocatedServer on the 100 ms clock.
  *
- * The manager owns its controller but borrows the server and the
- * queue; both must outlive it. Call attach() once to register the
- * periodic loops.
+ * The manager owns its controller, its clock and its fault injector,
+ * and borrows the server, which must outlive it.
  */
 class ServerManager
 {
   public:
-    ServerManager(ColocatedServer& server,
-                  std::unique_ptr<PrimaryController> controller,
-                  wl::LoadTrace trace,
-                  ServerManagerConfig config = {});
-
-    /** Register the management loops starting at queue.now(). */
-    void attach(sim::EventQueue& queue);
+    /** The clock's step; every loop period is a multiple of it. */
+    static constexpr SimTime kTick = 100 * kMillisecond;
 
     /**
-     * Route meter reads and throttle commands through @p injector
-     * (borrowed; may be nullptr to disconnect). Call before attach();
-     * the injector itself must be attached to the same queue first so
-     * its window-boundary events fire ahead of same-time ticks. With
-     * an injector wired in and watchdog.enabled, the degradation
-     * ladder (DESIGN.md §10) arms on single-secondary servers.
+     * Apply the initial load at t = 0.
+     *
+     * @param faults Optional fault schedule (copied). With a
+     *        non-empty plan, meter reads and throttle commands pass
+     *        through a FaultInjector over the server's meter, and
+     *        with watchdog.enabled the degradation ladder (DESIGN.md
+     *        §10) arms on single-secondary servers. nullptr or an
+     *        empty plan runs the byte-identical fault-free path.
      */
-    void setFaultInjector(fault::FaultInjector* injector);
+    ServerManager(ColocatedServer& server,
+                  std::unique_ptr<PrimaryController> controller,
+                  wl::LoadTrace trace, ServerManagerConfig config = {},
+                  const fault::FaultPlan* faults = nullptr);
+
+    /**
+     * Run every tick after now() and at or before @p deadline, in the
+     * order the file comment gives; then deliver the window edges up
+     * to @p deadline and set now() to it. The server integrates only
+     * as far as its last change: call server().advanceTo(now())
+     * before reading statistics that must cover the whole interval.
+     */
+    void runUntil(SimTime deadline);
+
+    /** The manager's clock: the last runUntil() deadline, or 0. */
+    SimTime now() const { return now_; }
 
     /** True while the watchdog holds the BE at the degraded floor. */
     bool degraded() const { return degraded_; }
@@ -149,11 +174,13 @@ class ServerManager
 
     /**
      * Forget warm-up history (stats and slack samples) and reopen
-     * the telemetry fold's window at @p now.
+     * the telemetry fold's window at now().
      */
-    void resetStats(SimTime now);
+    void resetStats();
 
   private:
+    /** One tick: window edges, then the loops due at @p now. */
+    void tick(SimTime now);
     void loadTick(SimTime now);
     void controlTick(SimTime now);
     void throttleTick(SimTime now);
@@ -177,11 +204,12 @@ class ServerManager
     wl::LoadTrace trace_;
     ServerManagerConfig config_;
     BeThrottler throttler_;
-    sim::EventQueue* queue_ = nullptr;
+    SimTime now_ = 0;
     sim::TelemetryRecorder telemetry_;
     /** Folds every sample as telemetryTick() produces it. */
     sim::TelemetryFold steady_;
-    fault::FaultInjector* injector_ = nullptr;
+    /** Present only with a non-empty fault plan. */
+    std::optional<fault::FaultInjector> injector_;
 
     /** Slack tracking for result(). */
     double slack_sum_ = 0.0;
@@ -237,7 +265,7 @@ struct ServerScenario
 
 /**
  * Run many scenarios concurrently on @p pool (serially when null).
- * Every scenario owns its ColocatedServer and EventQueue, so the
+ * Every scenario owns its ColocatedServer and ServerManager, so the
  * simulations share no state; result i is bit-identical to a serial
  * runServerScenario() call with scenarios[i]'s arguments.
  */

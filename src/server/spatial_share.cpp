@@ -171,25 +171,23 @@ runSpatialShare(const wl::LcApp& lc,
     POCO_REQUIRE(duration > config.warmup,
                  "duration must exceed the warm-up period");
 
-    sim::EventQueue queue;
     ColocatedServer server(lc, apps, power_cap);
     ServerManager manager(server, std::move(controller),
                           wl::LoadTrace::constant(load_fraction),
                           config);
-    manager.attach(queue);
 
     // Give the controller a moment to size the primary, then install
     // the slices (clipped installs would mask planning errors, so a
     // slice that no longer fits is an error).
-    queue.runUntil(5 * kSecond);
+    manager.runUntil(5 * kSecond);
     for (std::size_t i = 0; i < slices.size(); ++i)
         if (!slices[i].empty())
-            server.setBeAllocAt(queue.now(), i, slices[i]);
+            server.setBeAllocAt(manager.now(), i, slices[i]);
 
-    queue.runUntil(config.warmup);
-    server.resetStats(queue.now());
-    queue.runUntil(duration);
-    server.advanceTo(queue.now());
+    manager.runUntil(config.warmup);
+    server.resetStats(manager.now());
+    manager.runUntil(duration);
+    server.advanceTo(manager.now());
 
     SpatialRunResult result;
     result.stats = server.stats();

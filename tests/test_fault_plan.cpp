@@ -10,7 +10,6 @@
 
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
-#include "sim/event_queue.hpp"
 #include "util/check.hpp"
 
 namespace poco::fault
@@ -135,26 +134,33 @@ TEST(FaultInjector, RejectsCrashWindows)
                  poco::FatalError);
 }
 
+TEST(FaultInjector, RejectsWindowsStartingInThePast)
+{
+    std::vector<FaultWindow> windows{
+        {-1, 1 * kSecond, FaultKind::SensorBias, 0.25, 0}};
+    EXPECT_THROW(FaultInjector(FaultPlan::fromWindows(windows)),
+                 poco::FatalError);
+}
+
 TEST(FaultInjector, DropoutDeliversNaN)
 {
-    sim::EventQueue queue;
     sim::PowerMeter meter;
     meter.setPower(0, Watts{100.0});
     std::vector<FaultWindow> windows{{1 * kSecond, 2 * kSecond,
                                       FaultKind::SensorDropout, 0.0,
                                       0}};
-    FaultInjector injector(FaultPlan::fromWindows(windows));
-    injector.attach(queue, &meter);
-    queue.runUntil(500 * kMillisecond);
-    EXPECT_DOUBLE_EQ(injector.readPower(meter, queue.now(),
+    FaultInjector injector(FaultPlan::fromWindows(windows), &meter);
+    injector.advanceTo(500 * kMillisecond);
+    EXPECT_DOUBLE_EQ(injector.readPower(meter, 500 * kMillisecond,
                                         100 * kMillisecond).value(),
                      100.0);
-    queue.runUntil(1500 * kMillisecond);
+    injector.advanceTo(1500 * kMillisecond);
     EXPECT_TRUE(std::isnan(
-        injector.readPower(meter, queue.now(), 100 * kMillisecond)
+        injector.readPower(meter, 1500 * kMillisecond,
+                           100 * kMillisecond)
             .value()));
-    queue.runUntil(2500 * kMillisecond);
-    EXPECT_DOUBLE_EQ(injector.readPower(meter, queue.now(),
+    injector.advanceTo(2500 * kMillisecond);
+    EXPECT_DOUBLE_EQ(injector.readPower(meter, 2500 * kMillisecond,
                                         100 * kMillisecond).value(),
                      100.0);
     EXPECT_EQ(injector.stats().faultedReads, 1);
@@ -162,50 +168,66 @@ TEST(FaultInjector, DropoutDeliversNaN)
 
 TEST(FaultInjector, StuckFreezesWindowEntryValue)
 {
-    sim::EventQueue queue;
     sim::PowerMeter meter;
     meter.setPower(0, Watts{80.0});
     std::vector<FaultWindow> windows{
         {1 * kSecond, 3 * kSecond, FaultKind::SensorStuck, 0.0, 0}};
-    FaultInjector injector(FaultPlan::fromWindows(windows));
-    injector.attach(queue, &meter);
-    queue.runUntil(2 * kSecond);
-    meter.setPower(queue.now(), Watts{140.0}); // the truth moves...
-    queue.runUntil(2900 * kMillisecond);
-    EXPECT_DOUBLE_EQ(injector.readPower(meter, queue.now(),
+    FaultInjector injector(FaultPlan::fromWindows(windows), &meter);
+    injector.advanceTo(2 * kSecond);
+    meter.setPower(2 * kSecond, Watts{140.0}); // the truth moves...
+    injector.advanceTo(2900 * kMillisecond);
+    EXPECT_DOUBLE_EQ(injector.readPower(meter, 2900 * kMillisecond,
                                         100 * kMillisecond).value(),
                      80.0); // ...the reading does not
-    queue.runUntil(3500 * kMillisecond);
-    EXPECT_DOUBLE_EQ(injector.readPower(meter, queue.now(),
+    injector.advanceTo(3500 * kMillisecond);
+    EXPECT_DOUBLE_EQ(injector.readPower(meter, 3500 * kMillisecond,
                                         100 * kMillisecond).value(),
                      140.0);
 }
 
+TEST(FaultInjector, SameTimeEdgesFollowPlanOrder)
+{
+    // Touching SensorStuck windows: at 2 s the first closes before
+    // the second opens, so the second freezes the meter's 2 s value.
+    // Opening it first would leave it to freeze the first read.
+    sim::PowerMeter meter;
+    meter.setPower(0, Watts{80.0});
+    std::vector<FaultWindow> windows{
+        {1 * kSecond, 2 * kSecond, FaultKind::SensorStuck, 0.0, 0},
+        {2 * kSecond, 3 * kSecond, FaultKind::SensorStuck, 0.0, 0}};
+    FaultInjector injector(FaultPlan::fromWindows(windows), &meter);
+    injector.advanceTo(1 * kSecond);
+    meter.setPower(1500 * kMillisecond, Watts{120.0});
+    injector.advanceTo(2 * kSecond);
+    meter.setPower(2200 * kMillisecond, Watts{150.0});
+    EXPECT_DOUBLE_EQ(injector.readPower(meter, 2500 * kMillisecond,
+                                        100 * kMillisecond).value(),
+                     120.0);
+}
+
 TEST(FaultInjector, ActuatorFreezesFreqAndDutyOnly)
 {
-    sim::EventQueue queue;
     std::vector<FaultWindow> windows{
         {0, 10 * kSecond, FaultKind::ActuatorStuck, 0.0, 0}};
     FaultInjector injector(FaultPlan::fromWindows(windows));
-    injector.attach(queue);
-    queue.runUntil(1 * kSecond);
+    injector.advanceTo(1 * kSecond);
     const sim::Allocation current{4, 4, GHz{2.2}, 1.0};
     const sim::Allocation throttle{4, 4, GHz{2.0}, 0.5};
     const sim::Allocation resize{2, 6, GHz{2.0}, 1.0};
     // A pure DVFS/duty write is dropped entirely...
-    EXPECT_TRUE(injector.apply(current, throttle, queue.now()) ==
+    EXPECT_TRUE(injector.apply(current, throttle, 1 * kSecond) ==
                 current);
     // ...a resize lands cores/ways but keeps the old freq/duty.
     const sim::Allocation landed =
-        injector.apply(current, resize, queue.now());
+        injector.apply(current, resize, 1 * kSecond);
     EXPECT_EQ(landed.cores, 2);
     EXPECT_EQ(landed.ways, 6);
     EXPECT_DOUBLE_EQ(landed.freq.value(), 2.2);
     EXPECT_DOUBLE_EQ(landed.dutyCycle, 1.0);
     EXPECT_EQ(injector.stats().suppressedCommands, 2);
     // Outside the window every write lands verbatim.
-    queue.runUntil(11 * kSecond);
-    EXPECT_TRUE(injector.apply(current, throttle, queue.now()) ==
+    injector.advanceTo(11 * kSecond);
+    EXPECT_TRUE(injector.apply(current, throttle, 11 * kSecond) ==
                 throttle);
     EXPECT_EQ(injector.stats().suppressedCommands, 2);
 }
@@ -271,7 +293,7 @@ TEST(FaultInjector, RejectsControlPlaneKinds)
 {
     // MasterKill / MasterPause / EventBurst target the control
     // plane, not a simulated server; handing them to the
-    // server-level injector is a wiring bug, caught at attach.
+    // server-level injector is a wiring bug, caught at construction.
     for (const FaultKind kind :
          {FaultKind::MasterKill, FaultKind::MasterPause,
           FaultKind::EventBurst}) {
@@ -285,15 +307,13 @@ TEST(FaultInjector, RejectsControlPlaneKinds)
 
 TEST(FaultInjector, LoadSpikeMultiplies)
 {
-    sim::EventQueue queue;
     std::vector<FaultWindow> windows{
         {0, 5 * kSecond, FaultKind::LoadSpike, 0.5, 0}};
     FaultInjector injector(FaultPlan::fromWindows(windows));
-    injector.attach(queue);
-    queue.runUntil(1 * kSecond);
-    EXPECT_DOUBLE_EQ(injector.loadFactor(queue.now()), 1.5);
-    queue.runUntil(6 * kSecond);
-    EXPECT_DOUBLE_EQ(injector.loadFactor(queue.now()), 1.0);
+    injector.advanceTo(1 * kSecond);
+    EXPECT_DOUBLE_EQ(injector.loadFactor(1 * kSecond), 1.5);
+    injector.advanceTo(6 * kSecond);
+    EXPECT_DOUBLE_EQ(injector.loadFactor(6 * kSecond), 1.0);
 }
 
 } // namespace

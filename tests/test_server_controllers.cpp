@@ -192,16 +192,22 @@ TEST_F(ControllerTest, ScenarioRunnerValidation)
         poco::FatalError);
 }
 
-TEST_F(ControllerTest, ManagerRejectsDoubleAttach)
+TEST_F(ControllerTest, ControlPeriodIsAPositiveMultipleOfTheTick)
 {
     const auto& lc = set_->lcByName("xapian");
-    sim::EventQueue queue;
     ColocatedServer server(lc, nullptr, lc.provisionedPower());
-    ServerManager manager(server,
-                          std::make_unique<HeraclesController>(),
-                          wl::LoadTrace::constant(0.5));
-    manager.attach(queue);
-    EXPECT_THROW(manager.attach(queue), poco::FatalError);
+    const auto build = [&](SimTime period) {
+        ServerManagerConfig config;
+        config.controlPeriod = period;
+        ServerManager manager(server,
+                              std::make_unique<HeraclesController>(),
+                              wl::LoadTrace::constant(0.5), config);
+    };
+    EXPECT_THROW(build(0), poco::FatalError);
+    EXPECT_THROW(build(-1 * kSecond), poco::FatalError);
+    EXPECT_THROW(build(150 * kMillisecond), poco::FatalError);
+    EXPECT_NO_THROW(build(500 * kMillisecond));
+    EXPECT_NO_THROW(build(4 * kSecond));
 }
 
 TEST_F(ControllerTest, TelemetryIsRecorded)
@@ -209,24 +215,20 @@ TEST_F(ControllerTest, TelemetryIsRecorded)
     const auto& lc = set_->lcByName("tpcc");
     {
         // Without keepTelemetry the samples are folded, not kept.
-        sim::EventQueue queue;
         ColocatedServer server(lc, nullptr, lc.provisionedPower());
         ServerManager manager(server,
                               std::make_unique<HeraclesController>(),
                               wl::LoadTrace::constant(0.4));
-        manager.attach(queue);
-        queue.runUntil(10 * kSecond);
+        manager.runUntil(10 * kSecond);
         EXPECT_TRUE(manager.telemetry().empty());
     }
-    sim::EventQueue queue;
     ColocatedServer server(lc, nullptr, lc.provisionedPower());
     ServerManagerConfig config;
     config.keepTelemetry = true;
     ServerManager manager(server,
                           std::make_unique<HeraclesController>(),
                           wl::LoadTrace::constant(0.4), config);
-    manager.attach(queue);
-    queue.runUntil(10 * kSecond);
+    manager.runUntil(10 * kSecond);
     EXPECT_GT(manager.telemetry().size(), 50u);
     const auto& sample = manager.telemetry().latest();
     EXPECT_GT(sample.power, Watts{});

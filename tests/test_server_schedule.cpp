@@ -192,6 +192,23 @@ TEST_F(ScheduleTest, InputValidation)
                  poco::FatalError);
 }
 
+TEST_F(ScheduleTest, QuantumIsAtLeastOneTick)
+{
+    const auto& lc = set_->lcByName("xapian");
+    SchedulerConfig rr;
+    rr.policy = SchedulePolicy::RoundRobin;
+    rr.quantum = 99 * kMillisecond;
+    EXPECT_THROW(runBeSchedule(lc, threeJobs(), lc.provisionedPower(),
+                               pom(), wl::LoadTrace::constant(0.2),
+                               kMinute, rr),
+                 poco::FatalError);
+    rr.quantum = 100 * kMillisecond;
+    EXPECT_NO_THROW(runBeSchedule(lc, threeJobs(),
+                                  lc.provisionedPower(), pom(),
+                                  wl::LoadTrace::constant(0.2),
+                                  5 * kSecond, rr));
+}
+
 TEST(ScheduleUnit, PolicyNames)
 {
     EXPECT_STREQ(schedulePolicyName(SchedulePolicy::Fcfs), "fcfs");

@@ -1,8 +1,7 @@
 /**
  * @file
  * Randomized property tests for the simulation core: the power meter
- * against a brute-force integrator, and the event queue against a
- * reference schedule.
+ * against a brute-force integrator.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/power_meter.hpp"
 #include "util/rng.hpp"
 
@@ -89,49 +87,6 @@ TEST_P(MeterProperty, MatchesBruteForceIntegration)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MeterProperty,
                          ::testing::Range(1, 9));
-
-class QueueProperty : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(QueueProperty, ExecutesReferenceOrder)
-{
-    Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 17);
-    EventQueue queue;
-
-    struct Planned
-    {
-        SimTime when;
-        std::uint64_t seq;
-    };
-    std::vector<Planned> plan;
-    std::vector<std::uint64_t> executed;
-
-    for (std::uint64_t i = 0; i < 400; ++i) {
-        const SimTime when = rng.uniformInt(0, 1000);
-        plan.push_back({when, i});
-        queue.schedule(when, [&executed, i](SimTime) {
-            executed.push_back(i);
-        });
-    }
-    queue.runAll();
-
-    // Reference: stable sort by (when, seq).
-    std::vector<Planned> expected = plan;
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const Planned& a, const Planned& b) {
-                         if (a.when != b.when)
-                             return a.when < b.when;
-                         return a.seq < b.seq;
-                     });
-    ASSERT_EQ(executed.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(executed[i], expected[i].seq) << "position " << i;
-    EXPECT_TRUE(queue.empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, QueueProperty,
-                         ::testing::Range(1, 7));
 
 } // namespace
 } // namespace poco::sim

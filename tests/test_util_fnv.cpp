@@ -12,12 +12,18 @@
  * way: every statistic and telemetry sample of a short managed run
  * under POM, under Heracles, and under POM with the watchdog armed.
  * A speed-up of the server simulation must leave all three unmoved.
+ * The pins after it cover the rest of the tick order: seeded fault
+ * plans whose edges fall off the 100 ms grid, a load spike opening
+ * at t = 0, every control period the ablation sweeps (and two more),
+ * the time-shared BE schedules and the spatial-share runner.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "ctrl/control_plane.hpp"
@@ -31,7 +37,9 @@
 #include "model/fitter.hpp"
 #include "model/profiler.hpp"
 #include "scen/scenario.hpp"
+#include "server/be_schedule.hpp"
 #include "server/server_manager.hpp"
+#include "server/spatial_share.hpp"
 #include "util/fnv.hpp"
 #include "wl/registry.hpp"
 
@@ -236,12 +244,9 @@ mixAllocation(std::uint64_t& h, const sim::Allocation& alloc)
     fnv::mixDouble(h, alloc.dutyCycle);
 }
 
-/** Every field a managed server run reports, telemetry included. */
-std::uint64_t
-runFingerprint(const server::ServerRunResult& run)
+void
+mixStats(std::uint64_t& h, const server::ServerStats& stats)
 {
-    std::uint64_t h = fnv::kOffset;
-    const server::ServerStats& stats = run.stats;
     fnv::mixWord(h, static_cast<std::uint64_t>(stats.elapsed));
     fnv::mixDouble(h, stats.energyJoules.value());
     fnv::mixDouble(h, stats.beWorkDone);
@@ -249,6 +254,14 @@ runFingerprint(const server::ServerRunResult& run)
     fnv::mixWord(h, static_cast<std::uint64_t>(stats.cappedTime));
     fnv::mixDouble(h, stats.maxPower.value());
     fnv::mixDouble(h, stats.capOvershootJoules.value());
+}
+
+/** Every field a managed server run reports, telemetry included. */
+std::uint64_t
+runFingerprint(const server::ServerRunResult& run)
+{
+    std::uint64_t h = fnv::kOffset;
+    mixStats(h, run.stats);
     fnv::mixDouble(h, run.powerUtilization);
     fnv::mixDouble(h, run.averageSlack);
     fnv::mixDouble(h, run.slackShortfallFraction);
@@ -314,6 +327,215 @@ TEST(FingerprintPins, ServerScenario)
     EXPECT_GE(guarded.faults.degradedEntries, 1);
     EXPECT_GE(guarded.faults.probes, 1);
     EXPECT_EQ(runFingerprint(guarded), 0xc5580f0fd9de89a9ull);
+}
+
+const wl::AppSet&
+pinApps()
+{
+    static const wl::AppSet set = wl::defaultAppSet();
+    return set;
+}
+
+/** The fitted xapian model every POM pin below drives. */
+std::unique_ptr<server::PrimaryController>
+xapianPom()
+{
+    static const model::CobbDouglasUtility utility =
+        model::UtilityFitter{}.fit(
+            model::Profiler{}.profileLc(pinApps().lcByName("xapian")));
+    return std::make_unique<server::PomController>(utility);
+}
+
+bool
+offGrid(SimTime t)
+{
+    return t % server::ServerManager::kTick != 0;
+}
+
+TEST(FingerprintPins, ServerRunsUnderGeneratedFaultPlans)
+{
+    // Twelve seeded plans over all six server-level kinds. Their
+    // edges fall between 100 ms ticks, windows of different kinds
+    // overlap, and the warm-up and duration are off the grid too.
+    constexpr std::uint64_t kPins[] = {
+        0x12d459ad75f962c5ull, 0xc5d8029c2556efabull, 0xa4d1b7947bf947a9ull,
+        0xbff7924dc02b859dull, 0x9d6810f97b0d547bull, 0xa5f01fa7791ec566ull,
+        0x667c4b07f9cbd9b3ull, 0x1ad41065e9f7fb7aull, 0x2a5481d92a948c84ull,
+        0x1ce38eaf2e3c8972ull, 0x52e1e31562e14b69ull, 0x6791427b3adfbde1ull};
+    const wl::LcApp& lc = pinApps().lcByName("xapian");
+    const wl::BeApp& be = pinApps().beByName("graph");
+    const wl::LoadTrace trace =
+        wl::LoadTrace::stepped({0.3, 0.8, 0.5}, 13 * kSecond);
+    const SimTime duration = 40 * kSecond + 250013;
+    server::ServerManagerConfig config;
+    config.warmup = 7 * kSecond + 130017;
+    config.keepTelemetry = true;
+
+    std::set<fault::FaultKind> kinds;
+    bool off_grid_edge = false;
+    bool overlap = false;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        fault::FaultPlanConfig faults;
+        faults.horizon = duration;
+        faults.sensorStuckRate = 3.0;
+        faults.sensorDropoutRate = 3.0;
+        faults.sensorBiasRate = 3.0;
+        faults.actuatorStuckRate = 3.0;
+        faults.telemetryStaleRate = 3.0;
+        faults.loadSpikeRate = 3.0;
+        faults.meanDuration = 4 * kSecond;
+        faults.seed = seed;
+        const fault::FaultPlan plan = fault::FaultPlan::generate(faults);
+        const auto& windows = plan.windows();
+        for (std::size_t i = 0; i < windows.size(); ++i) {
+            kinds.insert(windows[i].kind);
+            off_grid_edge = off_grid_edge || offGrid(windows[i].start) ||
+                            offGrid(windows[i].end);
+            if (i > 0 && windows[i].start < windows[i - 1].end)
+                overlap = true;
+        }
+        const auto run = server::runServerScenario(
+            lc, &be, lc.provisionedPower(), xapianPom(), trace,
+            duration, config, &plan);
+        EXPECT_EQ(runFingerprint(run), kPins[seed - 1])
+            << "seed " << seed;
+    }
+    EXPECT_EQ(kinds.size(), 6u);
+    EXPECT_TRUE(off_grid_edge);
+    EXPECT_TRUE(overlap);
+}
+
+TEST(FingerprintPins, LoadSpikeOpeningAtTimeZero)
+{
+    // The initial load is applied before the window's t = 0 edge, so
+    // the first second runs unspiked and the spike lands with the
+    // 1 s load tick.
+    const wl::LcApp& lc = pinApps().lcByName("xapian");
+    const fault::FaultPlan spike = fault::FaultPlan::fromWindows(
+        {{0, 5 * kSecond + 50000, fault::FaultKind::LoadSpike, 0.5,
+          0}});
+    server::ServerManagerConfig config;
+    config.warmup = 2 * kSecond;
+    config.keepTelemetry = true;
+    const auto run = server::runServerScenario(
+        lc, &pinApps().beByName("graph"), lc.provisionedPower(),
+        xapianPom(), wl::LoadTrace::constant(0.4), 12 * kSecond,
+        config, &spike);
+    ASSERT_GE(run.telemetry.size(), 10u);
+    const double peak = lc.peakLoad().value();
+    EXPECT_EQ(run.telemetry[0].when, 100 * kMillisecond);
+    EXPECT_DOUBLE_EQ(run.telemetry[0].lcLoad.value(), 0.4 * peak);
+    EXPECT_EQ(run.telemetry[9].when, 1 * kSecond);
+    EXPECT_DOUBLE_EQ(run.telemetry[9].lcLoad.value(),
+                     0.4 * 1.5 * peak);
+    EXPECT_EQ(runFingerprint(run), 0xabf0759861e67e39ull);
+}
+
+TEST(FingerprintPins, ServerRunsAcrossControlPeriods)
+{
+    // The load changes at every 1 s tick. Where a control tick
+    // coincides with it, the longer-period loop runs first: control
+    // precedes load only for the 1.5 s and 4 s periods.
+    const std::pair<SimTime, std::uint64_t> kPins[] = {
+        {500 * kMillisecond, 0xbf8a17ceb4c44892ull},
+        {700 * kMillisecond, 0x44635ace268b075full},
+        {1 * kSecond, 0xccffd18f2b13d590ull},
+        {1500 * kMillisecond, 0x94dddbd5bce863e7ull},
+        {4 * kSecond, 0x6de0d58f2c9aec34ull}};
+    const wl::LcApp& lc = pinApps().lcByName("xapian");
+    const wl::LoadTrace trace =
+        wl::LoadTrace::stepped({0.3, 0.8, 0.5, 0.1, 0.6}, 1 * kSecond);
+    for (const auto& [period, pin] : kPins) {
+        server::ServerManagerConfig config;
+        config.controlPeriod = period;
+        config.warmup = 5 * kSecond;
+        config.keepTelemetry = true;
+        const auto run = server::runServerScenario(
+            lc, &pinApps().beByName("graph"), lc.provisionedPower(),
+            xapianPom(), trace, 40 * kSecond, config);
+        EXPECT_EQ(runFingerprint(run), pin)
+            << "control period " << period;
+    }
+}
+
+TEST(FingerprintPins, BeSchedules)
+{
+    // Each policy once with a deadline every job meets and once with
+    // an off-grid deadline that cuts the schedule short.
+    struct Pin
+    {
+        server::SchedulePolicy policy;
+        SimTime deadline;
+        bool allFinished;
+        std::uint64_t value;
+    };
+    const SimTime long_deadline = 10 * kMinute;
+    const SimTime cut = 95 * kSecond + 50 * kMillisecond;
+    const Pin kPins[] = {
+        {server::SchedulePolicy::Fcfs, long_deadline, true,
+         0x5d3e10b01fcfb757ull},
+        {server::SchedulePolicy::Fcfs, cut, false, 0xf7119aa268afe038ull},
+        {server::SchedulePolicy::Sjf, long_deadline, true,
+         0xe106a77cfe32e571ull},
+        {server::SchedulePolicy::Sjf, cut, false, 0x166a0a69f36e98fcull},
+        {server::SchedulePolicy::RoundRobin, long_deadline, true,
+         0xc19e2d01e45c5f78ull},
+        {server::SchedulePolicy::RoundRobin, cut, false,
+         0x7b715991035090bbull}};
+    const wl::LcApp& lc = pinApps().lcByName("xapian");
+    for (const Pin& pin : kPins) {
+        server::SchedulerConfig config;
+        config.policy = pin.policy;
+        config.quantum = 3 * kSecond;
+        const std::vector<server::BeJob> jobs = {
+            {"big-graph", &pinApps().beByName("graph"), 60.0},
+            {"small-lstm", &pinApps().beByName("lstm"), 10.0},
+            {"mid-pbzip2", &pinApps().beByName("pbzip2"), 30.0}};
+        const server::ScheduleResult result = server::runBeSchedule(
+            lc, jobs, lc.provisionedPower(), xapianPom(),
+            wl::LoadTrace::stepped({0.2, 0.6, 0.4}, 30 * kSecond),
+            pin.deadline, config);
+        EXPECT_EQ(result.allFinished, pin.allFinished);
+        std::uint64_t h = fnv::kOffset;
+        for (const server::JobOutcome& job : result.jobs) {
+            fnv::mixString(h, job.name);
+            fnv::mixWord(h, static_cast<std::uint64_t>(job.completion));
+            fnv::mixDouble(h, job.workDone);
+        }
+        fnv::mixWord(h, static_cast<std::uint64_t>(result.makespan));
+        mixStats(h, result.stats);
+        fnv::mixWord(h, result.allFinished ? 1u : 0u);
+        EXPECT_EQ(h, pin.value)
+            << server::schedulePolicyName(pin.policy) << " deadline "
+            << pin.deadline;
+    }
+}
+
+TEST(FingerprintPins, SpatialShare)
+{
+    const wl::LcApp& lc = pinApps().lcByName("sphinx");
+    const model::Profiler profiler;
+    const model::UtilityFitter fitter;
+    const model::CobbDouglasUtility graph = fitter.fit(
+        profiler.profileBe(pinApps().beByName("graph")));
+    const model::CobbDouglasUtility lstm =
+        fitter.fit(profiler.profileBe(pinApps().beByName("lstm")));
+    const server::SpatialPlan plan = server::planSpatialShare(
+        {&graph, &lstm}, 9, 13, Watts{90.0}, lc.spec());
+    server::ServerManagerConfig config;
+    config.warmup = 20 * kSecond;
+    const server::SpatialRunResult result = server::runSpatialShare(
+        lc, {&pinApps().beByName("graph"), &pinApps().beByName("lstm")},
+        plan.slices, lc.provisionedPower(),
+        std::make_unique<server::PomController>(fitter.fit(
+            profiler.profileLc(lc))),
+        0.2, 50 * kSecond, config);
+    std::uint64_t h = fnv::kOffset;
+    mixStats(h, result.stats);
+    for (const double throughput : result.throughput)
+        fnv::mixDouble(h, throughput);
+    fnv::mixDouble(h, result.totalThroughput);
+    EXPECT_EQ(h, 0xabf2a60682de4d77ull);
 }
 
 } // namespace

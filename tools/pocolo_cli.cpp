@@ -408,16 +408,14 @@ cmdSimulate(const wl::AppSet& apps, const Options& options,
     const auto fitted =
         fitter.fit(profiler.profileLc(lc, cli_pool.pool));
 
-    sim::EventQueue queue;
     server::ColocatedServer server(lc, &be, lc.provisionedPower());
     server::ServerManagerConfig config;
     config.keepTelemetry = true; // the table below prints the series
     server::ServerManager manager(
         server, std::make_unique<server::PomController>(fitted),
         trace, config);
-    manager.attach(queue);
-    queue.runUntil(fromSeconds(minutes * 60.0));
-    server.advanceTo(queue.now());
+    manager.runUntil(fromSeconds(minutes * 60.0));
+    server.advanceTo(manager.now());
 
     std::printf("t_s,load_rps,p99_s,primary_cores,primary_ways,"
                 "be_cores,be_ways,be_freq,be_duty,be_thr,power_w\n");
