@@ -6,8 +6,9 @@
  * The paper claims the analytic allocation decision is "a constant
  * time operation (less than a millisecond)"; BM_MinPowerAllocation
  * (the scalar oracle), BM_MinPowerAllocationGrid (the grid search
- * PomController runs every control period) and BM_ClosedFormDemand
- * verify our implementation meets that budget with wide margin.
+ * PomController runs whenever its demand target moves) and
+ * BM_ClosedFormDemand verify our implementation meets that budget
+ * with wide margin.
  *
  * The default run executes the gate: each kernel is timed against its
  * predecessor and checked bit-identical — matrix-build against the

@@ -155,8 +155,12 @@ PomController::decide(const ColocatedServer& server)
         (1.0 + 0.02 * feedback_boost_);
     if (!grid_)
         grid_.emplace(utility_, spec);
-    const auto plan = grid_->minPowerFor(target);
-    if (!plan) {
+    // The grid is fixed, so a repeated target has the last answer.
+    if (target != searched_target_) {
+        plan_ = grid_->minPowerFor(target);
+        searched_target_ = target;
+    }
+    if (!plan_) {
         // Even the full server is predicted short: give everything.
         POCO_DEBUG("pom", "load " << server.load()
                                   << " beyond modeled capacity");
@@ -164,7 +168,7 @@ PomController::decide(const ColocatedServer& server)
                                1.0};
     }
 
-    sim::Allocation alloc = plan->alloc;
+    sim::Allocation alloc = plan_->alloc;
     // Immediate-term safety: never step below the current allocation
     // while slack is already short.
     if (slack < config_.minSlack) {

@@ -17,11 +17,14 @@
  *    for the current load (the expansion path of Fig. 5), then uses
  *    the same latency feedback to correct model error. The search
  *    runs over a model::AllocationGrid built once per controller, a
- *    bit-identical replay of model::minPowerAllocationFor().
+ *    bit-identical replay of model::minPowerAllocationFor(), and
+ *    only when the demand target moves: a repeated target reuses the
+ *    last answer.
  */
 
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -125,9 +128,17 @@ class PomController : public PrimaryController
     ControllerConfig config_;
     /**
      * The utility over the server's lattice, built on the first
-     * decide(): a controller drives one server, whose spec is fixed.
+     * decide(): a controller drives one server, whose spec is fixed,
+     * so the grid's answer for a given target never changes.
      */
     std::optional<model::AllocationGrid> grid_;
+    /**
+     * The last target searched (NaN before the first search) and the
+     * grid's answer for it, empty beyond the modeled capacity.
+     * decide() searches again only when the target differs (==).
+     */
+    double searched_target_ = std::numeric_limits<double>::quiet_NaN();
+    std::optional<model::AllocationPlan> plan_;
     /** Extra demand headroom (2% units) learned from shortfalls. */
     int feedback_boost_ = 0;
     /** Load at the last regime change; <0 before the first decide. */

@@ -33,8 +33,10 @@ PowerMeter::setPower(SimTime when, Watts watts)
 void
 PowerMeter::prune(SimTime now)
 {
-    // Drop segments that ended before (now - retention) so window
-    // queries stay O(window changes).
+    // Drop segments that end at or before (now - retention): no
+    // window query reads them, and the history stays bounded. The
+    // segment covering (now - retention) stays, so a window of
+    // exactly the retention is exact.
     const SimTime horizon = now - retention_;
     while (history_.size() > 1 && history_[1].start <= horizon)
         history_.pop_front();
@@ -44,14 +46,21 @@ Watts
 PowerMeter::average(SimTime now, SimTime window) const
 {
     POCO_REQUIRE(window > 0, "window must be positive");
+    POCO_REQUIRE(window <= retention_,
+                 "window must not exceed the meter's retention");
     POCO_REQUIRE(now >= last_change_,
                  "query time precedes last recorded change");
     const SimTime begin = std::max<SimTime>(0, now - window);
     if (now == begin)
         return current_;
 
+    // Sum from the newest segment that starts at or before begin:
+    // every older one ends by begin and would add nothing.
+    std::size_t first = history_.size() - 1;
+    while (first > 0 && history_[first].start > begin)
+        --first;
     Joules joules;
-    for (std::size_t i = 0; i < history_.size(); ++i) {
+    for (std::size_t i = first; i < history_.size(); ++i) {
         const SimTime seg_start = history_[i].start;
         const SimTime seg_end =
             (i + 1 < history_.size()) ? history_[i + 1].start : now;

@@ -6,8 +6,9 @@
  * instantaneous power is a step function of time (it changes only when
  * an allocation or load changes), and managers query the average draw
  * over a trailing window (the BE throttler samples every 100 ms). It
- * keeps only the retained history those window queries read; the
- * server's energy total is ColocatedServer's own integral.
+ * keeps only the retained history those window queries read, and a
+ * query sums only the segments its window overlaps; the server's
+ * energy total is ColocatedServer's own integral.
  */
 
 #pragma once
@@ -24,8 +25,9 @@ class PowerMeter
 {
   public:
     /**
-     * @param retention How much history to keep for window queries.
-     *                  Older segments are dropped.
+     * @param retention How much history to keep for window queries,
+     *                  and so the longest window. Older segments are
+     *                  dropped.
      */
     explicit PowerMeter(SimTime retention = 10 * kSecond);
 
@@ -39,10 +41,13 @@ class PowerMeter
     Watts instantaneous() const { return current_; }
 
     /**
-     * Average power over [now - window, now].
+     * Average power over [now - window, now], or over [0, now] while
+     * now < window. Costs O(segments the window overlaps).
      *
      * @param now Current time; must be >= the last setPower() time.
-     * @param window Length of the trailing window; must be > 0.
+     * @param window Length of the trailing window; must be > 0 and at
+     *        most the retention, since dropped history would read as
+     *        0 W.
      */
     Watts average(SimTime now, SimTime window) const;
 

@@ -518,6 +518,26 @@ TEST_F(ThrottlerTest, ParkedBeUntouched)
     EXPECT_TRUE(next.empty());
 }
 
+TEST_F(ThrottlerTest, ManagedWindowIsAtMostTheMeterRetention)
+{
+    // The server's meter keeps 10 s of history: the longest window
+    // the throttler can average over.
+    const auto& lc = set_.lcByName("xapian");
+    const auto run = [&](SimTime window) {
+        ServerManagerConfig config;
+        config.warmup = kSecond;
+        config.throttler.window = window;
+        return runServerScenario(lc, &set_.beByName("graph"),
+                                 lc.provisionedPower(),
+                                 std::make_unique<HeraclesController>(),
+                                 wl::LoadTrace::constant(0.5),
+                                 12 * kSecond, config);
+    };
+    EXPECT_NO_THROW(run(10 * kSecond));
+    EXPECT_THROW(run(10 * kSecond + 100 * kMillisecond),
+                 poco::FatalError);
+}
+
 TEST_F(ThrottlerTest, ConfigValidation)
 {
     ThrottlerConfig bad;

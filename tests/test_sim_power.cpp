@@ -169,6 +169,23 @@ TEST(PowerMeter, AverageSurvivesPruning)
     EXPECT_NEAR(meter.average(100 * kSecond, kSecond).value(), 20.0, 1e-9);
 }
 
+TEST(PowerMeter, WindowIsAtMostTheRetention)
+{
+    // 100 and 120 W alternating every 100 ms for 30 s. Pruning keeps
+    // the segment that covers now - retention, so a window of exactly
+    // the retention is exact; a longer one would read the dropped
+    // history as 0 W, so it throws.
+    PowerMeter meter; // 10 s retention
+    for (int i = 0; i < 300; ++i)
+        meter.setPower(i * 100 * kMillisecond,
+                       Watts{i % 2 == 0 ? 100.0 : 120.0});
+    const SimTime now = 30 * kSecond;
+    EXPECT_NEAR(meter.average(now, 5 * kSecond).value(), 110.0, 1e-9);
+    EXPECT_NEAR(meter.average(now, 10 * kSecond).value(), 110.0, 1e-9);
+    EXPECT_THROW(meter.average(now, 10 * kSecond + 1), poco::FatalError);
+    EXPECT_THROW(meter.average(now, 20 * kSecond), poco::FatalError);
+}
+
 TEST(PowerMeter, RejectsNonFiniteReadings)
 {
     PowerMeter meter;

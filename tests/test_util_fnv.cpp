@@ -15,11 +15,16 @@
  * The pins after it cover the rest of the tick order: seeded fault
  * plans whose edges fall off the 100 ms grid, a load spike opening
  * at t = 0, every control period the ablation sweeps (and two more),
- * the time-shared BE schedules and the spatial-share runner.
+ * the time-shared BE schedules and the spatial-share runner. The last
+ * pin drives one POM controller directly through every way its demand
+ * target can repeat or move, so a search skipped on a repeated target
+ * must return what a fresh search would.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -34,10 +39,13 @@
 #include "flat_matrix.hpp"
 #include "fleet/fleet_evaluator.hpp"
 #include "math/simplex.hpp"
+#include "model/demand.hpp"
 #include "model/fitter.hpp"
 #include "model/profiler.hpp"
 #include "scen/scenario.hpp"
 #include "server/be_schedule.hpp"
+#include "server/colocated_server.hpp"
+#include "server/primary_controller.hpp"
 #include "server/server_manager.hpp"
 #include "server/spatial_share.hpp"
 #include "util/fnv.hpp"
@@ -337,13 +345,19 @@ pinApps()
 }
 
 /** The fitted xapian model every POM pin below drives. */
-std::unique_ptr<server::PrimaryController>
-xapianPom()
+const model::CobbDouglasUtility&
+xapianUtility()
 {
     static const model::CobbDouglasUtility utility =
         model::UtilityFitter{}.fit(
             model::Profiler{}.profileLc(pinApps().lcByName("xapian")));
-    return std::make_unique<server::PomController>(utility);
+    return utility;
+}
+
+std::unique_ptr<server::PrimaryController>
+xapianPom()
+{
+    return std::make_unique<server::PomController>(xapianUtility());
 }
 
 bool
@@ -536,6 +550,74 @@ TEST(FingerprintPins, SpatialShare)
         fnv::mixDouble(h, throughput);
     fnv::mixDouble(h, result.totalThroughput);
     EXPECT_EQ(h, 0xabf2a60682de4d77ull);
+}
+
+TEST(FingerprintPins, PomDecisionsAcrossTargetChanges)
+{
+    // One POM controller over one server, through every way its
+    // demand target can repeat or move. The allocation the primary
+    // holds sets the slack: the full server leaves slack to spare, a
+    // single core and way falls short.
+    const wl::LcApp& lc = pinApps().lcByName("xapian");
+    const sim::ServerSpec& spec = lc.spec();
+    const model::AllocationGrid grid(xapianUtility(), spec);
+    const double peak = lc.peakLoad().value();
+    const sim::Allocation full{spec.cores, spec.llcWays, spec.freqMax,
+                               1.0};
+    const sim::Allocation starved{1, 1, spec.freqMax, 1.0};
+    server::PomController pom(xapianUtility());
+    server::ColocatedServer server(lc, &pinApps().beByName("graph"),
+                                   lc.provisionedPower());
+    SimTime now = 0;
+    std::uint64_t h = fnv::kOffset;
+    const auto decide = [&](double load, const sim::Allocation& held) {
+        now += kSecond;
+        server.setLoad(now, Rps{load});
+        server.setPrimaryAlloc(now, held);
+        const sim::Allocation alloc = pom.decide(server);
+        mixAllocation(h, alloc);
+        return alloc;
+    };
+
+    // Repeated decisions at one load.
+    for (int i = 0; i < 3; ++i)
+        decide(0.4 * peak, full);
+
+    // A load equal to a cell's exact modeled performance, then one
+    // ulp above it, where that cell is no longer feasible.
+    const auto cell = grid.minPowerFor(0.55 * peak);
+    ASSERT_TRUE(cell.has_value());
+    const double exact =
+        grid.perfAt(cell->alloc.cores, cell->alloc.ways);
+    const sim::Allocation at = decide(exact, full);
+    const sim::Allocation above =
+        decide(std::nextafter(exact, 2.0 * exact), full);
+    EXPECT_FALSE(above == at);
+
+    // Targets A -> B -> A.
+    decide(0.3 * peak, full);
+    decide(0.7 * peak, full);
+    decide(0.3 * peak, full);
+
+    // Beyond the modeled capacity there is no plan, so the primary
+    // gets the full server; then back down.
+    double capacity = 0.0;
+    for (int c = 1; c <= spec.cores; ++c)
+        for (int w = 1; w <= spec.llcWays; ++w)
+            capacity = std::max(capacity, grid.perfAt(c, w));
+    EXPECT_TRUE(decide(1.2 * capacity, full) == full);
+    EXPECT_TRUE(decide(1.2 * capacity, full) == full);
+    decide(0.5 * peak, full);
+
+    // A slack shortfall at a constant load: each decision raises the
+    // feedback boost, and so the target.
+    const sim::Allocation first = decide(0.5 * peak, starved);
+    sim::Allocation last = first;
+    for (int i = 0; i < 5; ++i)
+        last = decide(0.5 * peak, starved);
+    EXPECT_FALSE(last == first);
+
+    EXPECT_EQ(h, 0xf58107a7ec231241ull);
 }
 
 } // namespace
