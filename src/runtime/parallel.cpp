@@ -22,8 +22,9 @@ parallelFor(ThreadPool* pool, std::size_t n,
         return;
     }
 
-    // A few chunks per worker lets the stealing deques rebalance when
-    // task costs are skewed, without paying per-index dispatch.
+    // A few chunks per worker lets whichever thread is free take the
+    // next one from the shared deque when task costs are skewed,
+    // without paying per-index dispatch.
     const std::size_t target_chunks =
         std::min<std::size_t>(n, static_cast<std::size_t>(workers) * 4);
     const std::size_t chunk =

@@ -28,9 +28,9 @@ namespace poco::runtime
  * Run body(i) for every i in [0, n).
  *
  * The index space is split into contiguous chunks (several per
- * worker, so the stealing deques can rebalance skewed task sizes);
- * @p grain is the minimum chunk length for bodies too cheap to
- * justify a dispatch each.
+ * worker, so idle threads taking chunks from the one shared deque
+ * balance skewed task sizes); @p grain is the minimum chunk length
+ * for bodies too cheap to justify a dispatch each.
  */
 void parallelFor(ThreadPool* pool, std::size_t n,
                  const std::function<void(std::size_t)>& body,

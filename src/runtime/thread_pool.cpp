@@ -7,34 +7,18 @@
 namespace poco::runtime
 {
 
-namespace
-{
-
-/**
- * Identity of the current thread within a pool, used to route nested
- * submissions to the spawning worker's own deque.
- */
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_index = 0;
-
-} // namespace
-
 ThreadPool::ThreadPool(unsigned threads)
 {
     const unsigned n = threads == 0 ? hardwareThreads() : threads;
-    queues_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<Queue>());
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back(
-            [this, i] { workerLoop(static_cast<std::size_t>(i)); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        LockGuard guard(wakeMutex_);
+        LockGuard guard(mutex_);
         stop_ = true;
     }
     wake_.notifyAll();
@@ -77,94 +61,45 @@ ThreadPool::submit(std::function<void()> task)
 {
     POCO_REQUIRE(task != nullptr, "cannot submit an empty task");
     {
-        LockGuard wake(wakeMutex_);
-        // Nested spawns from our own workers go to the spawning
-        // worker's deque (LIFO locality); external submissions
-        // round-robin.
-        const std::size_t target = tls_pool == this
-                                       ? tls_index
-                                       : nextQueue_++ % queues_.size();
-        // ready_ must be incremented before the task becomes visible
-        // to poppers (both under wakeMutex_, push nested inside):
-        // otherwise a concurrent pop could consume the task, find
-        // ready_ still zero in noteTaskTaken(), and leave the later
-        // increment permanently stale — with workers then spinning on
-        // the "work available" predicate forever.
-        ++ready_;
-        Queue& queue = *queues_[target];
-        LockGuard guard(queue.mutex);
-        queue.tasks.push_back(std::move(task));
+        LockGuard guard(mutex_);
+        tasks_.push_back(std::move(task));
     }
     wake_.notifyOne();
 }
 
 bool
-ThreadPool::popTask(std::size_t home, std::function<void()>& out)
-{
-    const std::size_t n = queues_.size();
-    {
-        Queue& queue = *queues_[home % n];
-        LockGuard guard(queue.mutex);
-        if (!queue.tasks.empty()) {
-            out = std::move(queue.tasks.back());
-            queue.tasks.pop_back();
-            return true;
-        }
-    }
-    for (std::size_t k = 1; k < n; ++k) {
-        Queue& queue = *queues_[(home + k) % n];
-        LockGuard guard(queue.mutex);
-        if (!queue.tasks.empty()) {
-            out = std::move(queue.tasks.front());
-            queue.tasks.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ThreadPool::noteTaskTaken()
-{
-    LockGuard guard(wakeMutex_);
-    if (ready_ > 0)
-        --ready_;
-}
-
-bool
 ThreadPool::tryRunOne()
 {
-    const std::size_t home = tls_pool == this ? tls_index : 0;
     std::function<void()> task;
-    if (!popTask(home, task))
-        return false;
-    noteTaskTaken();
+    {
+        LockGuard guard(mutex_);
+        if (tasks_.empty())
+            return false;
+        task = std::move(tasks_.back());
+        tasks_.pop_back();
+    }
     task();
     return true;
 }
 
 void
-ThreadPool::workerLoop(std::size_t index)
+ThreadPool::workerLoop()
 {
-    tls_pool = this;
-    tls_index = index;
-    std::function<void()> task;
     for (;;) {
-        if (popTask(index, task)) {
-            noteTaskTaken();
-            task();
-            task = nullptr;
-            continue;
+        std::function<void()> task;
+        {
+            UniqueLock lock(mutex_);
+            // Explicit re-check loop: the thread-safety analysis cannot
+            // see capabilities inside a predicate lambda (DESIGN.md §16).
+            while (!stop_ && tasks_.empty())
+                wake_.wait(lock);
+            if (tasks_.empty())
+                return; // stopping, and every queued task was taken
+            task = std::move(tasks_.back());
+            tasks_.pop_back();
         }
-        UniqueLock lock(wakeMutex_);
-        // Explicit re-check loop: the thread-safety analysis cannot
-        // see capabilities inside a predicate lambda (DESIGN.md §16).
-        while (!stop_ && ready_ == 0)
-            wake_.wait(lock);
-        if (stop_ && ready_ == 0)
-            break; // drained: every queued task has been taken
+        task();
     }
-    tls_pool = nullptr;
 }
 
 TaskGroup::TaskGroup(ThreadPool* pool) : pool_(pool) {}

@@ -1,7 +1,7 @@
 /**
  * @file
- * Concurrent execution subsystem: a fixed-size work-stealing thread
- * pool with structured task groups.
+ * Concurrent execution subsystem: a fixed-size thread pool over one
+ * shared task deque, with structured task groups.
  *
  * Every simulated server in Pocolo owns its own clock, and every
  * stochastic stage either pre-sequences its random draws or forks an
@@ -14,16 +14,16 @@
  * mutable state.
  *
  * Design:
- *  - One task deque per worker. A worker pops its own deque LIFO
- *    (cache locality for nested spawns) and steals FIFO from the
- *    other workers when its own deque is empty.
+ *  - One deque under one mutex. Workers and helping waiters pop the
+ *    newest task, so a join usually runs the subtasks it just
+ *    spawned.
  *  - Waiters help: TaskGroup::wait() executes queued tasks on the
  *    waiting thread instead of blocking, so nested parallelism (a
  *    pool task spawning subtasks into the same pool) cannot deadlock
  *    even on a one-worker pool.
- *  - Exceptions thrown by TaskGroup tasks are captured and rethrown
- *    at the join point (first one wins); tasks submitted via the raw
- *    submit() must not throw.
+ *  - TaskGroup (and parallelFor / parallelMap on top of it) is the
+ *    only way to spawn. Exceptions thrown by its tasks are captured
+ *    and rethrown at the join point (first one wins).
  */
 
 #pragma once
@@ -43,7 +43,7 @@
 namespace poco::runtime
 {
 
-/** Fixed-size work-stealing thread pool. */
+/** Fixed-size thread pool over one shared task deque. */
 class ThreadPool
 {
   public:
@@ -64,21 +64,6 @@ class ThreadPool
     }
 
     /**
-     * Enqueue a task. Thread-safe; may be called from worker threads
-     * (nested spawn, pushed to the caller's own deque). The task must
-     * not throw — use TaskGroup for exception propagation.
-     */
-    void submit(std::function<void()> task);
-
-    /**
-     * Run one queued task on the calling thread, if any is available.
-     * Used by join points to help instead of blocking.
-     *
-     * @return true if a task was executed.
-     */
-    bool tryRunOne();
-
-    /**
      * The process-wide shared pool (hardwareThreads() workers),
      * created on first use and intentionally never destroyed so that
      * it outlives every static consumer.
@@ -89,33 +74,26 @@ class ThreadPool
     static unsigned hardwareThreads();
 
   private:
-    struct Queue
-    {
-        Mutex mutex;
-        std::deque<std::function<void()>> tasks
-            POCO_GUARDED_BY(mutex);
-    };
+    friend class TaskGroup;
+
+    /** Enqueue a task, which must not throw, and wake one worker. */
+    void submit(std::function<void()> task);
 
     /**
-     * Pop a task: queue @p home LIFO first, then steal FIFO from the
-     * others in ring order.
+     * Run the newest queued task on the calling thread, if any, so a
+     * join point helps instead of blocking.
+     *
+     * @return true if a task was executed.
      */
-    bool popTask(std::size_t home, std::function<void()>& out);
-    void workerLoop(std::size_t index);
-    void noteTaskTaken();
+    bool tryRunOne();
 
-    std::vector<std::unique_ptr<Queue>> queues_;
+    void workerLoop();
+
     std::vector<std::thread> workers_;
-
-    /** Sleep/wake bookkeeping; guards ready_, stop_, nextQueue_. */
-    Mutex wakeMutex_;
+    Mutex mutex_;
     CondVar wake_;
-    /** Queued-task count (wakeup hint). */
-    std::size_t ready_ POCO_GUARDED_BY(wakeMutex_) = 0;
-    bool stop_ POCO_GUARDED_BY(wakeMutex_) = false;
-
-    /** Round-robin target for external submissions. */
-    std::size_t nextQueue_ POCO_GUARDED_BY(wakeMutex_) = 0;
+    std::deque<std::function<void()>> tasks_ POCO_GUARDED_BY(mutex_);
+    bool stop_ POCO_GUARDED_BY(mutex_) = false;
 };
 
 /**

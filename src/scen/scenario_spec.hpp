@@ -218,14 +218,15 @@ struct ScenarioSpec
     }
 
     /**
-     * Re-check every invariant, including the cross-field ones the
-     * setters cannot see, and return the spec by value (the
-     * FleetConfig::validated() idiom).
+     * Re-check every invariant the setters check, plus the
+     * cross-field ones they cannot see, and return the spec by value
+     * (the FleetConfig::validated() idiom), so a field written
+     * directly is caught too.
      *
-     * @throws poco::FatalError when clusters == 0, the Zipf exponent
-     *         is non-positive, regions exceed the cluster count (two
-     *         regions would overlap on one cluster stripe), or a
-     *         flash crowd / fault storm cannot fit inside the day.
+     * @throws poco::FatalError when any setter's check fails, regions
+     *         exceed the cluster count (two regions would overlap on
+     *         one cluster stripe), or a flash crowd / fault storm
+     *         cannot fit inside the day.
      */
     ScenarioSpec validated() const
     {
@@ -244,14 +245,26 @@ struct ScenarioSpec
         POCO_CHECK(diurnalLow > 0.0 && diurnalLow <= diurnalHigh &&
                        diurnalHigh <= 1.0,
                    "diurnal range must satisfy 0 < low <= high <= 1");
+        POCO_CHECK(phaseJitter >= 0.0 && phaseJitter <= 1.0,
+                   "phase jitter is a fraction of the day");
         POCO_CHECK(jitterSigma >= 0.0 && jitterDwell > 0,
                    "jitter parameters out of range");
         POCO_CHECK(regions >= 1, "scenario needs at least one region");
         POCO_CHECK(regions <= clusters,
                    "regions exceed clusters: spike groups would "
                    "overlap on the same cluster stripe");
+        POCO_CHECK(flashCrowds >= 0,
+                   "flash-crowd count must be non-negative");
+        POCO_CHECK(flashMagnitude >= 0.0,
+                   "flash-crowd magnitude must be non-negative");
+        POCO_CHECK(flashDuration > 0,
+                   "flash-crowd duration must be positive");
         POCO_CHECK(flashCrowds == 0 || flashDuration < day,
                    "flash crowds must fit inside the day");
+        POCO_CHECK(faultStorms >= 0, "storm count must be non-negative");
+        POCO_CHECK(stormDuration > 0, "storm duration must be positive");
+        POCO_CHECK(stormMagnitude >= 0.0,
+                   "storm magnitude must be non-negative");
         POCO_CHECK(faultStorms == 0 || stormDuration < day,
                    "fault storms must fit inside the day");
         POCO_CHECK(beArrivalsPerHour >= 0.0,

@@ -5,7 +5,6 @@
 
 #include "model/demand.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace poco::server
 {
@@ -162,8 +161,6 @@ PomController::decide(const ColocatedServer& server)
     }
     if (!plan_) {
         // Even the full server is predicted short: give everything.
-        POCO_DEBUG("pom", "load " << server.load()
-                                  << " beyond modeled capacity");
         return sim::Allocation{spec.cores, spec.llcWays, spec.freqMax,
                                1.0};
     }

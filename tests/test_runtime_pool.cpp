@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the work-stealing thread pool: lifecycle, load balance
- * under skewed task sizes, exception propagation out of parallelFor,
- * and nested task groups. Runs under the tier-tsan label so
- * a ThreadSanitizer build (-DPOCO_SANITIZE=thread) vets the pool's
- * synchronization in-tree.
+ * Tests for the thread pool and its one shared deque: lifecycle, load
+ * balance under skewed task sizes, exception propagation out of
+ * parallelFor, nested task groups, and joins that help while every
+ * worker is busy. Runs under the tier-tsan label so a ThreadSanitizer
+ * build (-DPOCO_SANITIZE=thread) vets the pool's synchronization
+ * in-tree, and under tier-asan so an AddressSanitizer build checks
+ * the task lifetimes.
  */
 
 #include <gtest/gtest.h>
@@ -76,8 +78,9 @@ TEST(ThreadPool, ExecutesEverySubmittedTask)
 TEST(ThreadPool, BalancesSkewedTaskSizes)
 {
     // A few huge tasks next to many tiny ones: whichever worker
-    // dequeues a big chunk keeps it while the others steal the rest.
-    // Every index must run exactly once regardless.
+    // dequeues a big chunk keeps it while the others take the rest
+    // from the shared deque. Every index must run exactly once
+    // regardless.
     ThreadPool pool(4);
     constexpr std::size_t kTasks = 64;
     std::vector<std::atomic<int>> hits(kTasks);
@@ -172,6 +175,33 @@ TEST(TaskGroup, NestedOnSingleWorkerPool)
     });
     outer.wait();
     EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(TaskGroup, WaiterHelpsWhileEveryWorkerIsBusy)
+{
+    // A thread outside the pool joins while the only worker is held
+    // by a blocker: only the waiter's own helping can run the group.
+    ThreadPool pool(1);
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    TaskGroup blocker(&pool);
+    blocker.run([&] {
+        started = true;
+        while (!release)
+            std::this_thread::yield();
+    });
+    while (!started)
+        std::this_thread::yield();
+
+    std::atomic<int> ran{0};
+    TaskGroup group(&pool);
+    for (int i = 0; i < 64; ++i)
+        group.run([&] { ++ran; });
+    group.wait();
+    EXPECT_EQ(ran.load(), 64);
+
+    release = true;
+    blocker.wait();
 }
 
 TEST(TaskGroup, ReusableAfterWait)

@@ -103,6 +103,41 @@ TEST(ScenarioSpec, RejectsOversizedEpisodes)
                  poco::FatalError);
 }
 
+TEST(ScenarioSpec, ValidatedRechecksEverySetterRule)
+{
+    // Each field written past its setter must still be caught, by
+    // validated() and so by generate().
+    const std::vector<void (*)(scen::ScenarioSpec&)> bad_writes = {
+        [](scen::ScenarioSpec& s) { s.phaseJitter = 2.0; },
+        [](scen::ScenarioSpec& s) { s.phaseJitter = -1.0; },
+        [](scen::ScenarioSpec& s) { s.flashCrowds = -1; },
+        [](scen::ScenarioSpec& s) { s.flashMagnitude = -0.1; },
+        [](scen::ScenarioSpec& s) { s.flashDuration = 0; },
+        [](scen::ScenarioSpec& s) { s.faultStorms = -1; },
+        [](scen::ScenarioSpec& s) { s.stormDuration = 0; },
+        [](scen::ScenarioSpec& s) { s.stormMagnitude = -0.1; },
+    };
+    for (std::size_t k = 0; k < bad_writes.size(); ++k) {
+        scen::ScenarioSpec spec = smallSpec();
+        bad_writes[k](spec);
+        EXPECT_THROW(spec.validated(), poco::FatalError) << "case " << k;
+        EXPECT_THROW(scen::Scenario::generate(spec), poco::FatalError)
+            << "case " << k;
+    }
+
+    // The closed ends of the jitter range and zero counts are valid.
+    for (const double jitter : {0.0, 1.0}) {
+        scen::ScenarioSpec spec = smallSpec();
+        spec.phaseJitter = jitter;
+        EXPECT_NO_THROW(spec.validated()) << "jitter " << jitter;
+    }
+    scen::ScenarioSpec spec = smallSpec();
+    spec.flashCrowds = 0;
+    spec.faultStorms = 0;
+    EXPECT_NO_THROW(spec.validated());
+    EXPECT_NO_THROW(scen::Scenario::generate(spec));
+}
+
 TEST(ScenarioGenerate, FingerprintIdenticalAcrossThreadCounts)
 {
     const scen::ScenarioSpec spec = smallSpec().withClusters(40);

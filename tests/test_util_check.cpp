@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the fatal/panic error helpers: FatalError is a catchable
- * std::runtime_error carrying the message, POCO_REQUIRE throws it
- * with context, and POCO_ASSERT aborts the process.
+ * std::runtime_error carrying the message, POCO_REQUIRE and
+ * POCO_CHECK throw it with their prefixes, and panic() and
+ * POCO_ASSERT abort the process with a prefixed diagnostic.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,18 @@ TEST(Check, FatalThrowsFatalErrorWithMessage)
     }
 }
 
+TEST(Check, FatalThrowsWithMessage)
+{
+    // POCO_CHECK, the boundary-input check, throws through fatal()
+    // with the end-user prefix and no source location.
+    try {
+        POCO_CHECK(2 + 2 == 5, "bad configuration");
+        FAIL() << "POCO_CHECK must throw";
+    } catch (const FatalError& error) {
+        EXPECT_STREQ(error.what(), "invalid input: bad configuration");
+    }
+}
+
 TEST(Check, FatalErrorIsARuntimeError)
 {
     // Callers that only know std::exception still catch it.
@@ -37,6 +50,11 @@ TEST(Check, FatalErrorIsARuntimeError)
 TEST(Check, RequirePassesOnTrue)
 {
     EXPECT_NO_THROW(POCO_REQUIRE(1 + 1 == 2, "arithmetic works"));
+}
+
+TEST(Check, RequirePassesSilently)
+{
+    EXPECT_NO_THROW(POCO_CHECK(1 + 1 == 2, "arithmetic"));
 }
 
 TEST(Check, RequireThrowsWithContext)
@@ -61,6 +79,24 @@ TEST(Check, RequireEvaluatesConditionOnce)
     EXPECT_EQ(calls, 1);
 }
 
+TEST(Check, RequireMacroIncludesContext)
+{
+    // The whole diagnostic: prefix, message, condition, then location.
+    try {
+        const int x = 3;
+        POCO_REQUIRE(x > 5, "x must exceed five");
+        FAIL() << "POCO_REQUIRE must throw";
+    } catch (const FatalError& error) {
+        const std::string what = error.what();
+        EXPECT_EQ(what.rfind("requirement failed: x must exceed five "
+                             "[x > 5] at ",
+                             0),
+                  0u)
+            << what;
+        EXPECT_NE(what.find("test_util_check.cpp:"), std::string::npos);
+    }
+}
+
 TEST(Check, AssertPassesOnTrue)
 {
     POCO_ASSERT(true, "never fires");
@@ -73,10 +109,22 @@ TEST(CheckDeathTest, PanicAborts)
                  "invariant shattered");
 }
 
+TEST(CheckDeathTest, PanicPrintsPrefix)
+{
+    EXPECT_DEATH(panic("invariant shattered"),
+                 "panic: invariant shattered");
+}
+
 TEST(CheckDeathTest, AssertAbortsWithContext)
 {
     EXPECT_DEATH(POCO_ASSERT(false, "broken invariant"),
                  "broken invariant");
+}
+
+TEST(CheckDeathTest, AssertMacroAborts)
+{
+    EXPECT_DEATH(POCO_ASSERT(false, "should never happen"),
+                 "invariant violated: should never happen");
 }
 
 } // namespace
