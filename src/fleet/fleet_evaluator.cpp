@@ -191,7 +191,7 @@ FleetEvaluator::runClusterEpoch(std::size_t index, double load,
             be_of[static_cast<std::size_t>(placement.value[i])] =
                 static_cast<int>(i);
 
-    // Each run folded its own [warmup, warmup + dwell) window; the
+    // Each run reports its own [warmup, warmup + dwell) window; the
     // members combine in member order.
     out.telemetry.start = config_.server.warmup;
     out.telemetry.end = config_.server.warmup + config_.dwell;

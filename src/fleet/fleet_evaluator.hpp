@@ -91,13 +91,17 @@ struct ClusterEpochOutcome
     SolverTier tier = SolverTier::None;
     int solverAttempts = 0;
     Degradation degradation;
-    /** Simulator-statistics aggregates over the members. */
+    /**
+     * Simulator-statistics sums over the members. Each equals its
+     * telemetry counterpart below (meanBeThroughput, energy,
+     * meanPower) bit for bit: a run's rollup is read off the same
+     * statistics, and both sum in member order.
+     */
     Rps beThroughput{};
     Joules energy{};
     /**
-     * Summed mean power draw of the members, from the simulator
-     * statistics (energy / elapsed). Budget redistribution reads
-     * this, not the telemetry rollup.
+     * Summed mean power draw of the members (energy / elapsed).
+     * Budget redistribution reads it.
      */
     Watts meanDraw{};
     /** True when the power cap bound at least one member. */

@@ -15,12 +15,12 @@ parallelFor(ThreadPool* pool, std::size_t n,
     POCO_REQUIRE(body != nullptr, "parallelFor needs a body");
     if (n == 0)
         return;
-    const unsigned workers = pool ? pool->threadCount() : 0;
-    if (workers == 0 || n == 1) {
+    if (pool == nullptr || n == 1) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
+    const unsigned workers = pool->threadCount();
 
     // A few chunks per worker lets whichever thread is free take the
     // next one from the shared deque when task costs are skewed,

@@ -4,12 +4,12 @@
  *
  * The helpers here are the only parallel constructs the driver layer
  * uses: an index-space parallelFor and a parallelMap that writes each
- * result into its own slot. Both run serially when the pool is null
- * (or has no workers), and both are deterministic by construction —
- * task i reads only inputs addressed by i and writes only slot i, so
- * the result is bit-identical for any worker count, including the
- * serial path. Exceptions thrown by the body are rethrown at the call
- * site (first one wins).
+ * result into its own slot. Both run serially when the pool is null,
+ * and both are deterministic by construction — task i reads only
+ * inputs addressed by i and writes only slot i, so the result is
+ * bit-identical for any worker count, including the serial path.
+ * Exceptions thrown by the body are rethrown at the call site (first
+ * one wins).
  */
 
 #pragma once

@@ -11,11 +11,24 @@ ThreadPool::ThreadPool(unsigned threads)
 {
     const unsigned n = threads == 0 ? hardwareThreads() : threads;
     workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    try {
+        for (unsigned i = 0; i < n; ++i)
+            workers_.emplace_back([this] { workerLoop(); });
+    } catch (...) {
+        // A thread failed to start: the ones already running wait on
+        // wake_, which must not be destroyed under them.
+        stopAndJoin();
+        throw;
+    }
 }
 
 ThreadPool::~ThreadPool()
+{
+    stopAndJoin();
+}
+
+void
+ThreadPool::stopAndJoin()
 {
     {
         LockGuard guard(mutex_);

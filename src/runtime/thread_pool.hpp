@@ -49,6 +49,8 @@ class ThreadPool
   public:
     /**
      * @param threads Worker count; 0 means hardwareThreads().
+     * @throws std::system_error when a worker fails to start, after
+     *         joining the workers already started.
      */
     explicit ThreadPool(unsigned threads = 0);
 
@@ -88,6 +90,8 @@ class ThreadPool
     bool tryRunOne();
 
     void workerLoop();
+    /** Stop the workers once the deque drains, and join them. */
+    void stopAndJoin();
 
     std::vector<std::thread> workers_;
     Mutex mutex_;
@@ -131,7 +135,7 @@ class TaskGroup
     void
     run(F&& fn)
     {
-        if (pool_ == nullptr || pool_->threadCount() == 0) {
+        if (pool_ == nullptr) {
             runInline(std::forward<F>(fn));
             return;
         }

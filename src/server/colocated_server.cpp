@@ -264,6 +264,8 @@ ColocatedServer::integrate(SimTime now)
     stats_.capOvershootJoules +=
         std::max(Watts{}, p - power_cap_) * simSeconds(dt);
     stats_.maxPower = std::max(stats_.maxPower, p);
+    ++stats_.intervals;
+    stats_.maxLatencyP99 = std::max(stats_.maxLatencyP99, p99_);
     last_integrated_ = now;
 }
 

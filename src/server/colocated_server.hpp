@@ -27,6 +27,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/allocation.hpp"
@@ -49,6 +50,13 @@ struct ServerStats
     Watts maxPower;
     /** Integral of max(0, power - cap) — ground-truth cap damage. */
     Joules capOvershootJoules;
+    /**
+     * Intervals of positive length integrated: one per 100 ms tick
+     * under a ServerManager, whose state changes all land on ticks.
+     */
+    std::uint64_t intervals = 0;
+    /** Worst primary p99 over those intervals (seconds). */
+    double maxLatencyP99 = 0.0;
 
     Watts averagePower() const;
     Rps averageBeThroughput() const;

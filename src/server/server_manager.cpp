@@ -13,8 +13,8 @@ namespace poco::server
 namespace
 {
 
-// The BE power throttle (paper: every 100 ms) and telemetry run at
-// every tick.
+// The BE power throttle (paper: every 100 ms) runs at every tick, and
+// so does telemetry when the run keeps its samples.
 
 /** Offered-load update period (trace resolution). */
 constexpr SimTime kLoadPeriod = 1 * kSecond;
@@ -49,7 +49,7 @@ ServerManager::ServerManager(
     const fault::FaultPlan* faults)
     : server_(&server), controller_(std::move(controller)),
       trace_(std::move(trace)), config_(config),
-      throttler_(config.throttler), steady_(server.powerCap(), 0)
+      throttler_(config.throttler)
 {
     POCO_REQUIRE(controller_ != nullptr, "controller must be set");
     POCO_REQUIRE(config_.controlPeriod > 0 &&
@@ -369,7 +369,8 @@ ServerManager::watchdogTick(SimTime now, Watts measured)
 void
 ServerManager::telemetryTick(SimTime now)
 {
-    server_->advanceTo(now);
+    if (!config_.keepTelemetry)
+        return;
     sim::TelemetrySample sample;
     sample.when = now;
     sample.lcLoad = server_->load();
@@ -379,9 +380,7 @@ ServerManager::telemetryTick(SimTime now)
     sample.beThroughput = server_->beThroughput();
     sample.beAlloc = server_->beAlloc();
     sample.power = server_->power();
-    steady_.add(sample);
-    if (config_.keepTelemetry)
-        telemetry_.record(std::move(sample));
+    telemetry_.record(std::move(sample));
 }
 
 ServerRunResult
@@ -389,6 +388,8 @@ ServerManager::result() const
 {
     ServerRunResult out;
     out.stats = server_->stats();
+    POCO_REQUIRE(out.stats.elapsed == now_ - stats_start_,
+                 "advance the server to now() before result()");
     out.powerUtilization =
         out.stats.averagePower() / server_->powerCap();
     out.averageSlack =
@@ -403,8 +404,17 @@ ServerManager::result() const
     out.faults.capOvershootJoules = out.stats.capOvershootJoules;
     out.faults.maxOvershoot =
         std::max(Watts{}, out.stats.maxPower - server_->powerCap());
-    if (now_ > steady_.start())
-        out.steady = steady_.finish(now_);
+    if (now_ > stats_start_) {
+        sim::EpochRollup& steady = out.steady;
+        steady.start = stats_start_;
+        steady.end = now_;
+        steady.samples = out.stats.intervals;
+        steady.meanPower = out.stats.averagePower();
+        steady.meanBeThroughput = out.stats.averageBeThroughput();
+        steady.energy = out.stats.energyJoules;
+        steady.capOvershoot = out.stats.capOvershootJoules;
+        steady.maxLatencyP99 = out.stats.maxLatencyP99;
+    }
     out.telemetry.assign(telemetry_.all().begin(),
                          telemetry_.all().end());
     return out;
@@ -418,7 +428,7 @@ ServerManager::resetStats()
     slack_samples_ = 0;
     slack_shortfalls_ = 0;
     fault_stats_ = FaultRunStats{};
-    steady_.restart(now_);
+    stats_start_ = now_;
 }
 
 ServerRunResult

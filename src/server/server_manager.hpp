@@ -14,7 +14,7 @@
  *     controller before the 1 s load update when controlPeriod is
  *     longer than 1 s, otherwise the load update and then control;
  *  3. the BE throttle;
- *  4. telemetry.
+ *  4. telemetry, only when the run keeps its samples.
  */
 
 #pragma once
@@ -65,10 +65,10 @@ struct ServerManagerConfig
     /**
      * Keep the run's telemetry samples: the manager's recorder and
      * ServerRunResult::telemetry hold the whole 100 ms series (up to
-     * ~2^20 samples). Off by default: every run folds its samples
-     * into ServerRunResult::steady as they are produced, and only a
-     * caller that reads the series itself (a time-series plot, a
-     * cross-check of the fold) needs them kept.
+     * ~2^20 samples). Off by default, and then no sample is built:
+     * ServerRunResult::steady comes from the server statistics, and
+     * only a caller that reads the series itself (a time-series
+     * plot, a cross-check of the rollup) needs it kept.
      */
     bool keepTelemetry = false;
 
@@ -105,9 +105,11 @@ struct ServerRunResult
     /** Degradation-ladder counters (all zero on fault-free runs). */
     FaultRunStats faults;
     /**
-     * The telemetry fold against the server's power cap over the
-     * statistics window: from the last resetStats() (or t = 0) to
-     * the manager's clock at result(). runServerScenario's window is
+     * The statistics window, from the last resetStats() (or t = 0)
+     * to the manager's clock at result(), as a telemetry rollup read
+     * off `stats`: one sample per 100 ms interval. It equals
+     * sim::foldTelemetry of the run's kept samples against the power
+     * cap, bit for bit. runServerScenario's window is
      * [warmup, duration).
      */
     sim::EpochRollup steady;
@@ -169,12 +171,15 @@ class ServerManager
     }
     const ServerManagerConfig& config() const { return config_; }
 
-    /** Summarize statistics accumulated since the last reset. */
+    /**
+     * Summarize statistics accumulated since the last reset. The
+     * server must have been advanced to now().
+     */
     ServerRunResult result() const;
 
     /**
      * Forget warm-up history (stats and slack samples) and reopen
-     * the telemetry fold's window at now().
+     * the statistics window at now().
      */
     void resetStats();
 
@@ -206,8 +211,8 @@ class ServerManager
     BeThrottler throttler_;
     SimTime now_ = 0;
     sim::TelemetryRecorder telemetry_;
-    /** Folds every sample as telemetryTick() produces it. */
-    sim::TelemetryFold steady_;
+    /** Where the statistics window opened (the last resetStats()). */
+    SimTime stats_start_ = 0;
     /** Present only with a non-empty fault plan. */
     std::optional<fault::FaultInjector> injector_;
 

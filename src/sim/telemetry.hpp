@@ -4,10 +4,11 @@
  *
  * Today's private datacenters periodically collect per-application
  * performance and power metrics (the paper cites Dynamo and WSMeter).
- * A server manager samples every 100 ms and folds each sample into
- * its run's rollup (sim/telemetry_rollup.hpp); the recorder keeps the
- * timestamped series only for a caller that reads it, such as a
- * time-series plot (ServerManagerConfig::keepTelemetry).
+ * A server manager samples every 100 ms only for a caller that reads
+ * the series, such as a time-series plot
+ * (ServerManagerConfig::keepTelemetry); the recorder keeps those
+ * timestamped samples. A run's rollup (sim/telemetry_rollup.hpp)
+ * needs no samples: it is read off the server's own statistics.
  */
 
 #pragma once

@@ -27,77 +27,40 @@ EpochRollup::operator+=(const EpochRollup& other)
     return *this;
 }
 
-TelemetryFold::TelemetryFold(Watts cap, SimTime start)
-    : cap_(cap), start_(start)
-{}
-
-void
-TelemetryFold::restart(SimTime start)
-{
-    start_ = start;
-    energy_j_ = 0.0;
-    overshoot_j_ = 0.0;
-    be_units_ = 0.0;
-    max_p99_ = 0.0;
-    samples_ = 0;
-}
-
-void
-TelemetryFold::add(const TelemetrySample& sample)
-{
-    if (holding_)
-        foldHeld(sample.when);
-    held_ = sample;
-    holding_ = true;
-}
-
-void
-TelemetryFold::foldHeld(SimTime until)
-{
-    const SimTime hold_from = std::max(held_.when, start_);
-    if (until <= hold_from)
-        return;
-    const double dt = toSeconds(until - hold_from);
-    energy_j_ += held_.power.value() * dt;
-    overshoot_j_ += std::max(0.0, (held_.power - cap_).value()) * dt;
-    be_units_ += held_.beThroughput.value() * dt;
-    max_p99_ = std::max(max_p99_, held_.lcLatencyP99);
-    ++samples_;
-}
-
-EpochRollup
-TelemetryFold::finish(SimTime end) const
-{
-    POCO_REQUIRE(end > start_, "epoch window must be non-empty");
-    POCO_REQUIRE(!holding_ || held_.when <= end,
-                 "telemetry sample past the window end");
-    TelemetryFold closed = *this;
-    if (closed.holding_)
-        closed.foldHeld(end);
-    const double window = toSeconds(end - start_);
-    EpochRollup rollup;
-    rollup.start = start_;
-    rollup.end = end;
-    rollup.samples = closed.samples_;
-    rollup.energy = Joules{closed.energy_j_};
-    rollup.capOvershoot = Joules{closed.overshoot_j_};
-    rollup.meanPower = Watts{closed.energy_j_ / window};
-    rollup.meanBeThroughput = Rps{closed.be_units_ / window};
-    rollup.maxLatencyP99 = closed.max_p99_;
-    return rollup;
-}
-
 EpochRollup
 foldTelemetry(const std::vector<TelemetrySample>& samples, Watts cap,
               SimTime start, SimTime end)
 {
-    TelemetryFold fold(cap, start);
-    for (const TelemetrySample& sample : samples) {
-        if (sample.when >= end)
-            break;
-        fold.add(sample);
+    POCO_REQUIRE(end > start, "epoch window must be non-empty");
+    EpochRollup rollup;
+    rollup.start = start;
+    rollup.end = end;
+    double energy_j = 0.0;
+    double overshoot_j = 0.0;
+    double be_units = 0.0;
+    for (std::size_t i = 0; i < samples.size() && samples[i].when < end;
+         ++i) {
+        const TelemetrySample& held = samples[i];
+        const SimTime hold_from = std::max(held.when, start);
+        const SimTime hold_to = i + 1 < samples.size()
+                                    ? std::min(samples[i + 1].when, end)
+                                    : end;
+        if (hold_to <= hold_from)
+            continue;
+        const double dt = toSeconds(hold_to - hold_from);
+        energy_j += held.power.value() * dt;
+        overshoot_j += std::max(0.0, (held.power - cap).value()) * dt;
+        be_units += held.beThroughput.value() * dt;
+        rollup.maxLatencyP99 =
+            std::max(rollup.maxLatencyP99, held.lcLatencyP99);
+        ++rollup.samples;
     }
-    return fold.finish(end);
+    const double window = toSeconds(end - start);
+    rollup.energy = Joules{energy_j};
+    rollup.capOvershoot = Joules{overshoot_j};
+    rollup.meanPower = Watts{energy_j / window};
+    rollup.meanBeThroughput = Rps{be_units / window};
+    return rollup;
 }
 
 TelemetryAggregator::TelemetryAggregator(

@@ -3,13 +3,13 @@
  * Telemetry epoch rollups: the zero-order-hold fold and the streaming
  * epoch aggregator.
  *
- * A server's samples fold into a compact EpochRollup (time-weighted
- * power and throughput integrals, cap-overshoot joules) as they are
- * produced: TelemetryFold keeps one sample of lag, so a run never has
- * to retain its series to report the rollup of its window.
- * server::ServerManager folds every run's statistics window this way,
- * and the fleet combines those rollups in fixed server order into
- * cluster totals and in canonical cluster order into the fleet total.
+ * An EpochRollup is one window's compact aggregate (time-weighted
+ * power and throughput integrals, cap-overshoot joules, worst p99).
+ * A managed server run reports its statistics window as one, read
+ * off the server's own integrals (server::ServerRunResult::steady);
+ * the fleet combines those in fixed server order into cluster totals
+ * and in canonical cluster order into the fleet total. foldTelemetry
+ * computes the same rollup from a kept sample series.
  *
  * TelemetryAggregator serves the streaming control plane, whose
  * window is known only when the replay seals: each re-placement
@@ -37,10 +37,13 @@ namespace poco::sim
 /** Aggregates of one epoch's telemetry (server, cluster, or fleet). */
 struct EpochRollup
 {
-    /** Epoch window the samples were folded over. */
+    /** Epoch window the rollup covers. */
     SimTime start = 0;
     SimTime end = 0;
-    /** Samples folded in (summed across members on combine). */
+    /**
+     * Intervals integrated: sample holds of positive length inside
+     * the window (summed across members on combine).
+     */
     std::uint64_t samples = 0;
     /**
      * Time-weighted mean power over the window. Combining sums the
@@ -61,49 +64,12 @@ struct EpochRollup
 };
 
 /**
- * Incremental fold of one server's samples over [start, end) against
- * its power cap. Samples are zero-order-hold: each holds until the
- * next sample (or the window end), matching PowerMeter's
- * integration, and the sample at or before start holds at the window
- * open. add() folds the held sample's span up to the new sample's
- * time; finish() folds the last one's up to the window end.
- */
-class TelemetryFold
-{
-  public:
-    TelemetryFold(Watts cap, SimTime start);
-
-    /** Reopen the window at @p start; the held sample carries over. */
-    void restart(SimTime start);
-
-    /**
-     * Fold in the next sample. Times must be non-decreasing and must
-     * not pass the end later given to finish().
-     */
-    void add(const TelemetrySample& sample);
-
-    SimTime start() const { return start_; }
-
-    /** The rollup over [start(), end); end > start(). */
-    EpochRollup finish(SimTime end) const;
-
-  private:
-    /** Fold the held sample's span [max(when, start), until). */
-    void foldHeld(SimTime until);
-
-    Watts cap_;
-    SimTime start_;
-    bool holding_ = false;
-    TelemetrySample held_;
-    double energy_j_ = 0.0;
-    double overshoot_j_ = 0.0;
-    double be_units_ = 0.0;
-    double max_p99_ = 0.0;
-    std::uint64_t samples_ = 0;
-};
-
-/**
- * TelemetryFold run over time-ordered @p samples for [start, end).
+ * Fold one server's time-ordered @p samples over [start, end)
+ * against its power cap; end > start. Samples are zero-order-hold:
+ * each holds until the next sample (or the window end), matching
+ * PowerMeter's integration, and the sample at or before start holds
+ * at the window open. Every hold of positive length inside the
+ * window counts as one sample.
  */
 EpochRollup foldTelemetry(const std::vector<TelemetrySample>& samples,
                           Watts cap, SimTime start, SimTime end);

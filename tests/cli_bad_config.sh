@@ -35,6 +35,9 @@ check() {
 check "unknown LC app" simulate nosuchapp graph 30 2
 check "unknown placement algorithm" place nosuchsolver
 check "malformed numeric argument" curve sphinx not_a_number
+# spec builds no pool, so even a CLI without the bound starts no
+# thread here.
+check "thread count above the bound" --threads 100000 spec
 
 if [ "$fail" -eq 0 ]; then
     echo "PASS: bad configs exit non-zero with an error: diagnostic"

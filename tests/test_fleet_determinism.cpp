@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -168,6 +169,34 @@ TEST_F(FleetFixture, PairMemoKeepsRollupsNotSamples)
     EXPECT_EQ(combined.energy.value(), want.telemetry.energy.value());
     EXPECT_EQ(combined.capOvershoot.value(),
               want.telemetry.capOvershoot.value());
+}
+
+TEST_F(FleetFixture, EpochStatisticsAreTheTelemetryRollup)
+{
+    // Each member's steady rollup is read off its run's statistics,
+    // so the epoch's statistics sums and the combined rollup are the
+    // same additions in the same order.
+    const auto bits = [](double v) {
+        return std::bit_cast<std::uint64_t>(v);
+    };
+    const FleetEvaluator evaluator(servers(), smallConfig());
+    const auto outcome = evaluator.run();
+    std::size_t checked = 0;
+    for (const FleetEpoch& epoch : outcome.value.epochs) {
+        for (const ClusterEpochOutcome& cluster : epoch.clusters) {
+            SCOPED_TRACE(::testing::Message()
+                         << "epoch load " << epoch.load << " cluster "
+                         << cluster.cluster);
+            EXPECT_EQ(bits(cluster.beThroughput.value()),
+                      bits(cluster.telemetry.meanBeThroughput.value()));
+            EXPECT_EQ(bits(cluster.energy.value()),
+                      bits(cluster.telemetry.energy.value()));
+            EXPECT_EQ(bits(cluster.meanDraw.value()),
+                      bits(cluster.telemetry.meanPower.value()));
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 4u);
 }
 
 TEST_F(FleetFixture, SeedChangesTheRollup)

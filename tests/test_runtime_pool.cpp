@@ -1,20 +1,27 @@
 /**
  * @file
- * Tests for the thread pool and its one shared deque: lifecycle, load
- * balance under skewed task sizes, exception propagation out of
- * parallelFor, nested task groups, and joins that help while every
- * worker is busy. Runs under the tier-tsan label so a ThreadSanitizer
- * build (-DPOCO_SANITIZE=thread) vets the pool's synchronization
- * in-tree, and under tier-asan so an AddressSanitizer build checks
- * the task lifetimes.
+ * Tests for the thread pool and its one shared deque: lifecycle, a
+ * worker that fails to start, load balance under skewed task sizes,
+ * exception propagation out of parallelFor, nested task groups, and
+ * joins that help while every worker is busy. Runs under the
+ * tier-tsan label so a ThreadSanitizer build
+ * (-DPOCO_SANITIZE=thread) vets the pool's synchronization in-tree,
+ * and under tier-asan so an AddressSanitizer build checks the task
+ * lifetimes.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -49,6 +56,46 @@ TEST(ThreadPool, StartsAndStopsRepeatedly)
         EXPECT_EQ(ran.load(), 1);
         // Destructor joins the workers; the next round restarts.
     }
+}
+
+/** The calling process's mapped address space, from /proc/self/statm. */
+rlim_t
+addressSpaceBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    rlim_t pages = 0;
+    statm >> pages;
+    return pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(ThreadPoolDeathTest, FailedWorkerStartThrowsAfterJoiningTheStarted)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "a sanitizer's shadow memory does not fit under a "
+                    "tight address-space limit";
+#else
+    // The child lowers its own address-space limit to a few thread
+    // stacks above its current size, so a 64-worker pool fails part
+    // way. The constructor must join the workers it started and
+    // rethrow; one that hangs instead is killed by the alarm.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            rlimit limit{};
+            getrlimit(RLIMIT_AS, &limit);
+            limit.rlim_cur = addressSpaceBytes() + (rlim_t{32} << 20);
+            if (setrlimit(RLIMIT_AS, &limit) != 0)
+                std::exit(2);
+            alarm(10);
+            try {
+                ThreadPool pool(64);
+            } catch (const std::system_error&) {
+                std::exit(0);
+            }
+            std::exit(1);
+        },
+        ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 TEST(ThreadPool, ZeroMeansHardwareConcurrency)

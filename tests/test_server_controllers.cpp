@@ -214,7 +214,7 @@ TEST_F(ControllerTest, TelemetryIsRecorded)
 {
     const auto& lc = set_->lcByName("tpcc");
     {
-        // Without keepTelemetry the samples are folded, not kept.
+        // Without keepTelemetry no sample is built or kept.
         ColocatedServer server(lc, nullptr, lc.provisionedPower());
         ServerManager manager(server,
                               std::make_unique<HeraclesController>(),

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -15,6 +16,7 @@
 #include "fault/fault_plan.hpp"
 #include "model/fitter.hpp"
 #include "model/profiler.hpp"
+#include "rollup_expect.hpp"
 #include "server/be_throttler.hpp"
 #include "server/colocated_server.hpp"
 #include "server/server_manager.hpp"
@@ -111,7 +113,8 @@ evaluateFresh(const ColocatedServer& server)
  * ends with. Drive it through random setter sequences and compare
  * every getter with a fresh evaluation after every step; the energy
  * and work integrals must equal running sums of those fresh values,
- * accumulated in the server's order.
+ * accumulated in the server's order, and the interval count and
+ * worst p99 must cover exactly the intervals of positive length.
  */
 void
 checkCachedObservables(const wl::AppSet& set, std::size_t slots,
@@ -132,6 +135,8 @@ checkCachedObservables(const wl::AppSet& set, std::size_t slots,
     SimTime now = 0;
     Joules energy;
     double work = 0.0;
+    std::uint64_t intervals = 0;
+    double max_p99 = 0.0;
     for (int step = 0; step < 200; ++step) {
         // Until the next setter the server runs at the state the
         // previous step checked: integrate it the way the server
@@ -145,6 +150,8 @@ checkCachedObservables(const wl::AppSet& set, std::size_t slots,
             energy += fresh.power * simSeconds(dt);
             for (const Rps& thr : fresh.throughput)
                 work += thr.value() * toSeconds(dt);
+            ++intervals;
+            max_p99 = std::max(max_p99, fresh.p99);
         }
         now += dt;
 
@@ -206,6 +213,8 @@ checkCachedObservables(const wl::AppSet& set, std::size_t slots,
                   fresh.totalThroughput.value());
         EXPECT_EQ(server.stats().energyJoules.value(), energy.value());
         EXPECT_EQ(server.stats().beWorkDone, work);
+        EXPECT_EQ(server.stats().intervals, intervals);
+        EXPECT_EQ(server.stats().maxLatencyP99, max_p99);
         if (::testing::Test::HasFailure())
             return; // one diverging step is enough to report
     }
@@ -329,20 +338,6 @@ bits(double v)
 }
 
 void
-expectSameRollup(const sim::EpochRollup& a, const sim::EpochRollup& b)
-{
-    EXPECT_EQ(a.start, b.start);
-    EXPECT_EQ(a.end, b.end);
-    EXPECT_EQ(a.samples, b.samples);
-    EXPECT_EQ(bits(a.meanPower.value()), bits(b.meanPower.value()));
-    EXPECT_EQ(bits(a.meanBeThroughput.value()),
-              bits(b.meanBeThroughput.value()));
-    EXPECT_EQ(bits(a.energy.value()), bits(b.energy.value()));
-    EXPECT_EQ(bits(a.capOvershoot.value()), bits(b.capOvershoot.value()));
-    EXPECT_EQ(bits(a.maxLatencyP99), bits(b.maxLatencyP99));
-}
-
-void
 expectSameStats(const ServerStats& a, const ServerStats& b)
 {
     EXPECT_EQ(a.elapsed, b.elapsed);
@@ -353,21 +348,12 @@ expectSameStats(const ServerStats& a, const ServerStats& b)
     EXPECT_EQ(bits(a.maxPower.value()), bits(b.maxPower.value()));
     EXPECT_EQ(bits(a.capOvershootJoules.value()),
               bits(b.capOvershootJoules.value()));
+    EXPECT_EQ(a.intervals, b.intervals);
+    EXPECT_EQ(bits(a.maxLatencyP99), bits(b.maxLatencyP99));
 }
 
 TEST_F(RuntimeTest, SteadyRollupIsTheFoldOfItsOwnWindow)
 {
-    const wl::LcApp& lc = set_.lcByName("xapian");
-    const wl::BeApp& be = set_.beByName("graph");
-    const model::CobbDouglasUtility utility =
-        model::UtilityFitter{}.fit(model::Profiler{}.profileLc(lc));
-    const std::vector<std::function<std::unique_ptr<PrimaryController>()>>
-        controllers = {
-            [&] { return std::make_unique<PomController>(utility); },
-            [] {
-                return std::make_unique<HeraclesController>(
-                    ControllerConfig{}, /*seed=*/3);
-            }};
     const std::vector<wl::LoadTrace> traces = {
         wl::LoadTrace::constant(0.6),
         wl::LoadTrace::stepped({0.3, 0.9, 0.5}, 13 * kSecond)};
@@ -381,44 +367,65 @@ TEST_F(RuntimeTest, SteadyRollupIsTheFoldOfItsOwnWindow)
     ServerManagerConfig config;
     config.warmup = 7 * kSecond + 130 * kMillisecond + 17;
     const SimTime duration = 40 * kSecond + 45 * kMillisecond + 3;
-    const Watts cap = lc.provisionedPower();
 
-    // Every combination of controller, BE or none, trace, and faults
-    // or none: one bit each.
-    for (unsigned combo = 0; combo < 16; ++combo) {
-        const std::size_t c = combo & 1u;
-        const wl::BeApp* secondary = (combo & 2u) != 0 ? &be : nullptr;
-        const std::size_t t = (combo >> 2) & 1u;
-        const fault::FaultPlan* plan =
-            (combo & 8u) != 0 ? &faults : nullptr;
-        SCOPED_TRACE(::testing::Message()
-                     << "controller " << c << " be "
-                     << (secondary != nullptr) << " trace " << t
-                     << " faults " << (plan != nullptr));
-        const auto run = [&](bool keep) {
-            ServerManagerConfig cfg = config;
-            cfg.keepTelemetry = keep;
-            return runServerScenario(lc, secondary, cap, controllers[c](),
-                                     traces[t], duration, cfg, plan);
-        };
-        const ServerRunResult folded = run(false);
-        const ServerRunResult kept = run(true);
+    std::vector<const wl::BeApp*> secondaries = {nullptr};
+    for (const wl::BeApp& be : set_.be)
+        secondaries.push_back(&be);
 
-        EXPECT_TRUE(folded.telemetry.empty());
-        ASSERT_FALSE(kept.telemetry.empty());
-        expectSameStats(folded.stats, kept.stats);
-        expectSameRollup(folded.steady, kept.steady);
-        expectSameRollup(kept.steady,
-                         sim::foldTelemetry(kept.telemetry, cap,
-                                            config.warmup, duration));
-        EXPECT_EQ(folded.steady.start, config.warmup);
-        EXPECT_EQ(folded.steady.end, duration);
-        EXPECT_GT(folded.steady.samples, 300u);
-        if (plan != nullptr && secondary != nullptr) {
-            EXPECT_GE(folded.faults.degradedEntries, 1);
-            EXPECT_EQ(folded.faults.degradedEntries,
-                      kept.faults.degradedEntries);
-            EXPECT_EQ(folded.faults.probes, kept.faults.probes);
+    // Every LC app with every BE app or none, under every combination
+    // of controller, trace, and faults or none: one bit each.
+    for (const wl::LcApp& lc : set_.lc) {
+        const model::CobbDouglasUtility utility =
+            model::UtilityFitter{}.fit(model::Profiler{}.profileLc(lc));
+        const std::vector<
+            std::function<std::unique_ptr<PrimaryController>()>>
+            controllers = {
+                [&] { return std::make_unique<PomController>(utility); },
+                [] {
+                    return std::make_unique<HeraclesController>(
+                        ControllerConfig{}, /*seed=*/3);
+                }};
+        const Watts cap = lc.provisionedPower();
+        for (const wl::BeApp* secondary : secondaries) {
+            for (unsigned combo = 0; combo < 8; ++combo) {
+                const std::size_t c = combo & 1u;
+                const std::size_t t = (combo >> 1) & 1u;
+                const fault::FaultPlan* plan =
+                    (combo & 4u) != 0 ? &faults : nullptr;
+                SCOPED_TRACE(::testing::Message()
+                             << lc.name() << " + "
+                             << (secondary != nullptr ? secondary->name()
+                                                      : "none")
+                             << " controller " << c << " trace " << t
+                             << " faults " << (plan != nullptr));
+                const auto run = [&](bool keep) {
+                    ServerManagerConfig cfg = config;
+                    cfg.keepTelemetry = keep;
+                    return runServerScenario(lc, secondary, cap,
+                                             controllers[c](), traces[t],
+                                             duration, cfg, plan);
+                };
+                const ServerRunResult plain = run(false);
+                const ServerRunResult kept = run(true);
+
+                EXPECT_TRUE(plain.telemetry.empty());
+                ASSERT_FALSE(kept.telemetry.empty());
+                expectSameStats(plain.stats, kept.stats);
+                test::expectSameRollup(plain.steady, kept.steady);
+                test::expectSameRollup(kept.steady,
+                                 sim::foldTelemetry(kept.telemetry, cap,
+                                                    config.warmup,
+                                                    duration));
+                EXPECT_EQ(plain.steady.start, config.warmup);
+                EXPECT_EQ(plain.steady.end, duration);
+                EXPECT_GT(plain.steady.samples, 300u);
+                if (plan != nullptr && secondary != nullptr) {
+                    EXPECT_GE(plain.faults.degradedEntries, 1);
+                    EXPECT_EQ(plain.faults.degradedEntries,
+                              kept.faults.degradedEntries);
+                    EXPECT_EQ(plain.faults.probes, kept.faults.probes);
+                }
+            }
         }
     }
 }

@@ -7,12 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <utility>
 #include <vector>
 
+#include "rollup_expect.hpp"
 #include "sim/telemetry_rollup.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -82,7 +82,7 @@ TEST(FoldTelemetry, RejectsAnEmptyWindow)
 }
 
 /**
- * The batch fold as it stood before the incremental one, kept as the
+ * The batch fold as it stood before the forward one, kept as the
  * oracle: binary-search the sample holding at the window open, then
  * integrate each sample's hold clipped to [start, end).
  */
@@ -128,27 +128,6 @@ oracleFold(const std::vector<TelemetrySample>& samples, Watts cap,
     rollup.meanPower = Watts{energy_j / window};
     rollup.meanBeThroughput = Rps{be_units / window};
     return rollup;
-}
-
-std::uint64_t
-bits(double v)
-{
-    return std::bit_cast<std::uint64_t>(v);
-}
-
-void
-expectBitwiseEqual(const EpochRollup& got, const EpochRollup& want)
-{
-    EXPECT_EQ(got.start, want.start);
-    EXPECT_EQ(got.end, want.end);
-    EXPECT_EQ(got.samples, want.samples);
-    EXPECT_EQ(bits(got.meanPower.value()), bits(want.meanPower.value()));
-    EXPECT_EQ(bits(got.meanBeThroughput.value()),
-              bits(want.meanBeThroughput.value()));
-    EXPECT_EQ(bits(got.energy.value()), bits(want.energy.value()));
-    EXPECT_EQ(bits(got.capOvershoot.value()),
-              bits(want.capOvershoot.value()));
-    EXPECT_EQ(bits(got.maxLatencyP99), bits(want.maxLatencyP99));
 }
 
 /**
@@ -211,26 +190,8 @@ TEST(TelemetryFold, MatchesTheBinarySearchFoldBitwise)
             SCOPED_TRACE(::testing::Message()
                          << "seed " << seed << " window [" << start
                          << ", " << end << ")");
-            const EpochRollup want = oracleFold(samples, cap, start, end);
-            expectBitwiseEqual(foldTelemetry(samples, cap, start, end),
-                               want);
-
-            // The server manager's protocol: the fold runs from an
-            // earlier window, restarts at start once every sample up
-            // to start is in, and finishes at end with nothing past
-            // it folded.
-            TelemetryFold fold(cap, std::min(first, start) - kSecond);
-            std::size_t k = 0;
-            const bool include_start = rng.bernoulli(0.5);
-            for (; k < samples.size() &&
-                   (samples[k].when < start ||
-                    (include_start && samples[k].when == start));
-                 ++k)
-                fold.add(samples[k]);
-            fold.restart(start);
-            for (; k < samples.size() && samples[k].when <= end; ++k)
-                fold.add(samples[k]);
-            expectBitwiseEqual(fold.finish(end), want);
+            test::expectSameRollup(foldTelemetry(samples, cap, start, end),
+                                   oracleFold(samples, cap, start, end));
         }
     }
     EXPECT_GT(windows, 1000u);

@@ -15,7 +15,9 @@
  * The pins after it cover the rest of the tick order: seeded fault
  * plans whose edges fall off the 100 ms grid, a load spike opening
  * at t = 0, every control period the ablation sweeps (and two more),
- * the time-shared BE schedules and the spatial-share runner. The last
+ * the time-shared BE schedules and the spatial-share runner; the
+ * fault-plan and control-period pins also check that each run's
+ * steady rollup is the fold of its own kept samples. The last
  * pin drives one POM controller directly through every way its demand
  * target can repeat or move, so a search skipped on a repeated target
  * must return what a fresh search would.
@@ -42,12 +44,14 @@
 #include "model/demand.hpp"
 #include "model/fitter.hpp"
 #include "model/profiler.hpp"
+#include "rollup_expect.hpp"
 #include "scen/scenario.hpp"
 #include "server/be_schedule.hpp"
 #include "server/colocated_server.hpp"
 #include "server/primary_controller.hpp"
 #include "server/server_manager.hpp"
 #include "server/spatial_share.hpp"
+#include "sim/telemetry_rollup.hpp"
 #include "util/fnv.hpp"
 #include "wl/registry.hpp"
 
@@ -294,6 +298,18 @@ runFingerprint(const server::ServerRunResult& run)
     return h;
 }
 
+/** The run's steady rollup is the fold of its own kept samples. */
+void
+expectSteadyIsTheFold(const server::ServerRunResult& run, Watts cap,
+                      SimTime warmup, SimTime duration)
+{
+    ASSERT_FALSE(run.telemetry.empty());
+    EXPECT_GT(run.steady.samples, 0u);
+    test::expectSameRollup(run.steady,
+                           sim::foldTelemetry(run.telemetry, cap, warmup,
+                                              duration));
+}
+
 TEST(FingerprintPins, ServerScenario)
 {
     const wl::AppSet set = wl::defaultAppSet();
@@ -413,6 +429,9 @@ TEST(FingerprintPins, ServerRunsUnderGeneratedFaultPlans)
             duration, config, &plan);
         EXPECT_EQ(runFingerprint(run), kPins[seed - 1])
             << "seed " << seed;
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        expectSteadyIsTheFold(run, lc.provisionedPower(), config.warmup,
+                              duration);
     }
     EXPECT_EQ(kinds.size(), 6u);
     EXPECT_TRUE(off_grid_edge);
@@ -469,6 +488,9 @@ TEST(FingerprintPins, ServerRunsAcrossControlPeriods)
             xapianPom(), trace, 40 * kSecond, config);
         EXPECT_EQ(runFingerprint(run), pin)
             << "control period " << period;
+        SCOPED_TRACE(::testing::Message() << "control period " << period);
+        expectSteadyIsTheFold(run, lc.provisionedPower(), config.warmup,
+                              40 * kSecond);
     }
 }
 

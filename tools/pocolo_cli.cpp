@@ -47,6 +47,13 @@ using namespace poco;
 namespace
 {
 
+/**
+ * The largest --threads accepted. Results are bit-identical for every
+ * worker count, so more workers than any host has cores buy nothing,
+ * and a huge count only risks the OS refusing threads.
+ */
+constexpr int kMaxThreads = 1024;
+
 /** Global options parsed before the subcommand. */
 struct Options
 {
@@ -104,9 +111,9 @@ usage()
         "usage: pocolo_cli [--threads N] [--seed S] <command> [args]\n"
         "\n"
         "global options:\n"
-        "  --threads N   worker threads (1 = serial; default:\n"
-        "                hardware concurrency); results are\n"
-        "                bit-identical for every value\n"
+        "  --threads N   worker threads, at most %d (1 = serial;\n"
+        "                default: hardware concurrency); results\n"
+        "                are bit-identical for every value\n"
         "  --seed S      salt for every stochastic stream\n"
         "\n"
         "commands:\n"
@@ -127,7 +134,8 @@ usage()
         "                             run a managed colocation and\n"
         "                             print telemetry as CSV\n"
         "  scen [clusters] [regions]  generate a seeded fleet\n"
-        "                             scenario; summary + fingerprint\n");
+        "                             scenario; summary + fingerprint\n",
+        kMaxThreads);
     return 2;
 }
 
@@ -504,6 +512,9 @@ main(int argc, char** argv)
                     parseInt(argv[++argi], "--threads");
                 if (options.threads < 0)
                     return usage();
+                if (options.threads > kMaxThreads)
+                    poco::fatal("--threads must be at most " +
+                                std::to_string(kMaxThreads));
             } else if (flag == "--seed" && argi + 1 < argc) {
                 options.seed = parseU64(argv[++argi], "--seed");
             } else {
