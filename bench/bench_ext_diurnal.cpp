@@ -69,7 +69,6 @@ runDay(bench::Context& ctx, bool pom_manager, bool smart_placement)
             else
                 controller =
                     std::make_unique<server::HeraclesController>(
-                        server::ControllerConfig{},
                         0x77 + server_idx);
             const auto run = server::runServerScenario(
                 lc, &ctx.apps.beByName(partner),

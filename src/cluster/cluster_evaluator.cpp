@@ -353,7 +353,6 @@ ClusterEvaluator::makeController(std::size_t lc_idx,
     switch (kind) {
       case ManagerKind::Heracles:
         return std::make_unique<server::HeraclesController>(
-            config_.server.controller,
             0x9d5f ^ (static_cast<std::uint64_t>(lc_idx) * 7919) ^
                 (config_.seed * 0x2545f4914f6cdd1dULL) ^
                 (static_cast<std::uint64_t>(seed_variant) *

@@ -3,7 +3,6 @@
 #include "model/demand.hpp"
 #include "runtime/parallel.hpp"
 #include "util/check.hpp"
-#include "util/stats.hpp"
 
 namespace poco::cluster
 {

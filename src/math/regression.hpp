@@ -7,13 +7,15 @@
  *   log(perf)  = log(a0) + sum_j a_j * log(r_j)      (performance)
  *   power      = p_static + sum_j p_j * r_j           (power)
  * Both are linear in the parameters, so a single OLS kernel serves.
+ * It owns its arithmetic: the design, the normal equations and their
+ * solve all live on flat row-major buffers in regression.cpp.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "math/matrix.hpp"
 #include "math/matrix_view.hpp"
 
 namespace poco::math
@@ -58,5 +60,17 @@ struct OlsResult
  */
 OlsResult fitOls(MatrixView x, const std::vector<double>& y,
                  bool fit_intercept = true);
+
+/**
+ * Coefficient of determination (R-squared) between observations and
+ * model predictions. Returns 1 for a perfect fit; can be negative for
+ * fits worse than the mean predictor.
+ *
+ * @param observed Ground-truth values.
+ * @param predicted Model predictions, same length.
+ * @throws poco::FatalError if the lengths differ or are zero.
+ */
+double rSquared(const std::vector<double>& observed,
+                const std::vector<double>& predicted);
 
 } // namespace poco::math

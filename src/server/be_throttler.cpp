@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.hpp"
-
 namespace poco::server
 {
 
@@ -19,17 +17,7 @@ throttleOrderName(ThrottleOrder order)
     return "?";
 }
 
-BeThrottler::BeThrottler(ThrottlerConfig config) : config_(config)
-{
-    POCO_REQUIRE(config_.window > 0, "meter window must be positive");
-    POCO_REQUIRE(config_.releaseMargin >= Watts{},
-                 "release margin must be non-negative");
-    POCO_REQUIRE(config_.minDutyCycle > 0.0 &&
-                 config_.minDutyCycle <= 1.0,
-                 "duty floor must be in (0, 1]");
-    POCO_REQUIRE(config_.dutyStep > 0.0 && config_.dutyStep < 1.0,
-                 "duty step must be in (0, 1)");
-}
+BeThrottler::BeThrottler(ThrottlerConfig config) : config_(config) {}
 
 sim::Allocation
 BeThrottler::decide(const ColocatedServer& server, SimTime now) const
@@ -42,7 +30,7 @@ BeThrottler::decideAt(const ColocatedServer& server, std::size_t slot,
                       SimTime now) const
 {
     return decideAt(server, slot, now,
-                    server.meter().average(now, config_.window));
+                    server.meter().average(now, kThrottleWindow));
 }
 
 sim::Allocation
@@ -60,22 +48,19 @@ BeThrottler::decideAt(const ColocatedServer& server, std::size_t slot,
 
     const bool can_lower_freq =
         alloc.freq > spec.freqMin + GHz{1e-9};
-    const bool can_lower_duty =
-        alloc.dutyCycle > config_.minDutyCycle;
+    const bool can_lower_duty = alloc.dutyCycle > kMinDutyCycle;
     const bool can_raise_freq =
         alloc.freq < spec.freqMax - GHz{1e-9};
     const bool can_raise_duty = alloc.dutyCycle < 1.0;
 
     auto lower_freq = [&] { alloc.freq = spec.stepDown(alloc.freq); };
     auto lower_duty = [&] {
-        alloc.dutyCycle = std::max(config_.minDutyCycle,
-                                   alloc.dutyCycle -
-                                       config_.dutyStep);
+        alloc.dutyCycle =
+            std::max(kMinDutyCycle, alloc.dutyCycle - kDutyStep);
     };
     auto raise_freq = [&] { alloc.freq = spec.stepUp(alloc.freq); };
     auto raise_duty = [&] {
-        alloc.dutyCycle =
-            std::min(1.0, alloc.dutyCycle + config_.dutyStep);
+        alloc.dutyCycle = std::min(1.0, alloc.dutyCycle + kDutyStep);
     };
 
     if (avg > cap) {
@@ -101,7 +86,7 @@ BeThrottler::decideAt(const ColocatedServer& server, std::size_t slot,
                 lower_duty();
             break;
         }
-    } else if (avg < cap - config_.releaseMargin) {
+    } else if (avg < cap - kReleaseMargin) {
         // Release in the reverse order of throttling.
         switch (config_.order) {
           case ThrottleOrder::FreqThenDuty:

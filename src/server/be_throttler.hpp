@@ -30,20 +30,20 @@ enum class ThrottleOrder
 
 const char* throttleOrderName(ThrottleOrder order);
 
+/** Meter averaging window (paper: 100 ms sampling). */
+constexpr SimTime kThrottleWindow = 100 * kMillisecond;
+/** Release hysteresis: unthrottle only below cap - margin. */
+constexpr Watts kReleaseMargin{3.0};
+/** Duty-cycle floor so the BE app keeps making some progress. */
+constexpr double kMinDutyCycle = 0.05;
+/** Duty-cycle adjustment per throttle step. */
+constexpr double kDutyStep = 0.05;
+
 /** Throttler tuning. */
 struct ThrottlerConfig
 {
     /** Knob ordering; the paper uses frequency-then-duty. */
     ThrottleOrder order = ThrottleOrder::FreqThenDuty;
-
-    /** Meter averaging window (paper: 100 ms sampling). */
-    SimTime window = 100 * kMillisecond;
-    /** Release hysteresis: unthrottle only below cap - margin. */
-    Watts releaseMargin{3.0};
-    /** Duty-cycle floor so the BE app keeps making some progress. */
-    double minDutyCycle = 0.05;
-    /** Multiplicative duty adjustment per period. */
-    double dutyStep = 0.05;
 };
 
 /** Reactive power-cap enforcement for the secondary application. */

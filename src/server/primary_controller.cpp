@@ -21,14 +21,7 @@ constexpr double kFreqSlackMargin = 0.12;
 
 } // namespace
 
-HeraclesController::HeraclesController(ControllerConfig config,
-                                       std::uint64_t seed)
-    : config_(config), rng_(seed)
-{
-    POCO_REQUIRE(config_.minSlack >= 0 &&
-                 config_.minSlack < config_.highSlack,
-                 "controller slack band must be ordered");
-}
+HeraclesController::HeraclesController(std::uint64_t seed) : rng_(seed) {}
 
 sim::Allocation
 HeraclesController::decide(const ColocatedServer& server)
@@ -75,12 +68,11 @@ HeraclesController::decide(const ColocatedServer& server)
         return alloc;
     }
 
-    if (slack < config_.minSlack) {
+    if (slack < kMinSlack) {
         // Latency pressure: grow ways aggressively — the deeper the
         // shortfall, the more units; once ways are exhausted, add
         // cores. An SLO violation triggers the maximum step.
-        int units = 1 + static_cast<int>((config_.minSlack - slack) /
-                                         0.04);
+        int units = 1 + static_cast<int>((kMinSlack - slack) / 0.04);
         units = std::clamp(units, 1, 5);
         if (slack < 0.0)
             units = 5;
@@ -91,7 +83,7 @@ HeraclesController::decide(const ColocatedServer& server)
                 ++alloc.cores;
         }
         cooldown_ = kShrinkCooldown;
-    } else if (slack > config_.highSlack && cooldown_ == 0) {
+    } else if (slack > kHighSlack && cooldown_ == 0) {
         // Excess slack: walk back toward the curve one way at a time
         // — capacity is steeply sensitive to ways near small
         // allocations, so larger steps overshoot into violations.
@@ -109,9 +101,6 @@ PomController::PomController(model::CobbDouglasUtility utility,
 {
     POCO_REQUIRE(utility_.numResources() == 2,
                  "POM expects a (cores, ways) utility");
-    POCO_REQUIRE(config_.minSlack >= 0 &&
-                 config_.minSlack < config_.highSlack,
-                 "controller slack band must be ordered");
 }
 
 sim::Allocation
@@ -143,7 +132,7 @@ PomController::decide(const ColocatedServer& server)
     const bool freq_relaxed =
         config_.tunePrimaryFrequency && freq_ > GHz{} &&
         freq_ < spec.freqMax - GHz{1e-9};
-    if (slack < config_.minSlack && !freq_relaxed)
+    if (slack < kMinSlack && !freq_relaxed)
         feedback_boost_ = std::min(feedback_boost_ + 1, 16);
 
     // The model's performance unit is the guarded max load, so asking
@@ -168,7 +157,7 @@ PomController::decide(const ColocatedServer& server)
     sim::Allocation alloc = plan_->alloc;
     // Immediate-term safety: never step below the current allocation
     // while slack is already short.
-    if (slack < config_.minSlack) {
+    if (slack < kMinSlack) {
         alloc.cores = std::max(alloc.cores,
                                server.primaryAlloc().cores);
         alloc.ways = std::max(alloc.ways, server.primaryAlloc().ways);
@@ -189,10 +178,10 @@ PomController::decide(const ColocatedServer& server)
     if (config_.tunePrimaryFrequency) {
         if (freq_ <= GHz{})
             freq_ = spec.freqMax;
-        if (slack < config_.minSlack) {
+        if (slack < kMinSlack) {
             freq_ = spec.freqMax;
             high_slack_streak_ = 0;
-        } else if (slack > config_.minSlack + kFreqSlackMargin) {
+        } else if (slack > kMinSlack + kFreqSlackMargin) {
             if (++high_slack_streak_ >= kFreqStepPatience) {
                 freq_ = spec.stepDown(freq_);
                 high_slack_streak_ = 0;

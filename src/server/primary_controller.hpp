@@ -38,13 +38,16 @@
 namespace poco::server
 {
 
-/** Shared controller tuning. */
+/** Grow when slack falls below this (paper: 10%). */
+constexpr double kMinSlack = 0.10;
+/** Shrink when slack rises above this (hysteresis deadband). */
+constexpr double kHighSlack = 0.28;
+static_assert(0.0 <= kMinSlack && kMinSlack < kHighSlack,
+              "controller slack band must be ordered");
+
+/** POM tuning (the cluster layer reads headroom too). */
 struct ControllerConfig
 {
-    /** Grow when slack falls below this (paper: 10%). */
-    double minSlack = 0.10;
-    /** Shrink when slack rises above this (hysteresis deadband). */
-    double highSlack = 0.28;
     /** Demand inflation when converting model output to allocations. */
     double headroom = 1.0;
     /**
@@ -87,15 +90,13 @@ class PrimaryController
 class HeraclesController : public PrimaryController
 {
   public:
-    explicit HeraclesController(ControllerConfig config = {},
-                                std::uint64_t seed = 7);
+    explicit HeraclesController(std::uint64_t seed = 7);
 
     const std::string& name() const override { return name_; }
     sim::Allocation decide(const ColocatedServer& server) override;
 
   private:
     std::string name_ = "heracles";
-    ControllerConfig config_;
     Rng rng_;
     /** Load (rps) at the last random re-pick; <0 forces a re-pick. */
     double anchor_load_ = -1.0;

@@ -134,9 +134,7 @@ ServerManager::controlTick(SimTime now)
             be.freq = conservative_regrant_
                           ? server_->spec().freqMin
                           : server_->spec().freqMax;
-            be.dutyCycle = conservative_regrant_
-                               ? config_.throttler.minDutyCycle
-                               : 1.0;
+            be.dutyCycle = conservative_regrant_ ? kMinDutyCycle : 1.0;
         }
         if (!(be == server_->beAlloc()))
             server_->setBeAlloc(now, be);
@@ -155,7 +153,7 @@ ServerManager::controlTick(SimTime now)
         be.cores = spare.cores;
         be.ways = spare.ways;
         be.freq = server_->spec().freqMin;
-        be.dutyCycle = config_.throttler.minDutyCycle;
+        be.dutyCycle = kMinDutyCycle;
         if (!(be == server_->beAlloc()))
             applyBeAlloc(now, 0, be);
     }
@@ -164,7 +162,7 @@ ServerManager::controlTick(SimTime now)
     const double slack = server_->slack99();
     slack_sum_ += slack;
     ++slack_samples_;
-    if (slack < config_.controller.minSlack)
+    if (slack < kMinSlack)
         ++slack_shortfalls_;
 }
 
@@ -192,11 +190,9 @@ ServerManager::throttleTick(SimTime now)
 Watts
 ServerManager::measuredPower(SimTime now)
 {
-    return injector_
-               ? injector_->readPower(server_->meter(), now,
-                                      config_.throttler.window)
-               : server_->meter().average(now,
-                                          config_.throttler.window);
+    return injector_ ? injector_->readPower(server_->meter(), now,
+                                            kThrottleWindow)
+                     : server_->meter().average(now, kThrottleWindow);
 }
 
 void
@@ -312,12 +308,9 @@ ServerManager::watchdogTick(SimTime now, Watts measured)
             pre_probe_ = server_->beAlloc();
             sim::Allocation step = pre_probe_;
             step.freq = server_->spec().stepDown(step.freq);
-            if (step == pre_probe_ &&
-                step.dutyCycle > config_.throttler.minDutyCycle)
+            if (step == pre_probe_ && step.dutyCycle > kMinDutyCycle)
                 step.dutyCycle =
-                    std::max(config_.throttler.minDutyCycle,
-                             step.dutyCycle -
-                                 config_.throttler.dutyStep);
+                    std::max(kMinDutyCycle, step.dutyCycle - kDutyStep);
             if (!(step == pre_probe_)) {
                 ++fault_stats_.probes;
                 applyBeAlloc(now, 0, step);
@@ -335,7 +328,7 @@ ServerManager::watchdogTick(SimTime now, Watts measured)
     sim::Allocation clamp = server_->beAlloc();
     if (!clamp.empty()) {
         clamp.freq = server_->spec().freqMin;
-        clamp.dutyCycle = config_.throttler.minDutyCycle;
+        clamp.dutyCycle = kMinDutyCycle;
         if (!(server_->beAlloc() == clamp))
             applyBeAlloc(now, 0, clamp);
     }

@@ -1,7 +1,6 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -56,44 +55,6 @@ TextTable::render() const
     return out.str();
 }
 
-namespace
-{
-
-std::string
-csvEscape(const std::string& field)
-{
-    if (field.find_first_of(",\"\n") == std::string::npos)
-        return field;
-    std::string out = "\"";
-    for (char ch : field) {
-        if (ch == '"')
-            out += '"';
-        out += ch;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
-std::string
-TextTable::renderCsv() const
-{
-    std::ostringstream out;
-    auto emit_row = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            out << csvEscape(row[c]);
-            if (c + 1 < row.size())
-                out << ",";
-        }
-        out << "\n";
-    };
-    emit_row(header_);
-    for (const auto& row : rows_)
-        emit_row(row);
-    return out.str();
-}
-
 std::string
 fmt(double value, int precision)
 {
@@ -106,17 +67,6 @@ std::string
 fmtPercent(double ratio, int precision)
 {
     return fmt(ratio * 100.0, precision) + "%";
-}
-
-void
-writeCsv(const TextTable& table, const std::string& path)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open CSV output file: " + path);
-    out << table.renderCsv();
-    if (!out)
-        fatal("error writing CSV output file: " + path);
 }
 
 } // namespace poco

@@ -1,15 +1,13 @@
 /**
  * @file
- * Text table and CSV rendering for benches and examples.
+ * Text table rendering for benches and examples.
  *
  * The bench harness prints the same rows/series the paper's tables and
- * figures report; TextTable renders aligned console output and
- * writeCsv() emits the machine-readable twin.
+ * figures report; TextTable renders them as aligned console output.
  */
 
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -41,9 +39,6 @@ class TextTable
     /** Render with ASCII separators, right-padding each column. */
     std::string render() const;
 
-    /** Render as CSV (comma-separated, quoted only when needed). */
-    std::string renderCsv() const;
-
   private:
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
@@ -62,8 +57,5 @@ fmt(Quantity<Tag> value, int precision = 2)
 
 /** Format a ratio as a percentage string, e.g. 0.18 -> "18.0%". */
 std::string fmtPercent(double ratio, int precision = 1);
-
-/** Write the CSV rendering of a table to a file; throws on I/O error. */
-void writeCsv(const TextTable& table, const std::string& path);
 
 } // namespace poco

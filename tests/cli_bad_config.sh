@@ -33,6 +33,11 @@ check() {
 }
 
 check "unknown LC app" simulate nosuchapp graph 30 2
+# Simulated minutes must lie in (0, 1440]; 1e300 would overflow the
+# conversion to SimTime.
+check "zero simulated minutes" simulate xapian graph 30 0
+check "negative simulated minutes" simulate xapian graph 30 -5
+check "simulated minutes above one day" simulate xapian graph 30 1e300
 check "unknown placement algorithm" place nosuchsolver
 check "malformed numeric argument" curve sphinx not_a_number
 # spec builds no pool, so even a CLI without the bound starts no

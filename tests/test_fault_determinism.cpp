@@ -91,8 +91,8 @@ TEST(FaultDeterminism, BatchedFaultedScenariosMatchSerial)
         s.lc = &set.lc[lc_idx];
         s.be = &set.be[lc_idx % set.be.size()];
         s.powerCap = set.lc[lc_idx].provisionedPower();
-        s.controller = std::make_unique<server::HeraclesController>(
-            server::ControllerConfig{}, 17 + lc_idx);
+        s.controller =
+            std::make_unique<server::HeraclesController>(17 + lc_idx);
         s.trace = wl::LoadTrace::stepped({0.2, 0.9}, 90 * kSecond);
         s.duration = 3 * kMinute;
         s.faults = &plan;

@@ -68,8 +68,8 @@ class FaultServerTest : public ::testing::Test
         config.watchdog.enabled = watchdog;
         std::unique_ptr<PrimaryController> controller;
         if (brains == Brains::Heracles)
-            controller = std::make_unique<HeraclesController>(
-                ControllerConfig{}, /*seed=*/5);
+            controller =
+                std::make_unique<HeraclesController>(/*seed=*/5);
         else
             controller = std::make_unique<PomController>(
                 modelOf("xapian"));

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for ordinary least squares regression, including the
- * parameter-recovery property that underpins the utility fitter.
+ * parameter-recovery property that underpins the utility fitter, the
+ * pivoted solve of its normal equations, and R-squared.
  * fitOls takes a math::MatrixView design; literals go through the
  * flat() packer and incremental designs through FlatMatrix.
  */
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "flat_matrix.hpp"
 #include "math/regression.hpp"
@@ -158,6 +161,111 @@ TEST(Ols, LogLogRecoversExponents)
     EXPECT_NEAR(fit.beta(0), a1, 0.02);
     EXPECT_NEAR(fit.beta(1), a2, 0.02);
     EXPECT_GT(fit.r_squared, 0.99);
+}
+
+TEST(Solve, KnownSystem)
+{
+    // A square design is solved exactly: 2b1 + b2 = 5, b1 - b2 = 1
+    // -> b1 = 2, b2 = 1.
+    const OlsResult fit = fitOls(flat({{2.0, 1.0}, {1.0, -1.0}}),
+                                 {5.0, 1.0}, /*fit_intercept=*/false);
+    EXPECT_DOUBLE_EQ(fit.intercept(), 0.0);
+    EXPECT_NEAR(fit.beta(0), 2.0, 1e-12);
+    EXPECT_NEAR(fit.beta(1), 1.0, 1e-12);
+    EXPECT_NEAR(fit.rss, 0.0, 1e-20);
+}
+
+TEST(Solve, RequiresPivoting)
+{
+    // X'X = [[3, 33], [33, 365]]: the predictor's mean magnitude
+    // exceeds 1, so the second row carries the larger first-column
+    // entry and elimination must swap it up.
+    const OlsResult fit =
+        fitOls(flat({{10.0}, {11.0}, {12.0}}), {34.0, 37.0, 40.0});
+    EXPECT_NEAR(fit.intercept(), 4.0, 1e-9);
+    EXPECT_NEAR(fit.beta(0), 3.0, 1e-10);
+    EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
+}
+
+TEST(Solve, SingularThrows)
+{
+    // Exactly collinear predictors.
+    EXPECT_THROW(fitOls(flat({{1.0, 2.0}, {2.0, 4.0}, {3.0, 6.0}}),
+                        {1.0, 2.0, 3.0}, /*fit_intercept=*/false),
+                 poco::FatalError);
+    // A constant predictor is collinear with the intercept.
+    EXPECT_THROW(fitOls(flat({{2.0}, {2.0}, {2.0}}), {1.0, 2.0, 3.0}),
+                 poco::FatalError);
+}
+
+/**
+ * Property: a planted intercept and k coefficients are recovered from
+ * a noiseless random design, and the residual vanishes.
+ */
+class SolveProperty : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SolveProperty, ResidualIsTiny)
+{
+    const auto k = static_cast<std::size_t>(GetParam());
+    poco::Rng rng(static_cast<std::uint64_t>(k) * 101);
+    std::vector<double> beta(k);
+    for (double& b : beta)
+        b = rng.uniform(-10.0, 10.0);
+    const double intercept = rng.uniform(-10.0, 10.0);
+
+    const std::size_t n = 4 * (k + 1);
+    FlatMatrix x(n, k);
+    std::vector<double> y(n, intercept);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < k; ++j) {
+            x.at(i, j) = rng.uniform(-1.0, 1.0);
+            y[i] += beta[j] * x.at(i, j);
+        }
+    }
+
+    const OlsResult fit = fitOls(x, y);
+    EXPECT_NEAR(fit.intercept(), intercept, 1e-8);
+    for (std::size_t j = 0; j < k; ++j)
+        EXPECT_NEAR(fit.beta(j), beta[j], 1e-8) << "coefficient " << j;
+    EXPECT_NEAR(fit.rss, 0.0, 1e-12);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, SolveProperty,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21));
+
+TEST(RSquared, PerfectFitIsOne)
+{
+    const std::vector<double> y = {1.0, 2.0, 3.0};
+    EXPECT_DOUBLE_EQ(rSquared(y, y), 1.0);
+}
+
+TEST(RSquared, MeanPredictorIsZero)
+{
+    const std::vector<double> y = {1.0, 2.0, 3.0};
+    const std::vector<double> mean = {2.0, 2.0, 2.0};
+    EXPECT_NEAR(rSquared(y, mean), 0.0, 1e-12);
+}
+
+TEST(RSquared, WorseThanMeanIsNegative)
+{
+    const std::vector<double> y = {1.0, 2.0, 3.0};
+    const std::vector<double> bad = {3.0, 2.0, 1.0};
+    EXPECT_LT(rSquared(y, bad), 0.0);
+}
+
+TEST(RSquared, ConstantObservations)
+{
+    const std::vector<double> y = {2.0, 2.0};
+    EXPECT_DOUBLE_EQ(rSquared(y, y), 1.0);
+    EXPECT_DOUBLE_EQ(rSquared(y, {1.0, 3.0}), 0.0);
+}
+
+TEST(RSquared, RejectsMismatchedLengths)
+{
+    EXPECT_THROW(rSquared({1.0}, {1.0, 2.0}), poco::FatalError);
+    EXPECT_THROW(rSquared({}, {}), poco::FatalError);
 }
 
 } // namespace

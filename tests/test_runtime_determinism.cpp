@@ -172,8 +172,8 @@ TEST(ScenarioDeterminism, BatchRunnerMatchesIndividualRuns)
         s.lc = &set.lc[i];
         s.be = &set.be[i];
         s.powerCap = set.lc[i].provisionedPower();
-        s.controller = std::make_unique<server::HeraclesController>(
-            server::ControllerConfig{}, 100 + i);
+        s.controller =
+            std::make_unique<server::HeraclesController>(100 + i);
         s.trace = trace;
         s.duration = duration;
         scenarios.push_back(std::move(s));
@@ -185,8 +185,7 @@ TEST(ScenarioDeterminism, BatchRunnerMatchesIndividualRuns)
     for (std::size_t i = 0; i < set.lc.size(); ++i) {
         const auto solo = server::runServerScenario(
             set.lc[i], &set.be[i], set.lc[i].provisionedPower(),
-            std::make_unique<server::HeraclesController>(
-                server::ControllerConfig{}, 100 + i),
+            std::make_unique<server::HeraclesController>(100 + i),
             trace, duration);
         expectRunsIdentical(batch[i], solo,
                             "server " + set.lc[i].name());

@@ -77,8 +77,7 @@ TEST_F(ControllerTest, HeraclesMaintainsSloWithinTolerance)
     for (const auto& lc : set_->lc) {
         const auto result = runServerScenario(
             lc, nullptr, lc.provisionedPower(),
-            std::make_unique<HeraclesController>(ControllerConfig{},
-                                                 17),
+            std::make_unique<HeraclesController>(17),
             wl::LoadTrace::stepped(
                 {0.1, 0.3, 0.5, 0.7, 0.9, 0.6, 0.2}, 60 * kSecond),
             8 * 60 * kSecond);
@@ -102,8 +101,7 @@ TEST_F(ControllerTest, PomTracksMinPowerExpansionPath)
             trace, 7 * 90 * kSecond);
         const auto heracles = runServerScenario(
             lc, nullptr, lc.provisionedPower(),
-            std::make_unique<HeraclesController>(ControllerConfig{},
-                                                 23),
+            std::make_unique<HeraclesController>(23),
             trace, 7 * 90 * kSecond);
         EXPECT_LE(pom.stats.averagePower(),
                   heracles.stats.averagePower() * 1.02)
@@ -234,16 +232,6 @@ TEST_F(ControllerTest, TelemetryIsRecorded)
     EXPECT_GT(sample.power, Watts{});
     EXPECT_NEAR(sample.lcLoad.value(), 0.4 * lc.peakLoad().value(),
                 1e-9);
-}
-
-TEST_F(ControllerTest, ControllerConfigValidation)
-{
-    ControllerConfig bad;
-    bad.minSlack = 0.5;
-    bad.highSlack = 0.2;
-    EXPECT_THROW(HeraclesController{bad}, poco::FatalError);
-    EXPECT_THROW(PomController(modelOf("xapian"), bad),
-                 poco::FatalError);
 }
 
 } // namespace

@@ -382,8 +382,7 @@ TEST_F(RuntimeTest, SteadyRollupIsTheFoldOfItsOwnWindow)
             controllers = {
                 [&] { return std::make_unique<PomController>(utility); },
                 [] {
-                    return std::make_unique<HeraclesController>(
-                        ControllerConfig{}, /*seed=*/3);
+                    return std::make_unique<HeraclesController>(/*seed=*/3);
                 }};
         const Watts cap = lc.provisionedPower();
         for (const wl::BeApp* secondary : secondaries) {
@@ -502,15 +501,15 @@ TEST_F(ThrottlerTest, HoldsInsideHysteresisBand)
     server.advanceTo(kSecond);
     const Watts avg = server.meter().average(kSecond,
                                              100 * kMillisecond);
-    ThrottlerConfig config;
-    // Pin the band around the current draw so neither branch fires.
-    config.releaseMargin = Watts{1000.0};
+    // A cap 1 W above the current draw sits inside the release band,
+    // so neither branch fires.
+    static_assert(kReleaseMargin > Watts{1.0});
     ColocatedServer tight(lc, &be, avg + Watts{1.0});
     tight.setLoad(0, 0.1 * lc.peakLoad());
     tight.setPrimaryAlloc(0, {2, 2, GHz{2.2}, 1.0});
     tight.setBeAlloc(0, {10, 18, GHz{2.1}, 1.0});
     tight.advanceTo(kSecond);
-    const BeThrottler throttler(config);
+    const BeThrottler throttler;
     const auto next = throttler.decide(tight, kSecond);
     EXPECT_TRUE(next == tight.beAlloc());
 }
@@ -523,39 +522,6 @@ TEST_F(ThrottlerTest, ParkedBeUntouched)
     const BeThrottler throttler;
     const auto next = throttler.decide(server, kSecond);
     EXPECT_TRUE(next.empty());
-}
-
-TEST_F(ThrottlerTest, ManagedWindowIsAtMostTheMeterRetention)
-{
-    // The server's meter keeps 10 s of history: the longest window
-    // the throttler can average over.
-    const auto& lc = set_.lcByName("xapian");
-    const auto run = [&](SimTime window) {
-        ServerManagerConfig config;
-        config.warmup = kSecond;
-        config.throttler.window = window;
-        return runServerScenario(lc, &set_.beByName("graph"),
-                                 lc.provisionedPower(),
-                                 std::make_unique<HeraclesController>(),
-                                 wl::LoadTrace::constant(0.5),
-                                 12 * kSecond, config);
-    };
-    EXPECT_NO_THROW(run(10 * kSecond));
-    EXPECT_THROW(run(10 * kSecond + 100 * kMillisecond),
-                 poco::FatalError);
-}
-
-TEST_F(ThrottlerTest, ConfigValidation)
-{
-    ThrottlerConfig bad;
-    bad.window = 0;
-    EXPECT_THROW(BeThrottler{bad}, poco::FatalError);
-    bad = ThrottlerConfig{};
-    bad.minDutyCycle = 0.0;
-    EXPECT_THROW(BeThrottler{bad}, poco::FatalError);
-    bad = ThrottlerConfig{};
-    bad.dutyStep = 1.0;
-    EXPECT_THROW(BeThrottler{bad}, poco::FatalError);
 }
 
 } // namespace

@@ -17,10 +17,12 @@
  * at t = 0, every control period the ablation sweeps (and two more),
  * the time-shared BE schedules and the spatial-share runner; the
  * fault-plan and control-period pins also check that each run's
- * steady rollup is the fold of its own kept samples. The last
+ * steady rollup is the fold of its own kept samples. The next
  * pin drives one POM controller directly through every way its demand
  * target can repeat or move, so a search skipped on a repeated target
- * must return what a fresh search would.
+ * must return what a fresh search would. The last pins the fitted
+ * utilities every pin above is built on, and the OLS kernel under
+ * them, so a change to the regression arithmetic shows at its source.
  */
 
 #include <gtest/gtest.h>
@@ -40,6 +42,7 @@
 #include "fault/fault_plan.hpp"
 #include "flat_matrix.hpp"
 #include "fleet/fleet_evaluator.hpp"
+#include "math/regression.hpp"
 #include "math/simplex.hpp"
 #include "model/demand.hpp"
 #include "model/fitter.hpp"
@@ -334,9 +337,8 @@ TEST(FingerprintPins, ServerScenario)
         run(std::make_unique<server::PomController>(utility), nullptr);
     EXPECT_EQ(runFingerprint(pom), 0x145eb358322c8372ull);
 
-    const auto heracles = run(std::make_unique<server::HeraclesController>(
-                                  server::ControllerConfig{}, /*seed=*/5),
-                              nullptr);
+    const auto heracles = run(
+        std::make_unique<server::HeraclesController>(/*seed=*/5), nullptr);
     EXPECT_EQ(runFingerprint(heracles), 0xbdfeca6a045c85a0ull);
 
     // A dropout degrades the watchdog and lets it recover; a frozen
@@ -640,6 +642,58 @@ TEST(FingerprintPins, PomDecisionsAcrossTargetChanges)
     EXPECT_FALSE(last == first);
 
     EXPECT_EQ(h, 0xf58107a7ec231241ull);
+}
+
+void
+mixUtility(std::uint64_t& h, const model::CobbDouglasUtility& utility)
+{
+    fnv::mixDouble(h, utility.logA0());
+    for (const double alpha : utility.alpha())
+        fnv::mixDouble(h, alpha);
+    fnv::mixDouble(h, utility.pStatic().value());
+    for (const double p : utility.pCoef())
+        fnv::mixDouble(h, p);
+    fnv::mixDouble(h, utility.perfR2);
+    fnv::mixDouble(h, utility.powerR2);
+}
+
+TEST(FingerprintPins, FittedUtilities)
+{
+    // Every default app profiled and fitted at two noise seeds.
+    std::uint64_t h = fnv::kOffset;
+    const model::UtilityFitter fitter;
+    for (const std::uint64_t seed : {42u, 7u}) {
+        model::ProfilerConfig config;
+        config.seed = seed;
+        const model::Profiler profiler(config);
+        for (const wl::LcApp& lc : pinApps().lc)
+            mixUtility(h, fitter.fit(profiler.profileLc(lc)));
+        for (const wl::BeApp& be : pinApps().be)
+            mixUtility(h, fitter.fit(profiler.profileBe(be)));
+    }
+    EXPECT_EQ(h, 0x7ec90944389edae5ull);
+
+    // The OLS kernel alone on one design with a zero entry and
+    // predictors of mixed scale, with and without an intercept.
+    const test::FlatMatrix design = test::flat({{3.0, 0.0, 12.5},
+                                                {1.0, -2.0, 9.0},
+                                                {4.5, 1.5, 0.0},
+                                                {2.0, 3.0, 17.25},
+                                                {0.5, -1.0, 4.0},
+                                                {6.0, 2.5, 21.0},
+                                                {3.5, -0.5, 7.75}});
+    const std::vector<double> y = {14.2, 6.1, 9.8, 25.3, 2.9, 33.4, 12.6};
+    const std::pair<bool, std::uint64_t> kOls[] = {
+        {true, 0x0d8d5122d2055352ull}, {false, 0x52673992d937b1a7ull}};
+    for (const auto& [intercept, pin] : kOls) {
+        const math::OlsResult fit = math::fitOls(design, y, intercept);
+        std::uint64_t g = fnv::kOffset;
+        for (const double coefficient : fit.coefficients)
+            fnv::mixDouble(g, coefficient);
+        fnv::mixDouble(g, fit.r_squared);
+        fnv::mixDouble(g, fit.rss);
+        EXPECT_EQ(g, pin) << "intercept " << intercept;
+    }
 }
 
 } // namespace

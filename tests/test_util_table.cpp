@@ -1,13 +1,9 @@
 /**
  * @file
- * Tests for text-table/CSV rendering and the units helpers.
+ * Tests for text-table rendering and the units helpers.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "util/check.hpp"
 #include "util/table.hpp"
@@ -40,31 +36,6 @@ TEST(TextTable, RejectsAridityMismatch)
 TEST(TextTable, RejectsEmptyHeader)
 {
     EXPECT_THROW(TextTable({}), FatalError);
-}
-
-TEST(TextTable, CsvEscapesSpecials)
-{
-    TextTable t({"name", "note"});
-    t.addRow({"a,b", "say \"hi\""});
-    t.addRow({"plain", "multi\nline"});
-    const std::string csv = t.renderCsv();
-    EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-    EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
-    EXPECT_NE(csv.find("\"multi\nline\""), std::string::npos);
-    EXPECT_NE(csv.find("plain"), std::string::npos);
-}
-
-TEST(TextTable, WriteCsvRoundTrips)
-{
-    TextTable t({"k", "v"});
-    t.addRow({"x", "1"});
-    const std::string path = "/tmp/pocolo_test_table.csv";
-    writeCsv(t, path);
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), "k,v\nx,1\n");
-    std::remove(path.c_str());
 }
 
 TEST(Fmt, FixedPrecision)

@@ -54,6 +54,14 @@ namespace
  */
 constexpr int kMaxThreads = 1024;
 
+/**
+ * The longest simulate run, in minutes: one day. It keeps the run to
+ * seconds of wall time and inside the telemetry recorder's window
+ * (2^20 samples at 100 ms, about 1747 minutes), so the printed series
+ * starts at t = 0.
+ */
+constexpr int kMaxSimulateMinutes = 1440;
+
 /** Global options parsed before the subcommand. */
 struct Options
 {
@@ -131,11 +139,12 @@ usage()
         "                             store (historical knowledge)\n"
         "  models <file>              list a saved model store\n"
         "  simulate <lc> <be> <load%%|trace.csv> <minutes>\n"
-        "                             run a managed colocation and\n"
-        "                             print telemetry as CSV\n"
+        "                             run a managed colocation for\n"
+        "                             0 < minutes <= %d and print\n"
+        "                             telemetry as CSV\n"
         "  scen [clusters] [regions]  generate a seeded fleet\n"
         "                             scenario; summary + fingerprint\n",
-        kMaxThreads);
+        kMaxThreads, kMaxSimulateMinutes);
     return 2;
 }
 
@@ -399,6 +408,9 @@ cmdSimulate(const wl::AppSet& apps, const Options& options,
             const std::string& lc_name, const std::string& be_name,
             const std::string& load_arg, double minutes)
 {
+    if (minutes <= 0.0 || minutes > kMaxSimulateMinutes)
+        poco::fatal("simulate minutes must be in (0, " +
+                    std::to_string(kMaxSimulateMinutes) + "]");
     const wl::LcApp& lc = apps.lcByName(lc_name);
     const wl::BeApp& be = apps.beByName(be_name);
 
