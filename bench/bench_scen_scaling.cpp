@@ -82,7 +82,7 @@ struct SweepRow
 {
     std::size_t clusters = 0;
     int threads = 0;
-    std::uint64_t scenarioFingerprint = 0;
+    std::uint64_t scenFingerprint = 0;
     std::uint64_t rollupFingerprint = 0;
     double generateSeconds = 0.0;
     double buildSeconds = 0.0;
@@ -103,7 +103,7 @@ runOnce(std::size_t clusters, int threads)
             static_cast<unsigned>(threads));
     const scen::Scenario scenario =
         scen::Scenario::generate(specFor(clusters), gen_pool.get());
-    row.scenarioFingerprint = scenario.fingerprint();
+    row.scenFingerprint = scenario.fingerprint();
 
     const auto t1 = std::chrono::steady_clock::now();
     FleetConfig config = configFor(threads);
@@ -158,9 +158,9 @@ main(int argc, char** argv)
         for (std::size_t i = 0; i < thread_counts.size(); ++i) {
             const SweepRow row = runOnce(clusters, thread_counts[i]);
             if (i == 0) {
-                expected_scen = row.scenarioFingerprint;
+                expected_scen = row.scenFingerprint;
                 expected_rollup = row.rollupFingerprint;
-            } else if (row.scenarioFingerprint != expected_scen ||
+            } else if (row.scenFingerprint != expected_scen ||
                        row.rollupFingerprint != expected_rollup) {
                 identical = false;
                 std::fprintf(stderr,
@@ -183,7 +183,7 @@ main(int argc, char** argv)
                                        row.clusters))
                           .integer("threads", row.threads)
                           .hex("scenario_fingerprint",
-                               row.scenarioFingerprint)
+                               row.scenFingerprint)
                           .hex("rollup_fingerprint",
                                row.rollupFingerprint)
                           .num("generate_seconds",

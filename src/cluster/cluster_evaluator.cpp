@@ -166,17 +166,6 @@ ClusterEvaluator::modelsHealthy() const
     return true;
 }
 
-std::vector<int>
-ClusterEvaluator::placeConservative(const std::vector<int>& up) const
-{
-    const std::size_t n_be = apps_->be.size();
-    std::vector<int> assignment(n_be, -1);
-    const std::size_t placed = std::min(n_be, up.size());
-    for (std::size_t k = 0; k < placed; ++k)
-        assignment[k] = up[k];
-    return assignment;
-}
-
 Outcome<std::vector<int>>
 ClusterEvaluator::placeBeRobust(const std::vector<int>& up,
                                 const FallbackOptions& options) const

@@ -158,15 +158,6 @@ class ClusterEvaluator
     bool modelsHealthy() const;
 
     /**
-     * Preference-free conservative allocation over the surviving
-     * servers @p up: BE k runs on the k-th survivor, extra BEs are
-     * parked (-1). Used when the fitted models cannot be trusted.
-     * Full-cluster indices in, full-cluster indices out.
-     */
-    std::vector<int>
-    placeConservative(const std::vector<int>& up) const;
-
-    /**
      * Degradation-hardened placement over the surviving servers
      * @p up (full-cluster indices, strictly increasing): gates on
      * modelsHealthy(), drops the lowest-value BEs when they

@@ -13,7 +13,12 @@
  * `withX()` setters validated by POCO_CHECK at the call site, and a
  * `validated()` gate the evaluators run before using it. The old
  * structs survived one PR as deprecated shims and are now gone; the
- * poco_lint `deprecated-config` rule flags any reappearance.
+ * poco_lint `deprecated-config` rule flags any reappearance. The
+ * streaming control-plane knobs are the exception: FleetConfig only
+ * carries them, and ctrl checks them where it uses them
+ * (HeartbeatTracker, validateControlPlaneConfig, MasterGroup), so a
+ * batch run never rejects a knob it does not read and the rules have
+ * one copy.
  *
  * The struct lives in namespace poco (not poco::fleet) because every
  * layer consumes it: ClusterEvaluator takes it directly, and
@@ -141,8 +146,6 @@ struct FleetConfig
     std::vector<double> epochClusterLoads;
     /** Clusters per epoch row of epochClusterLoads (0 = unset). */
     std::size_t epochClusterWidth = 0;
-    /** Fingerprint of the generating scenario (0 = none). */
-    std::uint64_t scenarioFingerprint = 0;
     /**
      * Total fleet power budget. Zero means "sum of the member
      * servers' provisioned budgets"; a non-zero value is split over
@@ -162,7 +165,8 @@ struct FleetConfig
     // Plain-typed knobs (no ctrl:: includes) that the fleet layer
     // assembles into a ctrl::ControlPlaneConfig; the epoch loop
     // above and the event loop below are alternative drivers over
-    // the same fitted models.
+    // the same fitted models. ctrl checks their rules when a
+    // streaming run builds the plane.
 
     /** Nominal heartbeat period in logical ticks. */
     SimTime heartbeatPeriod = kSecond;
@@ -265,12 +269,10 @@ struct FleetConfig
      * @p loads is epoch-major with @p width clusters per row (see
      * epochClusterLoads). epochLoads is rewritten to the per-epoch
      * means so the epoch count and fleet-level reporting stay
-     * consistent, and @p fingerprint records which scenario produced
-     * the schedule.
+     * consistent.
      */
     FleetConfig& withScenarioLoads(std::vector<double> loads,
-                                   std::size_t width,
-                                   std::uint64_t fingerprint)
+                                   std::size_t width)
     {
         POCO_CHECK(width >= 1,
                    "scenario loads need at least one cluster");
@@ -288,7 +290,6 @@ struct FleetConfig
         }
         epochClusterLoads = std::move(loads);
         epochClusterWidth = width;
-        scenarioFingerprint = fingerprint;
         epochLoads = std::move(means);
         return *this;
     }
@@ -297,7 +298,7 @@ struct FleetConfig
      * Adopt a scen::ScenarioSpec or generated scen::Scenario.
      * Duck-typed (the cluster layer cannot name scen types): a spec
      * — anything with generate() — is expanded first; a scenario
-     * contributes its epoch-major loads, width and fingerprint via
+     * contributes its epoch-major loads and width via
      * withScenarioLoads. The scenario's servers() still need to be
      * handed to the evaluator (fleet::serversFromScenario does
      * both).
@@ -309,8 +310,7 @@ struct FleetConfig
             return withScenario(scenario.generate());
         } else {
             return withScenarioLoads(scenario.epochClusterLoads(),
-                                     scenario.epochClusterWidth(),
-                                     scenario.fingerprint());
+                                     scenario.epochClusterWidth());
         }
     }
 
@@ -329,13 +329,6 @@ struct FleetConfig
     FleetConfig& withHeartbeat(SimTime period, SimTime jitter,
                                int suspect_misses, int dead_misses)
     {
-        POCO_CHECK(period > 0, "heartbeatPeriod must be positive");
-        POCO_CHECK(jitter >= 0,
-                   "heartbeatJitter must be non-negative");
-        POCO_CHECK(suspect_misses >= 1,
-                   "heartbeatSuspectMisses must be at least 1");
-        POCO_CHECK(dead_misses >= suspect_misses,
-                   "heartbeatDeadMisses must be >= suspectMisses");
         heartbeatPeriod = period;
         heartbeatJitter = jitter;
         heartbeatSuspectMisses = suspect_misses;
@@ -344,8 +337,6 @@ struct FleetConfig
     }
     FleetConfig& withStreaming(double initial_load, bool force_cold)
     {
-        POCO_CHECK(initial_load > 0.0 && initial_load <= 1.0,
-                   "streamingInitialLoad must be in (0, 1]");
         streamingInitialLoad = initial_load;
         streamingForceCold = force_cold;
         return *this;
@@ -353,10 +344,6 @@ struct FleetConfig
     FleetConfig& withFailover(std::size_t masters,
                               std::size_t checkpoint_every)
     {
-        POCO_CHECK(masters >= 1,
-                   "ctrlMasters must be at least 1");
-        POCO_CHECK(checkpoint_every >= 1,
-                   "ctrlCheckpointEvery must be at least 1");
         ctrlMasters = masters;
         ctrlCheckpointEvery = checkpoint_every;
         return *this;
@@ -364,10 +351,6 @@ struct FleetConfig
     FleetConfig& withBackpressure(std::size_t window,
                                   SimTime resolve_cost)
     {
-        POCO_CHECK(window >= 1,
-                   "backpressureWindow must be at least 1");
-        POCO_CHECK(resolve_cost > 0,
-                   "backpressureResolveCost must be positive");
         backpressureEnabled = true;
         backpressureWindow = window;
         backpressureResolveCost = resolve_cost;
@@ -375,9 +358,10 @@ struct FleetConfig
     }
 
     /**
-     * Validate every field (the setters validate incrementally; this
-     * re-checks a config assembled by direct field writes). Returns
-     * *this so evaluator constructors can chain on it.
+     * Validate every field but the streaming knobs (the setters
+     * validate incrementally; this re-checks a config assembled by
+     * direct field writes). Returns *this so evaluator constructors
+     * can chain on it.
      */
     const FleetConfig& validated() const
     {
@@ -419,25 +403,6 @@ struct FleetConfig
         }
         POCO_CHECK(fleetBudget >= Watts{},
                    "fleetBudget must be non-negative");
-        POCO_CHECK(heartbeatPeriod > 0,
-                   "heartbeatPeriod must be positive");
-        POCO_CHECK(heartbeatJitter >= 0,
-                   "heartbeatJitter must be non-negative");
-        POCO_CHECK(heartbeatSuspectMisses >= 1,
-                   "heartbeatSuspectMisses must be at least 1");
-        POCO_CHECK(heartbeatDeadMisses >= heartbeatSuspectMisses,
-                   "heartbeatDeadMisses must be >= suspectMisses");
-        POCO_CHECK(streamingInitialLoad > 0.0 &&
-                       streamingInitialLoad <= 1.0,
-                   "streamingInitialLoad must be in (0, 1]");
-        POCO_CHECK(ctrlMasters >= 1,
-                   "ctrlMasters must be at least 1");
-        POCO_CHECK(ctrlCheckpointEvery >= 1,
-                   "ctrlCheckpointEvery must be at least 1");
-        POCO_CHECK(backpressureWindow >= 1,
-                   "backpressureWindow must be at least 1");
-        POCO_CHECK(backpressureResolveCost > 0,
-                   "backpressureResolveCost must be positive");
         return *this;
     }
 };

@@ -34,224 +34,123 @@ constexpr std::size_t kPivotChunkCells = std::size_t{1} << 16;
 constexpr double kArtificialPenalty = -1e15;
 
 /**
- * A canonicalized LP: the zero-initialized tableau with slack /
- * surplus / artificial columns laid out and the starting basis
- * installed. Shared by solveLp and AssignmentLpSolver so a retained
- * warm-start tableau is structurally identical to a cold one.
+ * The canonical tableau of the assignment LP for @p value: x_ij in
+ * column i * cols + j, one slack per task row (column n + j) and one
+ * artificial per agent row (column n + cols + i), n = rows * cols.
+ * Agent rows come first, each basic on its artificial; task rows
+ * follow, each basic on its slack. Every right-hand side is 1.
  */
-struct Canonical
+SimplexTableau
+canonicalize(MatrixView value)
 {
-    SimplexTableau t;
-    std::size_t n = 0;         // real (structural) variables
-    std::size_t art_begin = 0; // first artificial column
-    std::size_t num_art = 0;
-};
+    requireAssignmentShape(value);
+    const std::size_t rows = value.rows;
+    const std::size_t cols = value.cols;
+    const std::size_t n = rows * cols;
 
-Canonical
-canonicalize(const LpProblem& problem)
-{
-    const std::size_t n = problem.objective.size();
-    POCO_REQUIRE(n > 0, "LP needs at least one variable");
-    for (const auto& con : problem.constraints)
-        POCO_REQUIRE(con.coeffs.size() == n,
-                     "constraint arity must match objective");
-
-    const std::size_t m = problem.constraints.size();
-
-    // Count auxiliary columns. Each <= / >= gets one slack/surplus;
-    // each >= and = gets one artificial; a <= with negative rhs is
-    // flipped to >= first.
-    struct Row
-    {
-        std::vector<double> coeffs;
-        Relation rel;
-        double rhs;
-    };
-    std::vector<Row> rows;
-    rows.reserve(m);
-    for (const auto& con : problem.constraints) {
-        Row row{con.coeffs, con.rel, con.rhs};
-        if (row.rhs < 0.0) {
-            for (auto& c : row.coeffs)
-                c = -c;
-            row.rhs = -row.rhs;
-            if (row.rel == Relation::LessEqual)
-                row.rel = Relation::GreaterEqual;
-            else if (row.rel == Relation::GreaterEqual)
-                row.rel = Relation::LessEqual;
-        }
-        rows.push_back(std::move(row));
+    SimplexTableau t(rows + cols, n + cols + rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+        double* agent = t.row(i);
+        std::fill_n(agent + i * cols, cols, 1.0);
+        agent[n + cols + i] = 1.0;
+        t.rhs(i) = 1.0;
+        t.basis()[i] = n + cols + i;
     }
-
-    std::size_t num_slack = 0;
-    std::size_t num_art = 0;
-    for (const auto& row : rows) {
-        if (row.rel != Relation::Equal)
-            ++num_slack;
-        if (row.rel != Relation::LessEqual)
-            ++num_art;
+    for (std::size_t j = 0; j < cols; ++j) {
+        double* task = t.row(rows + j);
+        for (std::size_t i = 0; i < rows; ++i)
+            task[i * cols + j] = 1.0;
+        task[n + j] = 1.0;
+        t.rhs(rows + j) = 1.0;
+        t.basis()[rows + j] = n + j;
     }
-
-    Canonical c{SimplexTableau(m, n + num_slack + num_art), n,
-                n + num_slack, num_art};
-    SimplexTableau& t = c.t;
-
-    std::size_t slack_at = n;
-    std::size_t art_at = c.art_begin;
-
-    for (std::size_t r = 0; r < m; ++r) {
-        const Row& row = rows[r];
-        double* dst = t.row(r);
-        for (std::size_t j = 0; j < n; ++j)
-            dst[j] = row.coeffs[j];
-        t.rhs(r) = row.rhs;
-        switch (row.rel) {
-          case Relation::LessEqual:
-            dst[slack_at] = 1.0;
-            t.basis()[r] = slack_at++;
-            break;
-          case Relation::GreaterEqual:
-            dst[slack_at] = -1.0;
-            ++slack_at;
-            dst[art_at] = 1.0;
-            t.basis()[r] = art_at++;
-            break;
-          case Relation::Equal:
-            dst[art_at] = 1.0;
-            t.basis()[r] = art_at++;
-            break;
-        }
-    }
-    return c;
+    return t;
 }
 
 /**
- * Spread a structural objective over the full column set: artificials
- * get the large negative penalty so a degenerate basic artificial
- * never re-enters at a positive level.
+ * The phase-2 cost row over the canonical columns: value(i, j) on
+ * x_ij, zero on the slacks, and a large negative penalty on the
+ * artificials so a degenerate basic artificial never re-enters at a
+ * positive level.
  */
 std::vector<double>
-phase2Costs(const Canonical& c, const std::vector<double>& objective)
+phase2Cost(MatrixView value)
 {
-    const std::size_t ncols = c.t.cols();
-    std::vector<double> cost(ncols, 0.0);
-    for (std::size_t j = 0; j < c.n; ++j)
-        cost[j] = objective[j];
-    for (std::size_t j = c.art_begin; j < ncols; ++j)
-        cost[j] = kArtificialPenalty;
+    const std::size_t n = value.rows * value.cols;
+    std::vector<double> cost(n + value.cols + value.rows, 0.0);
+    for (std::size_t i = 0; i < value.rows; ++i) {
+        const double* src = value.row(i);
+        std::copy(src, src + value.cols, cost.begin() + i * value.cols);
+    }
+    std::fill(cost.begin() + n + value.cols, cost.end(),
+              kArtificialPenalty);
     return cost;
 }
 
 /**
  * Two-phase simplex over a freshly canonicalized tableau: phase 1
- * drives the artificials to zero (infeasible when it cannot), then
- * phase 2 optimizes @p objective (one entry per structural variable).
+ * drives the artificials to zero, then phase 2 maximizes @p value.
+ * The assignment polytope is non-empty and bounded, so a phase that
+ * ends infeasible or unbounded is a solver fault.
  */
-LpStatus
-runTwoPhase(Canonical& c, const std::vector<double>& objective,
+void
+runTwoPhase(SimplexTableau& t, MatrixView value,
             const LpOptions& options)
 {
-    SimplexTableau& t = c.t;
     const std::size_t m = t.constraintRows();
     const std::size_t ncols = t.cols();
+    const std::size_t art_begin = ncols - value.rows;
 
     // Phase 1: maximize -(sum of artificials); feasible iff optimum 0.
-    if (c.num_art > 0) {
-        std::vector<double> phase1(ncols, 0.0);
-        for (std::size_t j = c.art_begin; j < ncols; ++j)
-            phase1[j] = -1.0;
-        t.setObjective(phase1);
-        if (!t.iterate(options)) {
-            // Cannot be unbounded: the phase-1 objective is bounded
-            // above by zero.
-            poco::panic("phase-1 simplex reported unbounded");
-        }
-        if (t.objective() < -1e-7)
-            return LpStatus::Infeasible;
-        // Drive any artificial still basic (at zero level) out of the
-        // basis so phase 2 never re-enters it.
-        for (std::size_t r = 0; r < m; ++r) {
-            if (t.basis()[r] >= c.art_begin) {
-                std::size_t enter = ncols;
-                for (std::size_t j = 0; j < c.art_begin; ++j) {
-                    if (std::abs(t.at(r, j)) > kEps) {
-                        enter = j;
-                        break;
-                    }
+    std::vector<double> phase1(ncols, 0.0);
+    std::fill(phase1.begin() + art_begin, phase1.end(), -1.0);
+    t.setObjective(phase1);
+    // The phase-1 objective is bounded above by zero.
+    const bool phase1_bounded = t.iterate(options);
+    POCO_ASSERT(phase1_bounded, "phase-1 simplex reported unbounded");
+    POCO_ASSERT(t.objective() >= -1e-7,
+                "assignment LP must be feasible");
+    // Drive any artificial still basic (at zero level) out of the
+    // basis so phase 2 never re-enters it.
+    for (std::size_t r = 0; r < m; ++r) {
+        if (t.basis()[r] >= art_begin) {
+            std::size_t enter = ncols;
+            for (std::size_t j = 0; j < art_begin; ++j) {
+                if (std::abs(t.at(r, j)) > kEps) {
+                    enter = j;
+                    break;
                 }
-                if (enter != ncols)
-                    t.pivot(r, enter, options);
-                // else: the row is all-zero over real variables, i.e. a
-                // redundant constraint; the artificial stays basic at 0
-                // and is harmless because phase 2 gives it a huge
-                // negative cost.
             }
+            if (enter != ncols)
+                t.pivot(r, enter, options);
+            // else: the row is all-zero over real variables. The
+            // assignment rows are independent (each task row has its
+            // own slack), so this should not happen; if rounding
+            // made it, the artificial stays basic at 0, harmless
+            // because phase 2 gives it a huge negative cost.
         }
     }
 
     // Phase 2: the real objective.
-    t.setObjective(phase2Costs(c, objective));
-    if (!t.iterate(options))
-        return LpStatus::Unbounded;
-    return LpStatus::Optimal;
-}
-
-/** Structural-variable values of the current basic solution. */
-std::vector<double>
-extractX(const SimplexTableau& t, std::size_t n)
-{
-    std::vector<double> x(n, 0.0);
-    for (std::size_t r = 0; r < t.constraintRows(); ++r)
-        if (t.basis()[r] < n)
-            x[t.basis()[r]] = t.rhs(r);
-    return x;
+    t.setObjective(phase2Cost(value));
+    const bool bounded = t.iterate(options);
+    POCO_ASSERT(bounded, "assignment LP must be bounded");
 }
 
 /**
- * The doubly-stochastic assignment formulation: x_ij with per-agent
- * Equal-1 rows followed by per-task <=1 rows, objective flattened
- * row-major. Validates the matrix shape.
- */
-LpProblem
-buildAssignmentProblem(MatrixView value)
-{
-    requireAssignmentShape(value);
-    const std::size_t rows = value.rows;
-    const std::size_t cols = value.cols;
-
-    const std::size_t n = rows * cols;
-    LpProblem lp;
-    lp.objective.resize(n);
-    for (std::size_t i = 0; i < rows; ++i)
-        for (std::size_t j = 0; j < cols; ++j)
-            lp.objective[i * cols + j] = value(i, j);
-
-    // Each agent assigned exactly once.
-    for (std::size_t i = 0; i < rows; ++i) {
-        std::vector<double> coeffs(n, 0.0);
-        for (std::size_t j = 0; j < cols; ++j)
-            coeffs[i * cols + j] = 1.0;
-        lp.addConstraint(std::move(coeffs), Relation::Equal, 1.0);
-    }
-    // Each task used at most once.
-    for (std::size_t j = 0; j < cols; ++j) {
-        std::vector<double> coeffs(n, 0.0);
-        for (std::size_t i = 0; i < rows; ++i)
-            coeffs[i * cols + j] = 1.0;
-        lp.addConstraint(std::move(coeffs), Relation::LessEqual, 1.0);
-    }
-    return lp;
-}
-
-/**
- * Per-row argmax of the flattened LP solution, or nullopt when any
- * row's best cell is fractional (a degenerate-tie vertex that is not
- * a permutation matrix).
+ * Per-row argmax of the current basic solution's x_ij, or nullopt
+ * when any row's best cell is fractional (a degenerate-tie vertex
+ * that is not a permutation matrix).
  */
 std::optional<std::vector<int>>
-tryExtractAssignment(const std::vector<double>& x, std::size_t rows,
+tryExtractAssignment(const SimplexTableau& t, std::size_t rows,
                      std::size_t cols)
 {
+    std::vector<double> x(rows * cols, 0.0);
+    for (std::size_t r = 0; r < t.constraintRows(); ++r)
+        if (t.basis()[r] < x.size())
+            x[t.basis()[r]] = t.rhs(r);
+
     std::vector<int> assignment(rows, -1);
     for (std::size_t i = 0; i < rows; ++i) {
         double best = -1.0;
@@ -452,23 +351,6 @@ SimplexTableau::iterate(const LpOptions& options)
     }
 }
 
-LpSolution
-solveLp(const LpProblem& problem, const LpOptions& options)
-{
-    Canonical c = canonicalize(problem);
-
-    LpSolution solution;
-    solution.status = runTwoPhase(c, problem.objective, options);
-    if (solution.status != LpStatus::Optimal)
-        return solution;
-
-    solution.x = extractX(c.t, c.n);
-    solution.objective = 0.0;
-    for (std::size_t j = 0; j < c.n; ++j)
-        solution.objective += problem.objective[j] * solution.x[j];
-    return solution;
-}
-
 std::vector<int>
 solveAssignmentLp(MatrixView value, const LpOptions& options)
 {
@@ -478,25 +360,16 @@ solveAssignmentLp(MatrixView value, const LpOptions& options)
 std::vector<int>
 AssignmentLpSolver::solveCold(MatrixView value)
 {
-    const std::size_t rows = value.rows;
-    const std::size_t cols = value.cols;
+    SimplexTableau t = canonicalize(value);
+    runTwoPhase(t, value, options_);
 
-    const LpProblem lp = buildAssignmentProblem(value);
-    Canonical c = canonicalize(lp);
-
-    const LpStatus status = runTwoPhase(c, lp.objective, options_);
-    POCO_ASSERT(status == LpStatus::Optimal,
-                "assignment LP must be feasible and bounded");
-
-    auto assignment =
-        tryExtractAssignment(extractX(c.t, c.n), rows, cols);
+    auto assignment = tryExtractAssignment(t, value.rows, value.cols);
     POCO_ASSERT(assignment.has_value(),
                 "assignment LP produced a fractional solution");
 
-    tableau_ = std::move(c.t);
-    rows_ = rows;
-    cols_ = cols;
-    art_begin_ = c.art_begin;
+    tableau_ = std::move(t);
+    rows_ = value.rows;
+    cols_ = value.cols;
     has_basis_ = true;
     exported_basis_ = tableau_.basis();
     return *assignment;
@@ -518,17 +391,7 @@ AssignmentLpSolver::solveWarm(MatrixView value)
     // The constraint rows (and therefore B^-1 b >= 0) are untouched:
     // the retained basis stays primal feasible for any objective of
     // the same shape. Re-price and walk to the new optimum.
-    const std::size_t ncols = tableau_.cols();
-    std::vector<double> cost(ncols, 0.0);
-    for (std::size_t i = 0; i < rows; ++i) {
-        const double* __restrict__ src = value.row(i);
-        double* __restrict__ dst = cost.data() + i * cols;
-        for (std::size_t j = 0; j < cols; ++j)
-            dst[j] = src[j];
-    }
-    for (std::size_t j = art_begin_; j < ncols; ++j)
-        cost[j] = kArtificialPenalty;
-    tableau_.setObjective(cost);
+    tableau_.setObjective(phase2Cost(value));
 
     if (!tableau_.iterate(options_)) {
         // The assignment polytope is bounded; an unbounded report
@@ -537,8 +400,7 @@ AssignmentLpSolver::solveWarm(MatrixView value)
         return std::nullopt;
     }
 
-    auto assignment = tryExtractAssignment(
-        extractX(tableau_, rows * cols), rows, cols);
+    auto assignment = tryExtractAssignment(tableau_, rows, cols);
     if (!assignment.has_value()) {
         invalidate();
         return std::nullopt;

@@ -1,14 +1,17 @@
 /**
  * @file
- * Two-phase dense simplex solver for small-to-medium linear programs.
+ * Two-phase dense simplex solver for the assignment LP.
  *
  * The cluster manager formulates placement as an assignment LP
  * (Section IV-B cites standard LP/Hungarian methods). The assignment
  * polytope is integral, so the LP optimum is a permutation matrix; we
  * verify this against the Hungarian solver in tests.
  *
- * The solver handles: maximize c'x subject to a mix of <=, =, >=
- * constraints and x >= 0.
+ * That LP is the only one any program here poses, so the solver lays
+ * out its canonical tableau directly: maximize sum value(i, j) x_ij
+ * subject to sum_j x_ij = 1 per agent, sum_i x_ij <= 1 per task and
+ * x >= 0. Every right-hand side is 1, so the layout needs no sign
+ * flips and no surplus columns.
  *
  * Performance design (the placement hot path once the cluster-scaling
  * benches sweep past the paper's 4x4):
@@ -27,11 +30,12 @@
  *    re-solves: a serial-only build lost ~24% of fleet-stream
  *    throughput.
  *
- * What else stays, and why: solveLp/LpProblem and the public
- * SimplexTableau kernels are driven directly by the tests and
- * bench_micro; AssignmentLpSolver's warm path is a rung of the
- * streaming ladder whose choice among tied optima the streaming
- * fingerprints record (cluster/incremental.hpp).
+ * What else stays, and why: the public SimplexTableau kernels are
+ * driven directly by the tests (including the Beale cycling instance,
+ * which needs no assignment structure) and bench_micro;
+ * AssignmentLpSolver's warm path is a rung of the streaming ladder
+ * whose choice among tied optima the streaming fingerprints record
+ * (cluster/incremental.hpp).
  *
  * Pivot rule: Dantzig pricing (most positive reduced cost, ties to
  * the lowest column index) with an exact lexicographic
@@ -58,52 +62,6 @@ class ThreadPool;
 namespace poco::math
 {
 
-/** Constraint relation. */
-enum class Relation
-{
-    LessEqual,
-    Equal,
-    GreaterEqual,
-};
-
-/** One linear constraint: coeffs . x (rel) rhs. */
-struct LpConstraint
-{
-    std::vector<double> coeffs;
-    Relation rel = Relation::LessEqual;
-    double rhs = 0.0;
-};
-
-/** A linear program: maximize objective . x, subject to constraints. */
-struct LpProblem
-{
-    std::vector<double> objective;
-    std::vector<LpConstraint> constraints;
-
-    /** Convenience builder. */
-    void
-    addConstraint(std::vector<double> coeffs, Relation rel, double rhs)
-    {
-        constraints.push_back({std::move(coeffs), rel, rhs});
-    }
-};
-
-/** Outcome classification. */
-enum class LpStatus
-{
-    Optimal,
-    Infeasible,
-    Unbounded,
-};
-
-/** Solver result. x is meaningful only when status == Optimal. */
-struct LpSolution
-{
-    LpStatus status = LpStatus::Infeasible;
-    double objective = 0.0;
-    std::vector<double> x;
-};
-
 /**
  * Where the solver may run. Results never depend on it, only
  * wall-clock does; tableaus under the elimination cutoff (every
@@ -124,8 +82,9 @@ struct LpOptions
  * row's rhs cell holds -z). basis()[r] names the basic variable of
  * constraint row r.
  *
- * Exposed (rather than buried in solveLp) so the micro-benchmarks and
- * the determinism tests can drive the pivot/pricing kernels directly.
+ * Exposed (rather than buried in AssignmentLpSolver) so the
+ * micro-benchmarks and the tests can drive the pivot/pricing kernels
+ * on any tableau, not only an assignment one.
  */
 class SimplexTableau
 {
@@ -217,25 +176,16 @@ class SimplexTableau
 };
 
 /**
- * Solve the LP with the two-phase simplex method.
- *
- * @param problem LP in the form above; all variables implicitly >= 0.
- * @param options Pool for large pivots; defaults run serially.
- * @throws poco::FatalError on malformed input (empty objective, ragged
- *         constraint rows).
- */
-LpSolution solveLp(const LpProblem& problem,
-                   const LpOptions& options = {});
-
-/**
  * Solve a maximum-total-value assignment problem as an LP.
  *
- * Builds the standard doubly-stochastic formulation: variable x_ij is
- * the fraction of "agent" i assigned to "task" j; row and column sums
- * are constrained to 1 (rows <= 1 when rectangular). Integrality of
- * the assignment polytope makes the optimum a 0/1 matrix. This is
- * AssignmentLpSolver(options).solveCold(value): the repo has one
- * cold assignment-LP path.
+ * Lays out the standard doubly-stochastic formulation: variable x_ij
+ * (column i * cols + j) is the fraction of "agent" i assigned to
+ * "task" j. Agent row i, sum_j x_ij = 1, is basic on its artificial
+ * (column n + cols + i, with n = rows * cols); task row rows + j,
+ * sum_i x_ij <= 1, follows and is basic on its slack (column n + j).
+ * Integrality of the assignment polytope makes the optimum a 0/1
+ * matrix. This is AssignmentLpSolver(options).solveCold(value): the
+ * repo has one cold assignment-LP path.
  *
  * @param value value(i, j) is the benefit of assigning agent i to
  *              task j. Requires rows <= cols.
@@ -298,7 +248,8 @@ class AssignmentLpSolver
     /**
      * The retained basis: basic-variable index per constraint row.
      * Exported so tests can compare solver states across runs
-     * (FingerprintPins.SimplexBasis pins a cold solve's basis);
+     * (FingerprintPins.SimplexBasis and AssignmentLpBases pin it
+     * after cold and warm solves);
      * ctrl::CtrlCheckpoint does not carry it. Empty before the
      * first solve; meaningful only while a basis is held.
      */
@@ -315,7 +266,6 @@ class AssignmentLpSolver
     SimplexTableau tableau_;
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
-    std::size_t art_begin_ = 0;
     bool has_basis_ = false;
     std::vector<std::size_t> exported_basis_;
 };

@@ -20,31 +20,15 @@ throttleOrderName(ThrottleOrder order)
 BeThrottler::BeThrottler(ThrottlerConfig config) : config_(config) {}
 
 sim::Allocation
-BeThrottler::decide(const ColocatedServer& server, SimTime now) const
+BeThrottler::decide(const ColocatedServer& server, std::size_t slot,
+                    Watts measured) const
 {
-    return decideAt(server, 0, now);
-}
-
-sim::Allocation
-BeThrottler::decideAt(const ColocatedServer& server, std::size_t slot,
-                      SimTime now) const
-{
-    return decideAt(server, slot, now,
-                    server.meter().average(now, kThrottleWindow));
-}
-
-sim::Allocation
-BeThrottler::decideAt(const ColocatedServer& server, std::size_t slot,
-                      SimTime now, Watts measured) const
-{
-    (void)now;
     sim::Allocation alloc = server.beAllocAt(slot);
     if (alloc.empty())
         return alloc;
 
     const sim::ServerSpec& spec = server.spec();
     const Watts cap = server.powerCap();
-    const Watts avg = measured;
 
     const bool can_lower_freq =
         alloc.freq > spec.freqMin + GHz{1e-9};
@@ -63,7 +47,7 @@ BeThrottler::decideAt(const ColocatedServer& server, std::size_t slot,
         alloc.dutyCycle = std::min(1.0, alloc.dutyCycle + kDutyStep);
     };
 
-    if (avg > cap) {
+    if (measured > cap) {
         switch (config_.order) {
           case ThrottleOrder::FreqThenDuty:
             if (can_lower_freq)
@@ -86,7 +70,7 @@ BeThrottler::decideAt(const ColocatedServer& server, std::size_t slot,
                 lower_duty();
             break;
         }
-    } else if (avg < cap - kReleaseMargin) {
+    } else if (measured < cap - kReleaseMargin) {
         // Release in the reverse order of throttling.
         switch (config_.order) {
           case ThrottleOrder::FreqThenDuty:

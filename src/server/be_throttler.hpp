@@ -55,33 +55,17 @@ class BeThrottler
     const ThrottlerConfig& config() const { return config_; }
 
     /**
-     * One control step: read the meter's trailing-window average and
-     * return the secondary allocation to install (same cores/ways,
-     * adjusted frequency/duty). Operates on slot 0.
-     *
-     * @param now Current time (for the meter window query).
+     * One control step for secondary slot @p slot against the power
+     * reading @p measured: return the allocation to install (same
+     * cores/ways, adjusted frequency/duty). With spatial sharing every
+     * co-runner is throttled in lockstep. The server manager passes
+     * its meter's trailing kThrottleWindow average, or the fault
+     * injector's falsified reading of it. A non-finite reading
+     * satisfies neither comparison, so the throttler holds its
+     * current allocation.
      */
     sim::Allocation decide(const ColocatedServer& server,
-                           SimTime now) const;
-
-    /**
-     * Same decision for secondary slot @p slot — with spatial
-     * sharing every co-runner is throttled in lockstep.
-     */
-    sim::Allocation decideAt(const ColocatedServer& server,
-                             std::size_t slot, SimTime now) const;
-
-    /**
-     * The same decision against an externally supplied power reading
-     * @p measured instead of the server's own meter — the seam the
-     * fault injector feeds falsified readings through. A non-finite
-     * reading satisfies neither comparison, so the throttler holds
-     * its current allocation. decideAt(server, slot, now) is exactly
-     * this overload fed the meter's trailing-window average.
-     */
-    sim::Allocation decideAt(const ColocatedServer& server,
-                             std::size_t slot, SimTime now,
-                             Watts measured) const;
+                           std::size_t slot, Watts measured) const;
 
   private:
     ThrottlerConfig config_;

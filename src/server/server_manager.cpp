@@ -180,7 +180,7 @@ ServerManager::throttleTick(SimTime now)
                 server_->beAllocAt(slot).empty())
                 continue;
             const sim::Allocation next =
-                throttler_.decideAt(*server_, slot, now, measured);
+                throttler_.decide(*server_, slot, measured);
             if (!(next == server_->beAllocAt(slot)))
                 applyBeAlloc(now, slot, next);
         }

@@ -43,6 +43,12 @@ check "malformed numeric argument" curve sphinx not_a_number
 # spec builds no pool, so even a CLI without the bound starts no
 # thread here.
 check "thread count above the bound" --threads 100000 spec
+# scen generates 1 to 100000 clusters (about 1.4 KiB each); anything
+# else is rejected before a single cluster is built.
+check "zero scenario clusters" scen 0
+check "scenario clusters above the bound" scen 100001
+check "scenario clusters at INT_MAX" scen 2147483647
+check "zero scenario regions" scen 24 0
 
 if [ "$fail" -eq 0 ]; then
     echo "PASS: bad configs exit non-zero with an error: diagnostic"

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "ctrl/control_plane.hpp"
@@ -479,6 +480,81 @@ TEST(CtrlReplay, FleetRunStreamingIsDeterministic)
     EXPECT_EQ(a.value.fingerprint, c.value.fingerprint)
         << "thread count must not move a single result bit";
     EXPECT_FALSE(a.value.records.empty());
+}
+
+TEST(CtrlReplay, FleetStreamingKnobsAreCheckedByTheControlPlane)
+{
+    // FleetConfig only carries the streaming knobs: an evaluator
+    // builds with a bad one (a batch run never reads them), and the
+    // control plane rejects it when a streaming run builds the plane.
+    // The master-group knobs exist only on the failover path.
+    wl::AppSet set = wl::defaultAppSet();
+    const std::vector<fleet::FleetServer> servers{{&set, 0, Watts{}},
+                                                  {&set, 1, Watts{}}};
+    EventLogConfig log_config;
+    log_config.horizon = 4 * kSecond;
+    log_config.servers = 2;
+    log_config.bePool = 3;
+    log_config.loadShiftRate = 0.8;
+    log_config.seed = 72;
+    const EventLog log = EventLog::generate(log_config);
+    const fault::FaultPlan no_faults;
+    const FleetConfig base = FleetConfig{}
+                                 .withLoadPoints({0.5})
+                                 .withDwell(20 * kSecond)
+                                 .withHeraclesReplicas(1)
+                                 .withThreads(1);
+
+    using Edit = void (*)(FleetConfig&);
+    struct Case
+    {
+        Edit edit;
+        bool failoverOnly;
+    };
+    const Case cases[] = {
+        {[](FleetConfig& c) { c.heartbeatPeriod = 0; }, false},
+        {[](FleetConfig& c) { c.heartbeatJitter = -1; }, false},
+        {[](FleetConfig& c) { c.heartbeatSuspectMisses = 0; }, false},
+        {[](FleetConfig& c) {
+             c.heartbeatDeadMisses = c.heartbeatSuspectMisses - 1;
+         },
+         false},
+        {[](FleetConfig& c) { c.streamingInitialLoad = 0.0; }, false},
+        {[](FleetConfig& c) { c.streamingInitialLoad = 1.5; }, false},
+        {[](FleetConfig& c) {
+             c.streamingInitialLoad =
+                 std::numeric_limits<double>::quiet_NaN();
+         },
+         false},
+        {[](FleetConfig& c) { c.withBackpressure(0, kSecond); }, false},
+        {[](FleetConfig& c) { c.withBackpressure(8, 0); }, false},
+        {[](FleetConfig& c) { c.ctrlMasters = 0; }, true},
+        {[](FleetConfig& c) { c.ctrlCheckpointEvery = 0; }, true},
+    };
+    for (std::size_t k = 0; k < std::size(cases); ++k) {
+        FleetConfig config = base;
+        cases[k].edit(config);
+        std::optional<fleet::FleetEvaluator> evaluator;
+        ASSERT_NO_THROW(evaluator.emplace(servers, config))
+            << "case " << k;
+        if (cases[k].failoverOnly)
+            EXPECT_NO_THROW(evaluator->runStreaming(log))
+                << "case " << k;
+        else
+            EXPECT_THROW(evaluator->runStreaming(log), FatalError)
+                << "case " << k;
+        EXPECT_THROW(evaluator->runStreamingWithFailover(log, no_faults),
+                     FatalError)
+            << "case " << k;
+    }
+
+    // With backpressure off its window is never read: 0 replays.
+    FleetConfig off = base;
+    off.backpressureWindow = 0;
+    const fleet::FleetEvaluator evaluator(servers, off);
+    EXPECT_FALSE(evaluator.runStreaming(log).value.records.empty());
+    EXPECT_FALSE(evaluator.runStreamingWithFailover(log, no_faults)
+                     .value.rollup.records.empty());
 }
 
 } // namespace

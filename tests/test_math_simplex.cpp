@@ -1,9 +1,16 @@
 /**
  * @file
- * Tests for the two-phase simplex LP solver.
+ * Tests for the two-phase simplex assignment-LP solver, and for the
+ * tableau kernels under it: the cycling and degenerate instances
+ * drive a SimplexTableau directly from a slack basis, so the Bland
+ * fallback and the ratio-test tie-break stay covered on LPs that are
+ * not assignments.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "math/hungarian.hpp"
 #include "flat_matrix.hpp"
@@ -16,93 +23,53 @@ namespace poco::math
 namespace
 {
 
-TEST(Simplex, TextbookMaximization)
+/**
+ * The slack-basis tableau of max objective . x subject to
+ * coeffs x <= rhs and x >= 0 (every rhs >= 0): row r is basic on its
+ * slack, column n + r, and the objective is priced out.
+ */
+SimplexTableau
+slackTableau(const std::vector<double>& objective,
+             const poco::test::FlatMatrix& coeffs,
+             const std::vector<double>& rhs)
 {
-    // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> z = 36 at
-    // (2, 6). (Dantzig's classic example.)
-    LpProblem lp;
-    lp.objective = {3.0, 5.0};
-    lp.addConstraint({1.0, 0.0}, Relation::LessEqual, 4.0);
-    lp.addConstraint({0.0, 2.0}, Relation::LessEqual, 12.0);
-    lp.addConstraint({3.0, 2.0}, Relation::LessEqual, 18.0);
-    const LpSolution sol = solveLp(lp);
-    ASSERT_EQ(sol.status, LpStatus::Optimal);
-    EXPECT_NEAR(sol.objective, 36.0, 1e-7);
-    EXPECT_NEAR(sol.x[0], 2.0, 1e-7);
-    EXPECT_NEAR(sol.x[1], 6.0, 1e-7);
+    const std::size_t n = objective.size();
+    const std::size_t m = coeffs.rows;
+    SimplexTableau t(m, n + m);
+    for (std::size_t r = 0; r < m; ++r) {
+        const double* src = coeffs.view().row(r);
+        std::copy(src, src + n, t.row(r));
+        t.at(r, n + r) = 1.0;
+        t.rhs(r) = rhs[r];
+        t.basis()[r] = n + r;
+    }
+    std::vector<double> cost(objective);
+    cost.resize(n + m, 0.0);
+    t.setObjective(cost);
+    return t;
 }
 
-TEST(Simplex, EqualityConstraints)
+/** Value of column @p j in the tableau's basic solution. */
+double
+valueOf(const SimplexTableau& t, std::size_t j)
 {
-    // max x + y s.t. x + y = 5, x <= 3 -> 5 with x in [0,3].
-    LpProblem lp;
-    lp.objective = {1.0, 1.0};
-    lp.addConstraint({1.0, 1.0}, Relation::Equal, 5.0);
-    lp.addConstraint({1.0, 0.0}, Relation::LessEqual, 3.0);
-    const LpSolution sol = solveLp(lp);
-    ASSERT_EQ(sol.status, LpStatus::Optimal);
-    EXPECT_NEAR(sol.objective, 5.0, 1e-7);
-    EXPECT_NEAR(sol.x[0] + sol.x[1], 5.0, 1e-7);
-    EXPECT_LE(sol.x[0], 3.0 + 1e-9);
-}
-
-TEST(Simplex, GreaterEqualConstraints)
-{
-    // max -x - y (i.e. min x + y) s.t. x + 2y >= 4, 3x + y >= 6.
-    // Optimum x = 1.6, y = 1.2, objective -2.8.
-    LpProblem lp;
-    lp.objective = {-1.0, -1.0};
-    lp.addConstraint({1.0, 2.0}, Relation::GreaterEqual, 4.0);
-    lp.addConstraint({3.0, 1.0}, Relation::GreaterEqual, 6.0);
-    const LpSolution sol = solveLp(lp);
-    ASSERT_EQ(sol.status, LpStatus::Optimal);
-    EXPECT_NEAR(sol.objective, -2.8, 1e-7);
-    EXPECT_NEAR(sol.x[0], 1.6, 1e-7);
-    EXPECT_NEAR(sol.x[1], 1.2, 1e-7);
-}
-
-TEST(Simplex, NegativeRhsNormalized)
-{
-    // x - y <= -2 with max x + 0y, x,y >= 0; feasible (x=0, y>=2);
-    // max x s.t. x <= y - 2, y unbounded? y has no cost; objective x
-    // only; x can grow with y -> unbounded.
-    LpProblem lp;
-    lp.objective = {1.0, 0.0};
-    lp.addConstraint({1.0, -1.0}, Relation::LessEqual, -2.0);
-    const LpSolution sol = solveLp(lp);
-    EXPECT_EQ(sol.status, LpStatus::Unbounded);
-}
-
-TEST(Simplex, InfeasibleDetected)
-{
-    LpProblem lp;
-    lp.objective = {1.0};
-    lp.addConstraint({1.0}, Relation::LessEqual, 1.0);
-    lp.addConstraint({1.0}, Relation::GreaterEqual, 2.0);
-    EXPECT_EQ(solveLp(lp).status, LpStatus::Infeasible);
-}
-
-TEST(Simplex, UnboundedDetected)
-{
-    LpProblem lp;
-    lp.objective = {1.0};
-    lp.addConstraint({-1.0}, Relation::LessEqual, 1.0);
-    EXPECT_EQ(solveLp(lp).status, LpStatus::Unbounded);
+    for (std::size_t r = 0; r < t.constraintRows(); ++r)
+        if (t.basis()[r] == j)
+            return t.rhs(r);
+    return 0.0;
 }
 
 TEST(Simplex, DegenerateProblemTerminates)
 {
     // Redundant constraints create degeneracy; Bland's rule must
     // still terminate at the optimum.
-    LpProblem lp;
-    lp.objective = {1.0, 1.0};
-    lp.addConstraint({1.0, 0.0}, Relation::LessEqual, 2.0);
-    lp.addConstraint({1.0, 0.0}, Relation::LessEqual, 2.0);
-    lp.addConstraint({2.0, 0.0}, Relation::LessEqual, 4.0);
-    lp.addConstraint({0.0, 1.0}, Relation::LessEqual, 3.0);
-    const LpSolution sol = solveLp(lp);
-    ASSERT_EQ(sol.status, LpStatus::Optimal);
-    EXPECT_NEAR(sol.objective, 5.0, 1e-7);
+    SimplexTableau t = slackTableau(
+        {1.0, 1.0},
+        poco::test::flat(
+            {{1.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}, {0.0, 1.0}}),
+        {2.0, 2.0, 4.0, 3.0});
+    ASSERT_TRUE(t.iterate());
+    EXPECT_NEAR(t.objective(), 5.0, 1e-7);
 }
 
 TEST(Simplex, BealeCyclingInstanceTerminates)
@@ -110,17 +77,15 @@ TEST(Simplex, BealeCyclingInstanceTerminates)
     // Beale (1955): the classic instance on which Dantzig pricing
     // with naive tie-breaks cycles forever. The degenerate-pivot
     // fallback to Bland's rule must terminate at z = 0.05.
-    LpProblem lp;
-    lp.objective = {0.75, -150.0, 0.02, -6.0};
-    lp.addConstraint({0.25, -60.0, -1.0 / 25.0, 9.0},
-                     Relation::LessEqual, 0.0);
-    lp.addConstraint({0.5, -90.0, -1.0 / 50.0, 3.0},
-                     Relation::LessEqual, 0.0);
-    lp.addConstraint({0.0, 0.0, 1.0, 0.0}, Relation::LessEqual, 1.0);
-    const LpSolution sol = solveLp(lp);
-    ASSERT_EQ(sol.status, LpStatus::Optimal);
-    EXPECT_NEAR(sol.objective, 0.05, 1e-7);
-    EXPECT_NEAR(sol.x[2], 1.0, 1e-7);
+    SimplexTableau t = slackTableau(
+        {0.75, -150.0, 0.02, -6.0},
+        poco::test::flat({{0.25, -60.0, -1.0 / 25.0, 9.0},
+                          {0.5, -90.0, -1.0 / 50.0, 3.0},
+                          {0.0, 0.0, 1.0, 0.0}}),
+        {0.0, 0.0, 1.0});
+    ASSERT_TRUE(t.iterate());
+    EXPECT_NEAR(t.objective(), 0.05, 1e-7);
+    EXPECT_NEAR(valueOf(t, 2), 1.0, 1e-7);
 }
 
 TEST(Simplex, HighlyDegenerateTiesResolved)
@@ -128,61 +93,16 @@ TEST(Simplex, HighlyDegenerateTiesResolved)
     // Every constraint is active at the origin-adjacent optimum; the
     // ratio test sees nothing but zero-ratio ties and must still
     // make progress via its lowest-basic-variable tie-break.
-    LpProblem lp;
-    lp.objective = {1.0, 1.0, 1.0};
-    lp.addConstraint({1.0, -1.0, 0.0}, Relation::LessEqual, 0.0);
-    lp.addConstraint({1.0, 0.0, -1.0}, Relation::LessEqual, 0.0);
-    lp.addConstraint({0.0, 1.0, -1.0}, Relation::LessEqual, 0.0);
-    lp.addConstraint({1.0, 1.0, 1.0}, Relation::LessEqual, 9.0);
-    const LpSolution sol = solveLp(lp);
-    ASSERT_EQ(sol.status, LpStatus::Optimal);
-    EXPECT_NEAR(sol.objective, 9.0, 1e-7);
-    EXPECT_NEAR(sol.x[2], 3.0, 1e-7);
-}
-
-TEST(Simplex, ContradictoryEqualitiesInfeasible)
-{
-    LpProblem lp;
-    lp.objective = {1.0, 1.0};
-    lp.addConstraint({1.0, 1.0}, Relation::Equal, 2.0);
-    lp.addConstraint({1.0, 1.0}, Relation::Equal, 3.0);
-    EXPECT_EQ(solveLp(lp).status, LpStatus::Infeasible);
-}
-
-TEST(Simplex, GreaterEqualOnlyUnbounded)
-{
-    // Feasible region extends to infinity along the objective after
-    // phase 1 finds a vertex: max x s.t. x >= 1.
-    LpProblem lp;
-    lp.objective = {1.0};
-    lp.addConstraint({1.0}, Relation::GreaterEqual, 1.0);
-    EXPECT_EQ(solveLp(lp).status, LpStatus::Unbounded);
-}
-
-TEST(Simplex, BoundedAfterPhaseOne)
-{
-    // min x1 + x2 (as max of the negation) with covering rows: phase
-    // 1 must find a vertex, phase 2 a bounded optimum at (1, 1).
-    LpProblem lp;
-    lp.objective = {-1.0, -1.0};
-    lp.addConstraint({1.0, 0.0}, Relation::GreaterEqual, 1.0);
-    lp.addConstraint({0.0, 1.0}, Relation::GreaterEqual, 1.0);
-    lp.addConstraint({1.0, 1.0}, Relation::LessEqual, 10.0);
-    const LpSolution sol = solveLp(lp);
-    ASSERT_EQ(sol.status, LpStatus::Optimal);
-    EXPECT_NEAR(sol.objective, -2.0, 1e-7);
-    EXPECT_NEAR(sol.x[0], 1.0, 1e-7);
-    EXPECT_NEAR(sol.x[1], 1.0, 1e-7);
-}
-
-TEST(Simplex, ZeroObjectiveIsOptimalAnywhereFeasible)
-{
-    LpProblem lp;
-    lp.objective = {0.0, 0.0};
-    lp.addConstraint({1.0, 1.0}, Relation::LessEqual, 4.0);
-    const LpSolution sol = solveLp(lp);
-    ASSERT_EQ(sol.status, LpStatus::Optimal);
-    EXPECT_NEAR(sol.objective, 0.0, 1e-12);
+    SimplexTableau t = slackTableau(
+        {1.0, 1.0, 1.0},
+        poco::test::flat({{1.0, -1.0, 0.0},
+                          {1.0, 0.0, -1.0},
+                          {0.0, 1.0, -1.0},
+                          {1.0, 1.0, 1.0}}),
+        {0.0, 0.0, 0.0, 9.0});
+    ASSERT_TRUE(t.iterate());
+    EXPECT_NEAR(t.objective(), 9.0, 1e-7);
+    EXPECT_NEAR(valueOf(t, 2), 3.0, 1e-7);
 }
 
 TEST(AssignmentLp, TiedValuesStayIntegral)
@@ -198,28 +118,6 @@ TEST(AssignmentLp, TiedValuesStayIntegral)
         EXPECT_FALSE(used[static_cast<std::size_t>(j)]);
         used[static_cast<std::size_t>(j)] = true;
     }
-}
-
-TEST(Simplex, RedundantEqualityHandled)
-{
-    // Duplicate equality rows leave an artificial basic at zero.
-    LpProblem lp;
-    lp.objective = {1.0, 2.0};
-    lp.addConstraint({1.0, 1.0}, Relation::Equal, 3.0);
-    lp.addConstraint({1.0, 1.0}, Relation::Equal, 3.0);
-    const LpSolution sol = solveLp(lp);
-    ASSERT_EQ(sol.status, LpStatus::Optimal);
-    EXPECT_NEAR(sol.objective, 6.0, 1e-7); // all weight on y
-}
-
-TEST(Simplex, InputValidation)
-{
-    LpProblem empty;
-    EXPECT_THROW(solveLp(empty), poco::FatalError);
-    LpProblem ragged;
-    ragged.objective = {1.0, 1.0};
-    ragged.addConstraint({1.0}, Relation::LessEqual, 1.0);
-    EXPECT_THROW(solveLp(ragged), poco::FatalError);
 }
 
 TEST(AssignmentLp, SimpleMatrix)

@@ -45,82 +45,21 @@ randomValueMatrix(std::size_t rows, std::size_t cols,
     return value;
 }
 
-/** A mixed-relation LP that exercises both simplex phases. */
-LpProblem
-mixedLp(std::uint64_t seed)
-{
-    poco::Rng rng(seed);
-    const std::size_t n = 6;
-    LpProblem lp;
-    for (std::size_t j = 0; j < n; ++j)
-        lp.objective.push_back(rng.uniform(1.0, 5.0));
-    // Bounded: positive-coefficient capacity rows.
-    for (int c = 0; c < 4; ++c) {
-        std::vector<double> coeffs(n);
-        for (auto& v : coeffs)
-            v = rng.uniform(0.5, 2.0);
-        lp.addConstraint(std::move(coeffs), Relation::LessEqual,
-                         rng.uniform(5.0, 20.0));
-    }
-    // Feasible phase-1 work: a loose covering row and an equality.
-    std::vector<double> cover(n, 1.0);
-    lp.addConstraint(std::move(cover), Relation::GreaterEqual, 1.0);
-    std::vector<double> eq(n, 0.0);
-    eq[0] = 1.0;
-    eq[1] = 1.0;
-    lp.addConstraint(std::move(eq), Relation::Equal, 2.0);
-    return lp;
-}
-
-void
-expectFieldExact(const LpSolution& a, const LpSolution& b)
-{
-    ASSERT_EQ(a.status, b.status);
-    EXPECT_EQ(a.objective, b.objective); // exact, not NEAR
-    ASSERT_EQ(a.x.size(), b.x.size());
-    for (std::size_t i = 0; i < a.x.size(); ++i)
-        EXPECT_EQ(a.x[i], b.x[i]) << "x[" << i << "]";
-}
-
-TEST(SimplexParallel, LpFieldExactForAnyThreadCount)
-{
-    for (std::uint64_t seed : {7u, 8u, 9u}) {
-        const LpProblem lp = mixedLp(seed);
-        const LpSolution serial = solveLp(lp);
-        for (unsigned threads : {1u, 4u}) {
-            runtime::ThreadPool pool(threads);
-            expectFieldExact(serial, solveLp(lp, {&pool}));
-        }
-    }
-}
-
 TEST(SimplexParallel, AssignmentLpFieldExactForAnyThreadCount)
 {
     // 64x64: a 129 x 4225 tableau, past the elimination cutoff, so
     // the pooled solves eliminate their pivots over the pool.
     constexpr std::size_t n = 64;
     const auto value = randomValueMatrix(n, n, 164);
-    LpProblem lp;
-    for (const double v : value.cells)
-        lp.objective.push_back(v);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::vector<double> coeffs(n * n, 0.0);
-        for (std::size_t j = 0; j < n; ++j)
-            coeffs[i * n + j] = 1.0;
-        lp.addConstraint(std::move(coeffs), Relation::Equal, 1.0);
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-        std::vector<double> coeffs(n * n, 0.0);
-        for (std::size_t i = 0; i < n; ++i)
-            coeffs[i * n + j] = 1.0;
-        lp.addConstraint(std::move(coeffs), Relation::LessEqual, 1.0);
-    }
-
-    const LpSolution serial = solveLp(lp);
-    ASSERT_EQ(serial.status, LpStatus::Optimal);
+    AssignmentLpSolver serial;
+    const std::vector<int> expected = serial.solveCold(value);
     for (unsigned threads : {1u, 4u}) {
         runtime::ThreadPool pool(threads);
-        expectFieldExact(serial, solveLp(lp, {&pool}));
+        AssignmentLpSolver pooled({&pool});
+        EXPECT_EQ(pooled.solveCold(value), expected)
+            << threads << " threads";
+        EXPECT_EQ(pooled.basis(), serial.basis())
+            << threads << " threads";
     }
 }
 

@@ -251,7 +251,6 @@ TEST(ScenarioFleet, WithScenarioAdoptsLoadsAndFingerprint)
     EXPECT_EQ(config.epochClusterWidth, scenario.clusterCount());
     EXPECT_EQ(config.epochClusterLoads,
               scenario.epochClusterLoads());
-    EXPECT_EQ(config.scenarioFingerprint, scenario.fingerprint());
     ASSERT_EQ(config.epochLoads.size(),
               static_cast<std::size_t>(smallSpec().epochs));
     // epochLoads must hold the per-epoch means of the scenario rows.
@@ -269,8 +268,6 @@ TEST(ScenarioFleet, WithScenarioAdoptsLoadsAndFingerprint)
     FleetConfig from_spec = coarseConfig(1);
     from_spec.withScenario(smallSpec());
     EXPECT_EQ(from_spec.epochClusterLoads, config.epochClusterLoads);
-    EXPECT_EQ(from_spec.scenarioFingerprint,
-              config.scenarioFingerprint);
 }
 
 TEST(ScenarioFleet, EvaluatorRejectsMismatchedWidth)

@@ -130,12 +130,15 @@ TEST_F(MultiTest, ThrottlerDecidesPerSlot)
     server.advanceTo(kSecond);
 
     const BeThrottler throttler;
-    const auto slot0 = throttler.decideAt(server, 0, kSecond);
-    const auto slot1 = throttler.decideAt(server, 1, kSecond);
+    // The reading the server manager passes: the meter's window.
+    const Watts measured =
+        server.meter().average(kSecond, kThrottleWindow);
+    const auto slot0 = throttler.decide(server, 0, measured);
+    const auto slot1 = throttler.decide(server, 1, measured);
     // Both slots step down one frequency notch.
     EXPECT_NEAR(slot0.freq.value(), 2.1, 1e-9);
     EXPECT_NEAR(slot1.freq.value(), 2.1, 1e-9);
-    EXPECT_THROW(throttler.decideAt(server, 2, kSecond),
+    EXPECT_THROW(throttler.decide(server, 2, measured),
                  poco::FatalError);
 }
 

@@ -447,7 +447,8 @@ TEST_F(ThrottlerTest, StepsFrequencyDownWhenOverCap)
     server.advanceTo(kSecond);
 
     const BeThrottler throttler;
-    const auto next = throttler.decide(server, kSecond);
+    const auto next = throttler.decide(
+        server, 0, server.meter().average(kSecond, kThrottleWindow));
     EXPECT_NEAR(next.freq.value(), 2.1, 1e-9);
     EXPECT_DOUBLE_EQ(next.dutyCycle, 1.0);
 }
@@ -463,7 +464,8 @@ TEST_F(ThrottlerTest, FallsBackToDutyAtFrequencyFloor)
     server.advanceTo(kSecond);
 
     const BeThrottler throttler;
-    const auto next = throttler.decide(server, kSecond);
+    const auto next = throttler.decide(
+        server, 0, server.meter().average(kSecond, kThrottleWindow));
     EXPECT_NEAR(next.freq.value(), 1.2, 1e-9);
     EXPECT_LT(next.dutyCycle, 1.0);
 }
@@ -480,13 +482,15 @@ TEST_F(ThrottlerTest, ReleasesInReverseOrder)
 
     const BeThrottler throttler;
     // First duty recovers...
-    auto next = throttler.decide(server, kSecond);
+    auto next = throttler.decide(
+        server, 0, server.meter().average(kSecond, kThrottleWindow));
     EXPECT_GT(next.dutyCycle, 0.5);
     EXPECT_NEAR(next.freq.value(), 1.2, 1e-9);
     // ...then frequency.
     server.setBeAlloc(kSecond, {10, 18, GHz{1.2}, 1.0});
     server.advanceTo(2 * kSecond);
-    next = throttler.decide(server, 2 * kSecond);
+    next = throttler.decide(
+        server, 0, server.meter().average(2 * kSecond, kThrottleWindow));
     EXPECT_NEAR(next.freq.value(), 1.3, 1e-9);
 }
 
@@ -510,7 +514,8 @@ TEST_F(ThrottlerTest, HoldsInsideHysteresisBand)
     tight.setBeAlloc(0, {10, 18, GHz{2.1}, 1.0});
     tight.advanceTo(kSecond);
     const BeThrottler throttler;
-    const auto next = throttler.decide(tight, kSecond);
+    const auto next = throttler.decide(
+        tight, 0, tight.meter().average(kSecond, kThrottleWindow));
     EXPECT_TRUE(next == tight.beAlloc());
 }
 
@@ -520,7 +525,8 @@ TEST_F(ThrottlerTest, ParkedBeUntouched)
     const auto& be = set_.beByName("lstm");
     ColocatedServer server(lc, &be, lc.provisionedPower());
     const BeThrottler throttler;
-    const auto next = throttler.decide(server, kSecond);
+    const auto next = throttler.decide(
+        server, 0, server.meter().average(kSecond, kThrottleWindow));
     EXPECT_TRUE(next.empty());
 }
 

@@ -8,6 +8,10 @@
  * each one bit for bit. A pinned value changes only when the hashed
  * content or the hash construction changes on purpose.
  *
+ * FingerprintPins.SimplexBasis and AssignmentLpBases pin the
+ * assignment LP's tableau: its basis after cold and warm solves on
+ * square, rectangular, tied and random matrices.
+ *
  * FingerprintPins.ServerScenario pins a simulated server run the same
  * way: every statistic and telemetry sample of a short managed run
  * under POM, under Heracles, and under POM with the watchdog armed.
@@ -31,6 +35,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -56,6 +61,7 @@
 #include "server/spatial_share.hpp"
 #include "sim/telemetry_rollup.hpp"
 #include "util/fnv.hpp"
+#include "util/rng.hpp"
 #include "wl/registry.hpp"
 
 namespace poco
@@ -147,6 +153,52 @@ TEST(FingerprintPins, SimplexBasis)
     math::AssignmentLpSolver solver;
     (void)solver.solveCold(value);
     EXPECT_EQ(solver.basisFingerprint(), 0xaf33d46279ec15a7ull);
+}
+
+/**
+ * FNV-1a over an assignment-LP solver's retained basis and answer,
+ * after a cold solve of @p value and after one warm re-solve of a
+ * copy with every third cell raised by its column index.
+ */
+std::uint64_t
+assignmentLpPin(test::FlatMatrix value)
+{
+    math::AssignmentLpSolver solver;
+    std::uint64_t h = fnv::kOffset;
+    const auto mix = [&](const std::optional<std::vector<int>>& answer) {
+        fnv::mixWord(h, solver.hasBasis(value.rows, value.cols));
+        for (const std::size_t var : solver.basis())
+            fnv::mixWord(h, var);
+        if (answer.has_value())
+            for (const int j : *answer)
+                fnv::mixWord(h, static_cast<std::uint64_t>(j));
+    };
+    mix(solver.solveCold(value));
+    for (std::size_t k = 0; k < value.cells.size(); k += 3)
+        value.cells[k] += static_cast<double>(k % value.cols);
+    mix(solver.solveWarm(value));
+    return h;
+}
+
+TEST(FingerprintPins, AssignmentLpBases)
+{
+    // The basis names tableau columns row by row, so these pin the
+    // tableau's row and column layout, not only the answers.
+    EXPECT_EQ(assignmentLpPin(test::flat({{4.0, 9.0, 2.0, 7.0, 1.0},
+                                          {8.0, 3.0, 6.0, 2.0, 5.0},
+                                          {1.0, 7.0, 9.0, 4.0, 3.0}})),
+              0x0654bf2ed8f3910bull);
+
+    Rng rng(28);
+    test::FlatMatrix tied(8, 8);
+    for (double& v : tied.cells)
+        v = rng.uniformInt(0, 3);
+    EXPECT_EQ(assignmentLpPin(tied), 0x7f13fcc7ff2feb13ull);
+
+    test::FlatMatrix random(16, 16);
+    for (double& v : random.cells)
+        v = rng.uniform(0.0, 100.0);
+    EXPECT_EQ(assignmentLpPin(random), 0xd8b64a1a8a1a1377ull);
 }
 
 TEST(FingerprintPins, EventLog)

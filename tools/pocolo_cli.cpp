@@ -62,6 +62,13 @@ constexpr int kMaxThreads = 1024;
  */
 constexpr int kMaxSimulateMinutes = 1440;
 
+/**
+ * The most clusters scen generates: 20x the paper's largest
+ * 5,000-cluster study. A cluster costs about 1.4 KiB, so the bound
+ * keeps a run near 140 MiB.
+ */
+constexpr int kMaxScenClusters = 100000;
+
 /** Global options parsed before the subcommand. */
 struct Options
 {
@@ -143,8 +150,11 @@ usage()
         "                             0 < minutes <= %d and print\n"
         "                             telemetry as CSV\n"
         "  scen [clusters] [regions]  generate a seeded fleet\n"
-        "                             scenario; summary + fingerprint\n",
-        kMaxThreads, kMaxSimulateMinutes);
+        "                             scenario of 1 <= clusters <= %d\n"
+        "                             (default 100) and regions >= 1\n"
+        "                             (default 4); summary +\n"
+        "                             fingerprint\n",
+        kMaxThreads, kMaxSimulateMinutes, kMaxScenClusters);
     return 2;
 }
 
@@ -456,13 +466,17 @@ cmdSimulate(const wl::AppSet& apps, const Options& options,
 }
 
 int
-cmdScen(const Options& options, std::size_t clusters,
-        std::size_t regions)
+cmdScen(const Options& options, int clusters, int regions)
 {
+    if (clusters < 1 || clusters > kMaxScenClusters)
+        poco::fatal("scen clusters must be in [1, " +
+                    std::to_string(kMaxScenClusters) + "]");
+    if (regions < 1)
+        poco::fatal("scen regions must be at least 1");
     const scen::ScenarioSpec spec =
         scen::ScenarioSpec{}
-            .withClusters(clusters)
-            .withRegions(regions)
+            .withClusters(static_cast<std::size_t>(clusters))
+            .withRegions(static_cast<std::size_t>(regions))
             .withPlatformZipf(1.1)
             .withFlashCrowds(2, 0.5, 1 * kHour)
             .withBeArrivals(4.0)
@@ -581,17 +595,10 @@ main(int argc, char** argv)
             return cmdSimulate(apps, options, args[0], args[1],
                                args[2],
                                parseDouble(args[3], "minutes"));
-        if (cmd == "scen" && n <= 2) {
-            const int clusters =
-                n >= 1 ? parseInt(args[0], "clusters") : 100;
-            const int regions =
-                n >= 2 ? parseInt(args[1], "regions") : 4;
-            if (clusters < 1 || regions < 1)
-                return usage();
-            return cmdScen(options,
-                           static_cast<std::size_t>(clusters),
-                           static_cast<std::size_t>(regions));
-        }
+        if (cmd == "scen" && n <= 2)
+            return cmdScen(
+                options, n >= 1 ? parseInt(args[0], "clusters") : 100,
+                n >= 2 ? parseInt(args[1], "regions") : 4);
     } catch (const poco::FatalError& error) {
         std::fprintf(stderr, "error: %s\n", error.what());
         return 1;
