@@ -164,74 +164,11 @@ BENCHMARK(BM_AssignmentLp)->RangeMultiplier(2)->Range(4, 16);
 /**
  * Solver-kernel microbenchmarks. `n` is the assignment dimension, so
  * the tableau has the n-assignment LP's shape: 2n constraint rows
- * over n^2 + 2n columns. Each "item" is one simplex step: a pivot
- * followed by a Dantzig pricing pass, performed the way that solver
- * generation actually did it. The nested variant replicates the
- * pre-flat solver (vector<vector> rows, reduced costs recomputed per
- * column as obj - c_B B^-1 a_j, an O(m * ncols) column walk); the
- * flat variant is the shipped SimplexTableau, whose pivot maintains
- * the reduced-cost row so pricing is a single O(ncols) row scan.
- * Timings print on any host (including 1-core).
+ * over n^2 + 2n columns. Each "item" is one simplex step of the
+ * shipped SimplexTableau: a pivot, which maintains the reduced-cost
+ * row, followed by a Dantzig pricing pass, a single O(ncols) scan of
+ * that row. Timings print on any host (including 1-core).
  */
-
-/** The pre-flat solver's tableau, kept here as the step baseline. */
-struct NestedTableau
-{
-    std::size_t m = 0;
-    std::size_t ncols = 0;
-    std::vector<std::vector<double>> rows;
-    std::vector<double> rhs;
-    std::vector<double> obj;
-    std::vector<std::size_t> basis;
-
-    double
-    reducedCost(std::size_t j) const
-    {
-        double z = 0.0;
-        for (std::size_t r = 0; r < m; ++r)
-            z += obj[basis[r]] * rows[r][j];
-        return obj[j] - z;
-    }
-
-    std::size_t
-    priceDantzig() const
-    {
-        std::size_t best = ncols;
-        double best_d = 1e-9;
-        for (std::size_t j = 0; j < ncols; ++j) {
-            const double d = reducedCost(j);
-            if (d > best_d) {
-                best_d = d;
-                best = j;
-            }
-        }
-        return best;
-    }
-
-    void
-    pivot(std::size_t row, std::size_t col)
-    {
-        const double inv = 1.0 / rows[row][col];
-        for (auto& v : rows[row])
-            v *= inv;
-        rhs[row] *= inv;
-        rows[row][col] = 1.0;
-        for (std::size_t r = 0; r < m; ++r) {
-            if (r == row)
-                continue;
-            const double factor = rows[r][col];
-            if (std::abs(factor) < 1e-9) {
-                rows[r][col] = 0.0;
-                continue;
-            }
-            for (std::size_t c = 0; c < ncols; ++c)
-                rows[r][c] -= factor * rows[row][c];
-            rows[r][col] = 0.0;
-            rhs[r] -= factor * rhs[row];
-        }
-        basis[row] = col;
-    }
-};
 
 /** Assignment-LP-shaped dimensions for dimension n. */
 constexpr std::size_t
@@ -255,44 +192,6 @@ tableauFill(std::size_t r, std::size_t c)
 }
 
 void
-BM_SimplexPivotNested(benchmark::State& state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const std::size_t m = tableauRows(n);
-    const std::size_t ncols = tableauCols(n);
-    NestedTableau pristine;
-    pristine.m = m;
-    pristine.ncols = ncols;
-    pristine.rows.assign(m, std::vector<double>(ncols));
-    pristine.rhs.assign(m, 1.0);
-    pristine.obj.resize(ncols);
-    pristine.basis.resize(m);
-    for (std::size_t r = 0; r < m; ++r)
-        for (std::size_t c = 0; c < ncols; ++c)
-            pristine.rows[r][c] = tableauFill(r, c);
-    for (std::size_t c = 0; c < ncols; ++c)
-        pristine.obj[c] = tableauFill(m, c);
-    for (std::size_t r = 0; r < m; ++r)
-        pristine.basis[r] = ncols - m + r;
-    NestedTableau scratch = pristine;
-    for (auto _ : state) {
-        scratch = pristine; // reuses capacity: no allocations
-        for (std::size_t k = 0; k < 4; ++k) {
-            const std::size_t col = k * (ncols / m);
-            // Earlier eliminations can leave a tiny pivot element;
-            // reset it so every variant pivots on the same values.
-            if (std::abs(scratch.rows[k][col]) < 0.5)
-                scratch.rows[k][col] = 1.5;
-            scratch.pivot(k, col);
-            benchmark::DoNotOptimize(scratch.priceDantzig());
-        }
-        benchmark::DoNotOptimize(scratch.rhs[0]);
-    }
-    state.SetItemsProcessed(state.iterations() * 4);
-}
-BENCHMARK(BM_SimplexPivotNested)->Arg(4)->Arg(16)->Arg(64)->Arg(128);
-
-void
 BM_SimplexPivotFlat(benchmark::State& state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
@@ -309,6 +208,8 @@ BM_SimplexPivotFlat(benchmark::State& state)
         scratch = pristine;
         for (std::size_t k = 0; k < 4; ++k) {
             const std::size_t col = k * (ncols / m);
+            // Earlier eliminations can leave a tiny pivot element;
+            // reset it so every run pivots on the same values.
             if (std::abs(scratch.at(k, col)) < 0.5)
                 scratch.at(k, col) = 1.5;
             scratch.pivot(k, col);

@@ -10,15 +10,16 @@
  * the fleet layer would have added a fourth bundle on top.
  *
  * FleetConfig subsumes all of them: one value type, builder-style
- * `withX()` setters validated by POCO_CHECK at the call site, and a
- * `validated()` gate the evaluators run before using it. The old
- * structs survived one PR as deprecated shims and are now gone; the
- * poco_lint `deprecated-config` rule flags any reappearance. The
- * streaming control-plane knobs are the exception: FleetConfig only
- * carries them, and ctrl checks them where it uses them
- * (HeartbeatTracker, validateControlPlaneConfig, MasterGroup), so a
- * batch run never rejects a knob it does not read and the rules have
- * one copy.
+ * `withX()` setters that only assign, and a `validated()` gate the
+ * evaluators run before using it. `validated()` is the one home of
+ * every rule, so a setter and a direct field write are held to the
+ * same checks and no copy can drift. The old structs survived one PR
+ * as deprecated shims and are now gone; the poco_lint
+ * `deprecated-config` rule flags any reappearance. The streaming
+ * control-plane knobs are the exception: FleetConfig only carries
+ * them, and ctrl checks them where it uses them (HeartbeatTracker,
+ * validateControlPlaneConfig, MasterGroup), so a batch run never
+ * rejects a knob it does not read.
  *
  * The struct lives in namespace poco (not poco::fleet) because every
  * layer consumes it: ClusterEvaluator takes it directly, and
@@ -83,7 +84,9 @@ struct FleetConfig
      * Fit-health gate for robust placement: when any fitted model's
      * perf/power R^2 falls below these thresholds, placeBeRobust()
      * stops trusting the preference matrix and uses the conservative
-     * preference-free allocation instead. 0 disables the gate.
+     * preference-free allocation instead. 0 disables the gate; a
+     * gate above 1 is allowed and means "never trust the fits"
+     * (always place conservatively).
      */
     double minPerfR2 = 0.0;
     double minPowerR2 = 0.0;
@@ -200,16 +203,11 @@ struct FleetConfig
 
     FleetConfig& withLoadPoints(std::vector<double> points)
     {
-        POCO_CHECK(!points.empty(), "loadPoints must be non-empty");
-        for (const double p : points)
-            POCO_CHECK(p > 0.0 && p <= 1.0,
-                       "load points must be in (0, 1]");
         loadPoints = std::move(points);
         return *this;
     }
     FleetConfig& withDwell(SimTime value)
     {
-        POCO_CHECK(value > 0, "dwell must be positive");
         dwell = value;
         return *this;
     }
@@ -220,27 +218,11 @@ struct FleetConfig
     }
     FleetConfig& withHeraclesReplicas(int value)
     {
-        POCO_CHECK(value >= 1,
-                   "heraclesReplicas must be at least 1");
         heraclesReplicas = value;
-        return *this;
-    }
-    FleetConfig& withFitHealthGate(double perf_r2, double power_r2)
-    {
-        // Above 1 is allowed: an unreachable gate means "never
-        // trust the fitted models" (always place conservatively).
-        POCO_CHECK(perf_r2 >= 0.0,
-                   "minPerfR2 must be non-negative");
-        POCO_CHECK(power_r2 >= 0.0,
-                   "minPowerR2 must be non-negative");
-        minPerfR2 = perf_r2;
-        minPowerR2 = power_r2;
         return *this;
     }
     FleetConfig& withThreads(int value)
     {
-        POCO_CHECK(value >= 0,
-                   "threads must be >= 0 (0 = shared pool)");
         threads = value;
         return *this;
     }
@@ -257,10 +239,6 @@ struct FleetConfig
     }
     FleetConfig& withEpochLoads(std::vector<double> loads)
     {
-        POCO_CHECK(!loads.empty(), "epochLoads must be non-empty");
-        for (const double p : loads)
-            POCO_CHECK(p > 0.0 && p <= 1.0,
-                       "epoch loads must be in (0, 1]");
         epochLoads = std::move(loads);
         return *this;
     }
@@ -269,18 +247,14 @@ struct FleetConfig
      * @p loads is epoch-major with @p width clusters per row (see
      * epochClusterLoads). epochLoads is rewritten to the per-epoch
      * means so the epoch count and fleet-level reporting stay
-     * consistent.
+     * consistent. The one rule checked here is @p width >= 1, which
+     * the means divide by; validated() checks the rows and loads.
      */
     FleetConfig& withScenarioLoads(std::vector<double> loads,
                                    std::size_t width)
     {
         POCO_CHECK(width >= 1,
                    "scenario loads need at least one cluster");
-        POCO_CHECK(!loads.empty() && loads.size() % width == 0,
-                   "scenario loads must be whole epoch rows");
-        for (const double p : loads)
-            POCO_CHECK(p > 0.0 && p <= 1.0,
-                       "scenario loads must be in (0, 1]");
         const std::size_t n_epochs = loads.size() / width;
         std::vector<double> means(n_epochs, 0.0);
         for (std::size_t e = 0; e < n_epochs; ++e) {
@@ -316,8 +290,6 @@ struct FleetConfig
 
     FleetConfig& withFleetBudget(Watts value)
     {
-        POCO_CHECK(value >= Watts{},
-                   "fleetBudget must be non-negative");
         fleetBudget = value;
         return *this;
     }
@@ -358,10 +330,10 @@ struct FleetConfig
     }
 
     /**
-     * Validate every field but the streaming knobs (the setters
-     * validate incrementally; this re-checks a config assembled by
-     * direct field writes). Returns *this so evaluator constructors
-     * can chain on it.
+     * Check the rules of every field but the streaming knobs.
+     * Returns *this so evaluator constructors can chain on it.
+     *
+     * @throws poco::FatalError naming the first rule that fails.
      */
     const FleetConfig& validated() const
     {

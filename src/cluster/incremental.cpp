@@ -1,5 +1,6 @@
 #include "cluster/incremental.hpp"
 
+#include "math/matrix_view.hpp"
 #include "util/check.hpp"
 
 namespace poco::cluster
@@ -20,7 +21,7 @@ Outcome<std::vector<int>>
 IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
                            const PlacementDelta& delta)
 {
-    validatePlacementMatrix(matrix);
+    math::requireAssignmentShape(matrix.view());
     const std::size_t rows = matrix.rows();
     const std::size_t cols = matrix.cols();
 
@@ -83,43 +84,21 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
         return {std::move(full), SolverTier::Hungarian};
     }
 
-    return coldResolve(matrix);
-}
-
-Outcome<std::vector<int>>
-IncrementalPlacer::coldResolve(const PerformanceMatrix& matrix)
-{
-    try {
-        std::vector<int> sol = warm_.solveCold(matrix.view());
-        ++stats_.cold;
-        warm_fresh_ = true;
-        repair_fresh_ = false;
-        memo_.insert(matrix.view(), sol);
-        return {std::move(sol), SolverTier::Lp};
-    } catch (const FatalError&) {
-        warm_.invalidate();
-        warm_fresh_ = false;
-    }
-
-    // Escape hatch: the degradation-hardened batch chain. Its answer
-    // may be inexact (Greedy / Conservative), so only exact tiers are
-    // allowed into the memo.
-    ++stats_.fallback;
-    Outcome<std::vector<int>> outcome =
-        placeWithFallback(matrix, context_);
-    ++outcome.attempts; // the cold LP try above
+    // Rung 4 — cold two-phase solve, which re-arms the warm basis.
+    // It cannot fail: the shape check above is its only FatalError,
+    // and its solver faults are POCO_ASSERT panics.
+    std::vector<int> sol = warm_.solveCold(matrix.view());
+    ++stats_.cold;
+    warm_fresh_ = true;
     repair_fresh_ = false;
-    warm_fresh_ = false;
-    if (outcome.tier == SolverTier::Lp ||
-        outcome.tier == SolverTier::Hungarian)
-        memo_.insert(matrix.view(), outcome.value);
-    return outcome;
+    memo_.insert(matrix.view(), sol);
+    return {std::move(sol), SolverTier::Lp};
 }
 
 Outcome<std::vector<int>>
 IncrementalPlacer::shed(const PerformanceMatrix& matrix)
 {
-    validatePlacementMatrix(matrix);
+    math::requireAssignmentShape(matrix.view());
     ++stats_.shed;
     // The engines saw neither this matrix nor this answer; anything
     // they retain describes a state the stream has moved past.

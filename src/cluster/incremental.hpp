@@ -16,7 +16,6 @@
  *   Hungarian  full re-arm of the repair engine (column delta, no
  *              fresh engine)
  *   Lp         cold two-phase solve (also re-arms the warm basis)
- *   ...        placeWithFallback's Hungarian/Greedy/Conservative chain
  *
  * The deltas are exactly the ones ctrl::ReplayEngine emits: Column
  * (a LoadShift on one live server), FullRefresh (same shape, anything
@@ -26,7 +25,9 @@
  * Every rung is exact: Repair self-verifies the LP optimality
  * conditions and WarmLp the integrality of its vertex, and both fall
  * through on failure, so the ladder returns the same optimum a cold
- * solve would (field-exact whenever the optimum is unique). The tier
+ * solve would (field-exact whenever the optimum is unique). The cold
+ * solve is the last rung: past resolve()'s shape check it cannot
+ * fail, so the ladder needs no degradation chain below it. The tier
  * on the returned Outcome records which rung fired; tiers Cached /
  * Repair / WarmLp sit *above* Lp in the ladder because they are
  * cheaper, not worse.
@@ -43,10 +44,10 @@
  * answers can differ from a fresh solve: when a matrix has several
  * optima, a hit returns the assignment stored on the earlier visit,
  * which another rung may not pick again. Its rules: look up before
- * any engine; insert only exact tiers (never Greedy or
- * Conservative); a hit marks both engines stale; and
- * ctrl::CtrlCheckpoint does not carry it, so a restored master
- * starts with an empty memo.
+ * any engine; insert every solved answer (all of them exact; shed()'s
+ * Conservative identity never enters); a hit marks both engines
+ * stale; and ctrl::CtrlCheckpoint does not carry it, so a restored
+ * master starts with an empty memo.
  *
  * The matrix side mirrors the delta: ctrl::ReplayEngine keeps its
  * cells resident and re-evaluates only those whose server load moved
@@ -113,7 +114,6 @@ struct IncrementalStats
     std::uint64_t warm = 0;     ///< warm-start LP successes
     std::uint64_t resynced = 0; ///< full Hungarian re-arms
     std::uint64_t cold = 0;     ///< cold LP solves
-    std::uint64_t fallback = 0; ///< placeWithFallback escapes
     std::uint64_t shed = 0;     ///< backpressure sheds (no solve)
 };
 
@@ -126,7 +126,7 @@ class IncrementalPlacer
 {
   public:
     explicit IncrementalPlacer(SolverContext context = {})
-        : context_(context), warm_(math::LpOptions{context.pool})
+        : warm_(math::LpOptions{context.pool})
     {}
 
     /**
@@ -134,8 +134,10 @@ class IncrementalPlacer
      * from the previous resolve() argument. The first call should
      * pass PlacementDelta::shape().
      *
-     * @return The assignment with the rung that produced it; never
-     *         empty (inherits placeWithFallback's no-throw terminal).
+     * @return The assignment with the exact rung that produced it
+     *         (Cached, Repair, WarmLp, Hungarian or Lp); never empty.
+     * @throws poco::FatalError when @p matrix has no rows or more
+     *         rows than columns (math::requireAssignmentShape).
      */
     Outcome<std::vector<int>> resolve(const PerformanceMatrix& matrix,
                                       const PlacementDelta& delta);
@@ -155,10 +157,6 @@ class IncrementalPlacer
     const IncrementalStats& stats() const { return stats_; }
 
   private:
-    Outcome<std::vector<int>> coldResolve(
-        const PerformanceMatrix& matrix);
-
-    SolverContext context_;
     math::AssignmentCache memo_;
     math::HungarianRepair repair_;
     math::AssignmentLpSolver warm_;

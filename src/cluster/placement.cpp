@@ -1,19 +1,12 @@
 #include "cluster/placement.hpp"
 
 #include "math/hungarian.hpp"
+#include "math/matrix_view.hpp"
 #include "math/simplex.hpp"
 #include "util/check.hpp"
 
 namespace poco::cluster
 {
-
-void
-validatePlacementMatrix(const PerformanceMatrix& matrix)
-{
-    POCO_REQUIRE(matrix.rows() > 0, "empty performance matrix");
-    POCO_REQUIRE(matrix.rows() <= matrix.cols(),
-                 "placement needs BE apps <= LC servers");
-}
 
 namespace
 {
@@ -92,7 +85,7 @@ place(const PerformanceMatrix& matrix, PlacementKind kind, Rng& rng,
       const SolverContext& context)
 {
     if (kind == PlacementKind::Random) {
-        validatePlacementMatrix(matrix);
+        math::requireAssignmentShape(matrix.view());
         const std::size_t rows = matrix.rows();
         const std::vector<int> perm =
             rng.permutation(static_cast<int>(matrix.cols()));
@@ -109,7 +102,7 @@ place(const PerformanceMatrix& matrix, PlacementKind kind,
 {
     POCO_REQUIRE(kind != PlacementKind::Random,
                  "random placement needs an Rng");
-    validatePlacementMatrix(matrix);
+    math::requireAssignmentShape(matrix.view());
     return solveExact(matrix, kind, context);
 }
 
@@ -171,7 +164,7 @@ placeWithFallback(const PerformanceMatrix& matrix,
                   const SolverContext& context,
                   const FallbackOptions& options)
 {
-    validatePlacementMatrix(matrix);
+    math::requireAssignmentShape(matrix.view());
     POCO_REQUIRE(options.maxAttemptsPerStage >= 1,
                  "fallback needs at least one attempt per stage");
 

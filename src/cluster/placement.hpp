@@ -87,13 +87,6 @@ struct SolverContext
 SolverTier placementTier(PlacementKind kind);
 
 /**
- * The placeable-shape precondition every placement entry point
- * checks: at least one BE row and no more rows than server columns.
- * @throws poco::FatalError when it does not hold.
- */
-void validatePlacementMatrix(const PerformanceMatrix& matrix);
-
-/**
  * Compute an assignment: result[i] = LC server index for BE app i.
  *
  * @param matrix Performance matrix (rows: BE apps, cols: servers);

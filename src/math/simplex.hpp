@@ -242,9 +242,6 @@ class AssignmentLpSolver
         return has_basis_ && rows == rows_ && cols == cols_;
     }
 
-    /** Drop the retained basis (next solve must be cold). */
-    void invalidate() { has_basis_ = false; }
-
     /**
      * The retained basis: basic-variable index per constraint row.
      * Exported so tests can compare solver states across runs
@@ -262,6 +259,9 @@ class AssignmentLpSolver
     std::uint64_t basisFingerprint() const;
 
   private:
+    /** Drop the retained basis (next solve must be cold). */
+    void invalidate() { has_basis_ = false; }
+
     LpOptions options_;
     SimplexTableau tableau_;
     std::size_t rows_ = 0;

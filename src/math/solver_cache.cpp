@@ -69,15 +69,10 @@ AssignmentCache::lookup(MatrixView value) const
 {
     const std::uint64_t h = hashMatrixContent(value);
     runtime::LockGuard guard(mutex_);
-    if (auto it = buckets_.find(h); it != buckets_.end()) {
-        for (const Entry& entry : it->second) {
-            if (matches(entry, value)) {
-                ++hits_;
+    if (auto it = buckets_.find(h); it != buckets_.end())
+        for (const Entry& entry : it->second)
+            if (matches(entry, value))
                 return entry.assignment;
-            }
-        }
-    }
-    ++misses_;
     return std::nullopt;
 }
 
@@ -102,14 +97,6 @@ AssignmentCache::insert(MatrixView value, std::vector<int> assignment)
         if (matches(existing, value))
             return;
     bucket.push_back(std::move(entry));
-    ++entries_;
-}
-
-SolverCacheStats
-AssignmentCache::stats() const
-{
-    runtime::LockGuard guard(mutex_);
-    return {hits_, misses_, entries_};
 }
 
 } // namespace poco::math

@@ -34,28 +34,18 @@
 namespace poco::math
 {
 
-/** Counter snapshot (monotonic since construction). */
-struct SolverCacheStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t entries = 0;
-};
-
 /** Content-addressed memo of assignment solutions. */
 class AssignmentCache
 {
   public:
     /**
      * Look up the solution stored for @p value; exact element-wise
-     * match required. Counts a hit or a miss.
+     * match required.
      */
     std::optional<std::vector<int>> lookup(MatrixView value) const;
 
     /** Store a solution; an exact duplicate key keeps the first. */
     void insert(MatrixView value, std::vector<int> assignment);
-
-    SolverCacheStats stats() const;
 
   private:
     struct Entry
@@ -71,9 +61,6 @@ class AssignmentCache
     mutable runtime::Mutex mutex_;
     std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_
         POCO_GUARDED_BY(mutex_);
-    mutable std::uint64_t hits_ POCO_GUARDED_BY(mutex_) = 0;
-    mutable std::uint64_t misses_ POCO_GUARDED_BY(mutex_) = 0;
-    std::uint64_t entries_ POCO_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace poco::math

@@ -7,12 +7,12 @@
  * clusters, how platform generations are mixed, how offered load
  * moves over a day, which regions share flash crowds, how BE work
  * arrives, and what fault storms hit — in the same builder idiom as
- * FleetConfig: value type, chainable withX() setters validated by
- * POCO_CHECK at the call site, and a validated() pass re-checking
- * every cross-field invariant before generation. The spec is pure
- * data; expanding it into concrete servers, traces, event logs and
- * fault plans is Scenario::generate (scenario.hpp), which is
- * deterministic in spec.seed alone.
+ * FleetConfig: value type, chainable withX() setters that only
+ * assign, and a validated() pass, the one home of every rule (the
+ * per-field ranges and the cross-field invariants), that generation
+ * runs first. The spec is pure data; expanding it into concrete
+ * servers, traces, event logs and fault plans is Scenario::generate
+ * (scenario.hpp), which is deterministic in spec.seed alone.
  */
 
 #pragma once
@@ -96,23 +96,18 @@ struct ScenarioSpec
 
     ScenarioSpec& withClusters(std::size_t value)
     {
-        POCO_CHECK(value >= 1, "scenario needs at least one cluster");
         clusters = value;
         return *this;
     }
 
     ScenarioSpec& withServersPerCluster(int value)
     {
-        POCO_CHECK(value >= 1,
-                   "each cluster needs at least one server");
         serversPerCluster = value;
         return *this;
     }
 
     ScenarioSpec& withApps(int lc, int be)
     {
-        POCO_CHECK(lc >= 1, "each cluster needs at least one LC app");
-        POCO_CHECK(be >= 1, "each cluster needs at least one BE app");
         lcApps = lc;
         beApps = be;
         return *this;
@@ -120,57 +115,30 @@ struct ScenarioSpec
 
     ScenarioSpec& withPlatformZipf(double skew)
     {
-        POCO_CHECK(skew > 0.0, "Zipf exponent must be positive");
         platformZipf = skew;
         return *this;
     }
 
     ScenarioSpec& withPlatformCount(int value)
     {
-        POCO_CHECK(value >= 1, "catalog needs at least one platform");
         platformCount = value;
         return *this;
     }
 
     ScenarioSpec& withDay(SimTime value)
     {
-        POCO_CHECK(value > 0, "day length must be positive");
         day = value;
         return *this;
     }
 
     ScenarioSpec& withEpochs(int value)
     {
-        POCO_CHECK(value >= 1, "scenario needs at least one epoch");
         epochs = value;
-        return *this;
-    }
-
-    ScenarioSpec& withDiurnal(double low, double high,
-                              double phase_jitter = 0.25)
-    {
-        POCO_CHECK(low > 0.0 && low <= high && high <= 1.0,
-                   "diurnal range must satisfy 0 < low <= high <= 1");
-        POCO_CHECK(phase_jitter >= 0.0 && phase_jitter <= 1.0,
-                   "phase jitter is a fraction of the day");
-        diurnalLow = low;
-        diurnalHigh = high;
-        phaseJitter = phase_jitter;
-        return *this;
-    }
-
-    ScenarioSpec& withJitter(double sigma, SimTime dwell)
-    {
-        POCO_CHECK(sigma >= 0.0, "jitter sigma must be non-negative");
-        POCO_CHECK(dwell > 0, "jitter dwell must be positive");
-        jitterSigma = sigma;
-        jitterDwell = dwell;
         return *this;
     }
 
     ScenarioSpec& withRegions(std::size_t value)
     {
-        POCO_CHECK(value >= 1, "scenario needs at least one region");
         regions = value;
         return *this;
     }
@@ -178,12 +146,6 @@ struct ScenarioSpec
     ScenarioSpec& withFlashCrowds(int per_region, double magnitude,
                                   SimTime duration)
     {
-        POCO_CHECK(per_region >= 0,
-                   "flash-crowd count must be non-negative");
-        POCO_CHECK(magnitude >= 0.0,
-                   "flash-crowd magnitude must be non-negative");
-        POCO_CHECK(duration > 0,
-                   "flash-crowd duration must be positive");
         flashCrowds = per_region;
         flashMagnitude = magnitude;
         flashDuration = duration;
@@ -192,8 +154,6 @@ struct ScenarioSpec
 
     ScenarioSpec& withBeArrivals(double per_hour)
     {
-        POCO_CHECK(per_hour >= 0.0,
-                   "BE arrival rate must be non-negative");
         beArrivalsPerHour = per_hour;
         return *this;
     }
@@ -201,10 +161,6 @@ struct ScenarioSpec
     ScenarioSpec& withFaultStorms(int count, SimTime duration,
                                   double magnitude)
     {
-        POCO_CHECK(count >= 0, "storm count must be non-negative");
-        POCO_CHECK(duration > 0, "storm duration must be positive");
-        POCO_CHECK(magnitude >= 0.0,
-                   "storm magnitude must be non-negative");
         faultStorms = count;
         stormDuration = duration;
         stormMagnitude = magnitude;
@@ -218,12 +174,11 @@ struct ScenarioSpec
     }
 
     /**
-     * Re-check every invariant the setters check, plus the
-     * cross-field ones they cannot see, and return the spec by value
-     * (the FleetConfig::validated() idiom), so a field written
-     * directly is caught too.
+     * Check every rule, the per-field ranges and the cross-field
+     * invariants, and return the spec by value (the
+     * FleetConfig::validated() idiom).
      *
-     * @throws poco::FatalError when any setter's check fails, regions
+     * @throws poco::FatalError when a field is out of range, regions
      *         exceed the cluster count (two regions would overlap on
      *         one cluster stripe), or a flash crowd / fault storm
      *         cannot fit inside the day.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "runtime/parallel.hpp"
 #include "util/check.hpp"
 
 namespace poco::server
@@ -442,25 +441,6 @@ runServerScenario(const wl::LcApp& lc, const wl::BeApp* be,
     manager.runUntil(duration);
     server.advanceTo(manager.now());
     return manager.result();
-}
-
-std::vector<ServerRunResult>
-runServerScenarios(std::vector<ServerScenario> scenarios,
-                   runtime::ThreadPool* pool)
-{
-    for (const auto& s : scenarios) {
-        POCO_REQUIRE(s.lc != nullptr, "scenario needs an LC app");
-        POCO_REQUIRE(s.controller != nullptr,
-                     "scenario needs a controller");
-    }
-    return runtime::parallelMap(
-        pool, scenarios.size(), [&scenarios](std::size_t i) {
-            ServerScenario& s = scenarios[i];
-            return runServerScenario(*s.lc, s.be, s.powerCap,
-                                     std::move(s.controller),
-                                     std::move(s.trace), s.duration,
-                                     s.config, s.faults);
-        });
 }
 
 } // namespace poco::server

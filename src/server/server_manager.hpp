@@ -30,11 +30,6 @@
 #include "sim/telemetry_rollup.hpp"
 #include "wl/load_trace.hpp"
 
-namespace poco::runtime
-{
-class ThreadPool;
-}
-
 namespace poco::server
 {
 
@@ -253,29 +248,5 @@ runServerScenario(const wl::LcApp& lc, const wl::BeApp* be,
                   wl::LoadTrace trace, SimTime duration,
                   ServerManagerConfig config = {},
                   const fault::FaultPlan* faults = nullptr);
-
-/** One entry for the batch scenario runner. */
-struct ServerScenario
-{
-    const wl::LcApp* lc = nullptr; ///< required
-    const wl::BeApp* be = nullptr; ///< null runs the primary alone
-    Watts powerCap;
-    std::unique_ptr<PrimaryController> controller;
-    wl::LoadTrace trace = wl::LoadTrace::constant(0.5);
-    SimTime duration = 0;
-    ServerManagerConfig config;
-    /** Borrowed fault schedule; nullptr/empty = fault-free. */
-    const fault::FaultPlan* faults = nullptr;
-};
-
-/**
- * Run many scenarios concurrently on @p pool (serially when null).
- * Every scenario owns its ColocatedServer and ServerManager, so the
- * simulations share no state; result i is bit-identical to a serial
- * runServerScenario() call with scenarios[i]'s arguments.
- */
-std::vector<ServerRunResult>
-runServerScenarios(std::vector<ServerScenario> scenarios,
-                   runtime::ThreadPool* pool = nullptr);
 
 } // namespace poco::server

@@ -2,8 +2,8 @@
  * @file
  * Determinism of faulted evaluation under concurrency: a faulted
  * cluster evaluation must be bit-identical for 1 worker and N
- * workers, and batched faulted server scenarios must match their
- * serial runs exactly. Runs under the tier-tsan label so the
+ * workers, and faulted server scenarios run on a pool must match
+ * their serial runs exactly. Runs under the tier-tsan label so the
  * ThreadSanitizer build exercises the fault paths too.
  */
 
@@ -13,6 +13,7 @@
 
 #include "cluster/cluster_evaluator.hpp"
 #include "fault/fault_plan.hpp"
+#include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "server/server_manager.hpp"
 #include "wl/registry.hpp"
@@ -72,7 +73,7 @@ TEST(FaultDeterminism, ClusterEvaluationMatchesAcrossWorkerCounts)
     EXPECT_EQ(a.timeWeightedThroughput, b.timeWeightedThroughput);
 }
 
-TEST(FaultDeterminism, BatchedFaultedScenariosMatchSerial)
+TEST(FaultDeterminism, PooledFaultedScenariosMatchSerial)
 {
     const wl::AppSet set = wl::defaultAppSet();
     fault::FaultPlanConfig fc;
@@ -86,31 +87,21 @@ TEST(FaultDeterminism, BatchedFaultedScenariosMatchSerial)
     const auto plan = fault::FaultPlan::generate(fc);
     ASSERT_TRUE(plan.enabled());
 
-    const auto make = [&](std::size_t lc_idx) {
-        server::ServerScenario s;
-        s.lc = &set.lc[lc_idx];
-        s.be = &set.be[lc_idx % set.be.size()];
-        s.powerCap = set.lc[lc_idx].provisionedPower();
-        s.controller =
-            std::make_unique<server::HeraclesController>(17 + lc_idx);
-        s.trace = wl::LoadTrace::stepped({0.2, 0.9}, 90 * kSecond);
-        s.duration = 3 * kMinute;
-        s.faults = &plan;
-        return s;
+    // Scenario i runs set.lc[i] against a rotated BE under the shared
+    // plan; every run owns its server and manager, so the pooled map
+    // must reproduce the serial one bit for bit.
+    const auto run = [&](std::size_t i) {
+        return server::runServerScenario(
+            set.lc[i], &set.be[i % set.be.size()],
+            set.lc[i].provisionedPower(),
+            std::make_unique<server::HeraclesController>(17 + i),
+            wl::LoadTrace::stepped({0.2, 0.9}, 90 * kSecond),
+            3 * kMinute, {}, &plan);
     };
-
-    std::vector<server::ServerScenario> serial_jobs;
-    std::vector<server::ServerScenario> pooled_jobs;
-    for (std::size_t i = 0; i < set.lc.size(); ++i) {
-        serial_jobs.push_back(make(i));
-        pooled_jobs.push_back(make(i));
-    }
-
     const auto serial =
-        server::runServerScenarios(std::move(serial_jobs), nullptr);
+        runtime::parallelMap(nullptr, set.lc.size(), run);
     runtime::ThreadPool pool(4);
-    const auto pooled =
-        server::runServerScenarios(std::move(pooled_jobs), &pool);
+    const auto pooled = runtime::parallelMap(&pool, set.lc.size(), run);
 
     ASSERT_EQ(serial.size(), pooled.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Determinism of the parallel evaluation pipeline: Rng::split stream
- * derivation, profiler grids, matrix cells, batch scenario runs, and
+ * derivation, profiler grids, matrix cells, pooled scenario runs, and
  * a full ClusterEvaluator policy evaluation must all be bit-identical
  * between the serial path and any thread count. Runs under the
  * tier-tsan label alongside the pool tests.
@@ -17,6 +17,7 @@
 #include "cluster/performance_matrix.hpp"
 #include "model/fitter.hpp"
 #include "model/profiler.hpp"
+#include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "server/primary_controller.hpp"
 #include "server/server_manager.hpp"
@@ -158,38 +159,26 @@ expectRunsIdentical(const server::ServerRunResult& a,
         << label;
 }
 
-TEST(ScenarioDeterminism, BatchRunnerMatchesIndividualRuns)
+TEST(ScenarioDeterminism, PooledRunsMatchIndividualRuns)
 {
     const auto set = wl::defaultAppSet();
     runtime::ThreadPool pool(4);
     const auto trace =
         wl::LoadTrace::stepped({0.3, 0.7}, 30 * kSecond);
     const SimTime duration = 3 * 30 * kSecond;
-
-    std::vector<server::ServerScenario> scenarios;
-    for (std::size_t i = 0; i < set.lc.size(); ++i) {
-        server::ServerScenario s;
-        s.lc = &set.lc[i];
-        s.be = &set.be[i];
-        s.powerCap = set.lc[i].provisionedPower();
-        s.controller =
-            std::make_unique<server::HeraclesController>(100 + i);
-        s.trace = trace;
-        s.duration = duration;
-        scenarios.push_back(std::move(s));
-    }
-    const auto batch =
-        server::runServerScenarios(std::move(scenarios), &pool);
-
-    ASSERT_EQ(batch.size(), set.lc.size());
-    for (std::size_t i = 0; i < set.lc.size(); ++i) {
-        const auto solo = server::runServerScenario(
+    const auto run = [&](std::size_t i) {
+        return server::runServerScenario(
             set.lc[i], &set.be[i], set.lc[i].provisionedPower(),
             std::make_unique<server::HeraclesController>(100 + i),
             trace, duration);
-        expectRunsIdentical(batch[i], solo,
+    };
+
+    const auto pooled = runtime::parallelMap(&pool, set.lc.size(), run);
+
+    ASSERT_EQ(pooled.size(), set.lc.size());
+    for (std::size_t i = 0; i < set.lc.size(); ++i)
+        expectRunsIdentical(pooled[i], run(i),
                             "server " + set.lc[i].name());
-    }
 }
 
 /**

@@ -3,6 +3,8 @@
  * poco::scen scenario generator: spec validation, seeded
  * determinism across thread counts, Zipf platform-mix
  * sanity, and the end-to-end FleetConfig::withScenario seam.
+ * The rule tests hold ScenarioSpec and FleetConfig to one copy of
+ * each rule: setters only assign, and validated() rejects.
  * Runs under tier-scen.
  */
 
@@ -10,12 +12,16 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/cluster_evaluator.hpp"
 #include "fleet/scenario_fleet.hpp"
 #include "runtime/thread_pool.hpp"
 #include "scen/scenario.hpp"
 #include "util/check.hpp"
+#include "wl/registry.hpp"
 
 namespace poco
 {
@@ -56,9 +62,24 @@ coarseConfig(int threads)
     return config;
 }
 
+/** Expect @p call to throw a FatalError whose message names @p rule. */
+template <typename Call>
+void
+expectRejects(const Call& call, const std::string& rule)
+{
+    try {
+        call();
+        ADD_FAILURE() << "accepted: " << rule;
+    } catch (const poco::FatalError& error) {
+        EXPECT_NE(std::string(error.what()).find(rule), std::string::npos)
+            << "expected \"" << rule << "\", got \"" << error.what()
+            << "\"";
+    }
+}
+
 TEST(ScenarioSpec, RejectsEmptyFleet)
 {
-    EXPECT_THROW(scen::ScenarioSpec{}.withClusters(0),
+    EXPECT_THROW(scen::ScenarioSpec{}.withClusters(0).validated(),
                  poco::FatalError);
     scen::ScenarioSpec spec;
     spec.clusters = 0; // bypass the setter; validated() must catch
@@ -67,10 +88,11 @@ TEST(ScenarioSpec, RejectsEmptyFleet)
 
 TEST(ScenarioSpec, RejectsNonPositiveZipf)
 {
-    EXPECT_THROW(scen::ScenarioSpec{}.withPlatformZipf(0.0),
+    EXPECT_THROW(scen::ScenarioSpec{}.withPlatformZipf(0.0).validated(),
                  poco::FatalError);
-    EXPECT_THROW(scen::ScenarioSpec{}.withPlatformZipf(-1.1),
-                 poco::FatalError);
+    EXPECT_THROW(
+        scen::ScenarioSpec{}.withPlatformZipf(-1.1).validated(),
+        poco::FatalError);
     scen::ScenarioSpec spec;
     spec.platformZipf = -0.5;
     EXPECT_THROW(spec.validated(), poco::FatalError);
@@ -105,24 +127,66 @@ TEST(ScenarioSpec, RejectsOversizedEpisodes)
 
 TEST(ScenarioSpec, ValidatedRechecksEverySetterRule)
 {
-    // Each field written past its setter must still be caught, by
-    // validated() and so by generate().
-    const std::vector<void (*)(scen::ScenarioSpec&)> bad_writes = {
-        [](scen::ScenarioSpec& s) { s.phaseJitter = 2.0; },
-        [](scen::ScenarioSpec& s) { s.phaseJitter = -1.0; },
-        [](scen::ScenarioSpec& s) { s.flashCrowds = -1; },
-        [](scen::ScenarioSpec& s) { s.flashMagnitude = -0.1; },
-        [](scen::ScenarioSpec& s) { s.flashDuration = 0; },
-        [](scen::ScenarioSpec& s) { s.faultStorms = -1; },
-        [](scen::ScenarioSpec& s) { s.stormDuration = 0; },
-        [](scen::ScenarioSpec& s) { s.stormMagnitude = -0.1; },
+    // validated() holds every rule, so a bad field is caught by it
+    // and so by generate(), however it was written. At least one
+    // case per check, in validated()'s order, each expecting its own
+    // check's message; smallSpec() has one flash crowd and one fault
+    // storm, so the fit-in-the-day checks are live.
+    using Write = void (*)(scen::ScenarioSpec&);
+    const std::vector<std::pair<std::string, Write>> bad_writes = {
+        {"at least one cluster",
+         [](scen::ScenarioSpec& s) { s.clusters = 0; }},
+        {"at least one server",
+         [](scen::ScenarioSpec& s) { s.serversPerCluster = 0; }},
+        {"LC and BE apps", [](scen::ScenarioSpec& s) { s.lcApps = 0; }},
+        {"LC and BE apps", [](scen::ScenarioSpec& s) { s.beApps = 0; }},
+        {"Zipf exponent must be positive",
+         [](scen::ScenarioSpec& s) { s.platformZipf = 0.0; }},
+        {"at least one platform",
+         [](scen::ScenarioSpec& s) { s.platformCount = 0; }},
+        {"a day and at least one epoch",
+         [](scen::ScenarioSpec& s) { s.day = 0; }},
+        {"a day and at least one epoch",
+         [](scen::ScenarioSpec& s) { s.epochs = 0; }},
+        {"diurnal range", [](scen::ScenarioSpec& s) { s.diurnalLow = 0.0; }},
+        {"diurnal range",
+         [](scen::ScenarioSpec& s) { s.diurnalLow = 0.95; }},
+        {"diurnal range",
+         [](scen::ScenarioSpec& s) { s.diurnalHigh = 1.1; }},
+        {"phase jitter", [](scen::ScenarioSpec& s) { s.phaseJitter = 2.0; }},
+        {"phase jitter",
+         [](scen::ScenarioSpec& s) { s.phaseJitter = -1.0; }},
+        {"jitter parameters",
+         [](scen::ScenarioSpec& s) { s.jitterSigma = -0.1; }},
+        {"jitter parameters",
+         [](scen::ScenarioSpec& s) { s.jitterDwell = 0; }},
+        {"at least one region",
+         [](scen::ScenarioSpec& s) { s.regions = 0; }},
+        {"regions exceed clusters",
+         [](scen::ScenarioSpec& s) { s.regions = s.clusters + 1; }},
+        {"flash-crowd count",
+         [](scen::ScenarioSpec& s) { s.flashCrowds = -1; }},
+        {"flash-crowd magnitude",
+         [](scen::ScenarioSpec& s) { s.flashMagnitude = -0.1; }},
+        {"flash-crowd duration",
+         [](scen::ScenarioSpec& s) { s.flashDuration = 0; }},
+        {"flash crowds must fit inside the day",
+         [](scen::ScenarioSpec& s) { s.flashDuration = s.day; }},
+        {"storm count", [](scen::ScenarioSpec& s) { s.faultStorms = -1; }},
+        {"storm duration",
+         [](scen::ScenarioSpec& s) { s.stormDuration = 0; }},
+        {"storm magnitude",
+         [](scen::ScenarioSpec& s) { s.stormMagnitude = -0.1; }},
+        {"fault storms must fit inside the day",
+         [](scen::ScenarioSpec& s) { s.stormDuration = s.day; }},
+        {"BE arrival rate",
+         [](scen::ScenarioSpec& s) { s.beArrivalsPerHour = -1.0; }},
     };
-    for (std::size_t k = 0; k < bad_writes.size(); ++k) {
+    for (const auto& [rule, write] : bad_writes) {
         scen::ScenarioSpec spec = smallSpec();
-        bad_writes[k](spec);
-        EXPECT_THROW(spec.validated(), poco::FatalError) << "case " << k;
-        EXPECT_THROW(scen::Scenario::generate(spec), poco::FatalError)
-            << "case " << k;
+        write(spec);
+        expectRejects([&] { spec.validated(); }, rule);
+        expectRejects([&] { scen::Scenario::generate(spec); }, rule);
     }
 
     // The closed ends of the jitter range and zero counts are valid.
@@ -136,6 +200,76 @@ TEST(ScenarioSpec, ValidatedRechecksEverySetterRule)
     spec.faultStorms = 0;
     EXPECT_NO_THROW(spec.validated());
     EXPECT_NO_THROW(scen::Scenario::generate(spec));
+}
+
+TEST(FleetConfigRules, ValidatedIsTheOneCheck)
+{
+    // A setter only assigns: a bad value is stored, not rejected.
+    FleetConfig stored;
+    EXPECT_NO_THROW(stored.withLoadPoints({})
+                        .withDwell(0)
+                        .withHeraclesReplicas(0)
+                        .withThreads(-1)
+                        .withEpochLoads({1.5})
+                        .withFleetBudget(Watts{-1.0}));
+    EXPECT_TRUE(stored.loadPoints.empty());
+    EXPECT_EQ(stored.dwell, 0);
+    EXPECT_EQ(stored.threads, -1);
+
+    // Each case breaks one rule of a valid config; validated() and
+    // the evaluator that runs it must both reject it with that
+    // rule's message.
+    using Breaker = void (*)(FleetConfig&);
+    const std::vector<std::pair<std::string, Breaker>> cases = {
+        {"loadPoints must be non-empty",
+         [](FleetConfig& c) { c.withLoadPoints({}); }},
+        {"load points must be in (0, 1]",
+         [](FleetConfig& c) { c.withLoadPoints({0.0, 0.5}); }},
+        {"load points must be in (0, 1]",
+         [](FleetConfig& c) { c.withLoadPoints({0.5, 1.01}); }},
+        {"dwell must be positive",
+         [](FleetConfig& c) { c.withDwell(0); }},
+        {"heraclesReplicas must be at least 1",
+         [](FleetConfig& c) { c.withHeraclesReplicas(0); }},
+        {"minPerfR2 must be non-negative",
+         [](FleetConfig& c) { c.minPerfR2 = -0.1; }},
+        {"minPowerR2 must be non-negative",
+         [](FleetConfig& c) { c.minPowerR2 = -0.1; }},
+        {"threads must be >= 0",
+         [](FleetConfig& c) { c.withThreads(-1); }},
+        {"epochLoads must be non-empty",
+         [](FleetConfig& c) { c.withEpochLoads({}); }},
+        {"epoch loads must be in (0, 1]",
+         [](FleetConfig& c) { c.withEpochLoads({0.3, 0.0}); }},
+        {"epoch loads must be in (0, 1]",
+         [](FleetConfig& c) { c.withEpochLoads({1.5}); }},
+        {"scenario loads must be whole epoch rows",
+         [](FleetConfig& c) { c.withScenarioLoads({0.5, 0.5, 0.5}, 2); }},
+        {"scenario loads must be whole epoch rows",
+         [](FleetConfig& c) { c.epochClusterWidth = 2; }},
+        {"scenario loads must be in (0, 1]",
+         [](FleetConfig& c) { c.withScenarioLoads({0.0, 0.5}, 2); }},
+        {"scenario loads must be in (0, 1]",
+         [](FleetConfig& c) { c.withScenarioLoads({0.5, 1.5}, 2); }},
+        {"scenario loads disagree with epoch count",
+         [](FleetConfig& c) {
+             c.withScenarioLoads({0.5, 0.5}, 2).withEpochLoads({0.5, 0.5});
+         }},
+        {"epochClusterLoads set without a width",
+         [](FleetConfig& c) { c.epochClusterLoads = {0.5}; }},
+        {"fleetBudget must be non-negative",
+         [](FleetConfig& c) { c.withFleetBudget(Watts{-1.0}); }},
+    };
+    const wl::AppSet apps = wl::defaultAppSet();
+    const FleetConfig valid = coarseConfig(1);
+    ASSERT_NO_THROW(valid.validated());
+    for (const auto& [rule, breaker] : cases) {
+        FleetConfig config = valid;
+        breaker(config);
+        expectRejects([&] { config.validated(); }, rule);
+        expectRejects([&] { cluster::ClusterEvaluator(apps, config); },
+                      rule);
+    }
 }
 
 TEST(ScenarioGenerate, FingerprintIdenticalAcrossThreadCounts)
